@@ -4,9 +4,13 @@ A Basis stores the expressions it retains verbatim, in insertion order;
 dependence is decided against a separately maintained reduced-echelon
 shadow, so the flag span{x1..xk} of the first k retained inputs is
 never disturbed.  The first call to components() or dual_basis() sets
-up the simple-element set S, extends the retained elements to a basis
-of span S, and inverts the pairing matrix (a_j_alpha); the inverse and
-the dual basis stay cached until the next mutation.
+up the simple-element set S and a second echelon whose row k is element
+k plus a unit tag column k; it extends the retained elements to a basis
+of span S with the unit vectors of S that are independent of the
+current span, in simple-element order.  Once every simple element is a
+pivot, the tag part of row alpha is row alpha of the inverse of the
+pairing matrix (a_j_alpha).  It and the dual basis stay cached until
+the next mutation.
 
 Two expression spaces are supported: differential forms (simple
 elements are wedge monomials of one manifold) and polynomials of degree
@@ -23,7 +27,7 @@ from .errors import (
     NotInSpanError,
 )
 from .exterior import Form
-from .scalar import GaussianRational, Poly, as_poly
+from .scalar import Echelon, GaussianRational, Poly, as_poly
 
 __all__ = ["Basis", "FormBasis", "SymbolBasis", "AffineBasis", "CONST"]
 
@@ -109,7 +113,7 @@ class Basis:
     def __init__(self, space):
         self._space = space
         self._elements = []
-        self._rows = {}  # pivot key -> fully reduced row (dict key -> GaussianRational)
+        self._echelon = Echelon(space.sort_key)
         self._cache = None
         self.setup_count = 0
         self.setup_ops = 0
@@ -130,145 +134,68 @@ class Basis:
     def __getitem__(self, i):
         return self._elements[i]
 
-    def _reduce(self, vec):
-        v = dict(vec)
-        for pk, row in self._rows.items():
-            c = v.get(pk)
-            if not c:
-                continue
-            for k, rv in row.items():
-                s = v.get(k, 0) - c * rv
-                if s:
-                    v[k] = s
-                else:
-                    v.pop(k, None)
-        return v
-
-    def _insert_reduced(self, x, red):
-        pivot = min(red, key=self._space.sort_key)
-        inv = red[pivot]
-        row = {k: v / inv for k, v in red.items()}
-        for pk, prow in self._rows.items():
-            c = prow.get(pivot)
-            if not c:
-                continue
-            for k, rv in row.items():
-                s = prow.get(k, 0) - c * rv
-                if s:
-                    prow[k] = s
-                else:
-                    prow.pop(k, None)
-        self._rows[pivot] = row
+    def _append(self, x):
+        """Append x when independent of the span; return its pivot, or None."""
+        red = self._echelon.reduce(_constant_vec(self._space.decompose(x)))
+        if not red:
+            return None
+        pivot = self._echelon.insert(red)
         self._elements.append(x)
         self._cache = None
+        return pivot
 
     def insert(self, x) -> bool:
         """Append x verbatim when independent of the current span."""
-        vec = _constant_vec(self._space.decompose(x))
-        red = self._reduce(vec)
-        if not red:
-            return False
-        self._insert_reduced(x, red)
-        return True
+        return self._append(x) is not None
 
     # -- lazy dual/component machinery ------------------------------------
 
     def _setup(self):
         if self._cache is not None:
             return self._cache
-        decs = [_constant_vec(self._space.decompose(x)) for x in self._elements]
         key = self._space.sort_key
-        simple = sorted({k for d in decs for k in d}, key=key)
-        m = len(self._elements)
-        n = len(simple)
-        # Extend the retained elements to a basis of span S with unit
-        # vectors of S, preserving the leading block.
-        scratch = {pk: dict(row) for pk, row in self._rows.items()}
-        extension = []
+        # Integer keys are the tag columns: they never pivot.
+        ech = Echelon(lambda k: None if isinstance(k, int) else key(k))
+        simple = set()
+        for tag, x in enumerate(self._elements):
+            vec = _constant_vec(self._space.decompose(x))
+            simple.update(vec)
+            vec[tag] = _ONE
+            ech.insert(ech.reduce(vec))
+        simple = sorted(simple, key=key)
         for alpha in simple:
-            if m + len(extension) == n:
+            if len(ech.rows) == len(simple):
                 break
-            v = {alpha: _ONE}
-            for pk, row in scratch.items():
-                c = v.get(pk)
-                if not c:
-                    continue
-                for k, rv in row.items():
-                    s = v.get(k, 0) - c * rv
-                    if s:
-                        v[k] = s
-                    else:
-                        v.pop(k, None)
-            if not v:
-                continue
-            pivot = min(v, key=key)
-            inv = v[pivot]
-            scratch[pivot] = {k: val / inv for k, val in v.items()}
-            extension.append(alpha)
-            decs.append({alpha: _ONE})
-        a = [[dec.get(alpha, 0) for alpha in simple] for dec in decs]
-        b = self._invert(a)
-        pos = {alpha: idx for idx, alpha in enumerate(simple)}
-        duals = []
-        for k in range(m):
-            pairs = [(simple[ai], b[ai][k]) for ai in range(n) if b[ai][k]]
-            duals.append(self._space.build(pairs))
-        self._cache = (simple, pos, m, n, b, duals)
+            ech.insert(ech.reduce({alpha: _ONE, len(ech.rows): _ONE}))
+        inverse = {
+            alpha: {k: c for k, c in ech.rows[alpha].items() if isinstance(k, int)}
+            for alpha in simple
+        }
+        m = len(self._elements)
+        pairs = [[] for _ in range(m)]
+        for alpha in simple:
+            for k, c in inverse[alpha].items():
+                if k < m:
+                    pairs[k].append((alpha, c))
+        duals = [self._space.build(p) for p in pairs]
+        self._cache = (inverse, m, duals)
+        self.setup_ops += ech.ops
         self.setup_count += 1
         return self._cache
 
-    def _invert(self, a):
-        n = len(a)
-        zero = GaussianRational(0)
-        work = [
-            [GaussianRational._coerce(v) for v in row]
-            + [(_ONE if j == i else zero) for j in range(n)]
-            for i, row in enumerate(a)
-        ]
-        ops = 0
-        for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if work[r][col]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                raise NonConstantCoefficientError("pairing matrix is singular")
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            inv = _ONE / work[col][col]
-            work[col] = [v * inv for v in work[col]]
-            ops += 2 * n
-            for r in range(n):
-                if r == col:
-                    continue
-                c = work[r][col]
-                if not c:
-                    continue
-                prow = work[col]
-                work[r] = [v - c * pv for v, pv in zip(work[r], prow)]
-                ops += 2 * n
-        self.setup_ops += ops
-        return [row[n:] for row in work]
-
     def components(self, x):
         """Exact coordinates of x in the stored basis (lazy setup)."""
-        simple, pos, m, n, b, _ = self._setup()
-        dec = self._space.decompose(x)
-        c = [Poly.zero()] * n
-        for k, p in dec.items():
+        inverse, m, _ = self._setup()
+        comps = [Poly.zero()] * len(inverse)
+        for key, p in self._space.decompose(x).items():
             if not p:
                 continue
-            if k not in pos:
+            row = inverse.get(key)
+            if row is None:
                 raise NotInSpanError(f"{x} pairs with a simple element outside the basis span")
-            c[pos[k]] = p
-        comps = []
-        for j in range(n):
-            s = Poly.zero()
-            for ai in range(n):
-                if c[ai] and b[ai][j]:
-                    s = s + c[ai] * b[ai][j]
-            comps.append(s)
-        if any(comps[j] for j in range(m, n)):
+            for k, c in row.items():
+                comps[k] = comps[k] + p * c
+        if any(comps[m:]):
             raise NotInSpanError(f"{x} is not in the span of the basis")
         return comps[:m]
 
@@ -276,7 +203,7 @@ class Basis:
         """The dual sequence x^1..x^m with pairing(x^i, x_j) = delta_ij."""
         if not self._elements:
             raise ValueError("dual_basis of an empty basis")
-        return list(self._setup()[5])
+        return list(self._setup()[2])
 
 
 class FormBasis(Basis):
@@ -302,11 +229,7 @@ class AffineBasis(SymbolBasis):
         self.inconsistent = False
 
     def insert(self, x) -> bool:
-        vec = _constant_vec(self._space.decompose(x))
-        red = self._reduce(vec)
-        if not red:
-            return False
-        if set(red) == {CONST}:
+        pivot = self._append(x)
+        if pivot is CONST:
             self.inconsistent = True
-        self._insert_reduced(x, red)
-        return True
+        return pivot is not None

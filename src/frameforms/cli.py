@@ -216,19 +216,13 @@ def _cmd_eds(args, out):
     with open(args.ideal_file, "r", encoding="utf-8") as fh:
         ideal = load_ideal(bundle, fh.read())
     flag = _parse_flag(args.flag, args.dim) if args.flag else None
-    if args.verbose:
-        from .eds import equations_for_Vn, reduced_polar_equations
-
-        for eq in equations_for_Vn(bundle, ideal):
-            out.write(f"# Vn equation: {eq}\n")
-        order = flag or list(range(1, args.dim + 1))
-        for j in range(args.dim):
-            polar = FormBasis(bundle.manifold)
-            for form in ideal:
-                for eq in reduced_polar_equations(bundle, form, j, order):
-                    if polar.insert(eq):
-                        out.write(f"# polar[j={j}]: {print_form(eq)}\n")
     report = cartan_test(bundle, ideal, flag)
+    if args.verbose:
+        for eq in report.vn_equations:
+            out.write(f"# Vn equation: {eq}\n")
+        for j, eqs in enumerate(report.polar):
+            for eq in eqs:
+                out.write(f"# polar[j={j}]: {print_form(eq)}\n")
     out.write("\n".join(_cartan_lines(report, args.dim)) + "\n")
     return 0
 

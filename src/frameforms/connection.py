@@ -4,10 +4,10 @@ A Connection owns a table of symbols G_ijk = <nabla_{e_i} e_j, e^k> (one
 symbol per triple in the generic case, an antisymmetric pattern in j,k
 for metric connections in an orthonormal frame).  Constraints are never
 assigned directly: declare_* methods turn nabla expressions into scalar
-equations, solve them for the connection's own still-unsolved symbols
-by exact linear elimination, and fold the solution into an accumulated
-substitution.  Foreign symbols (another connection's parameters) ride
-along as parameters.
+equations and add them to one persistent reduced echelon form over the
+connection's own symbols.  Its pivot rows give the substitution that
+expresses each solved symbol through the free ones.  Foreign symbols
+(another connection's parameters) ride along as parameters.
 
 Scalar equations are split into real and imaginary parts before
 solving: the symbolic parameters stand for real-valued functions, and
@@ -24,10 +24,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .basis import FormBasis
-from .errors import DegreeError, UnsupportedKindError
+from .errors import DegreeError, InconsistentError, UnsupportedKindError
 from .exterior import Form, pairing, wedge
 from .manifold import FrameManifold
-from .scalar import Poly, Session, as_poly, linear_solve
+from .scalar import Echelon, Poly, Session, as_poly
 from .spinors import Spinor, build_clifford_table, clifford_mul
 
 __all__ = ["Connection", "RiemannianManifold"]
@@ -70,6 +70,10 @@ class Connection:
                         s = session.symbol(f"{prefix}{i}{j}{k}")
                         self._gamma[(i, j, k)] = s
                         self._symbols.append(s)
+        self._own = set(self._symbols)
+        # Only the linear monomials of the own symbols may pivot.
+        position = {((s, 1),): s.index for s in self._symbols}
+        self._echelon = Echelon(position.get)
         self._subs = {}
 
     @classmethod
@@ -90,16 +94,17 @@ class Connection:
 
     def gamma(self, i, j, k) -> Poly:
         """The (substituted) symbol <nabla_{e_i} e_j, e^k>."""
+        sign = 1
         if self.antisymmetric:
             if j == k:
                 return Poly.zero()
-            if j < k:
-                base = Poly.from_symbol(self._gamma[(i, j, k)])
-            else:
-                base = -Poly.from_symbol(self._gamma[(i, k, j)])
-        else:
-            base = Poly.from_symbol(self._gamma[(i, j, k)])
-        return base.substitute(self._subs)
+            if j > k:
+                j, k, sign = k, j, -1
+        s = self._gamma[(i, j, k)]
+        value = self._subs.get(s)
+        if value is None:
+            value = Poly.from_symbol(s)
+        return value if sign > 0 else -value
 
     def free_parameters(self):
         """The connection's own symbols not yet fixed by declarations."""
@@ -214,22 +219,25 @@ class Connection:
     # -- declarations ---------------------------------------------------------
 
     def _declare(self, polys):
-        eqs = []
-        for p in polys:
-            p = p.substitute(self._subs)
-            re, im = p.real_imag()
-            if re:
-                eqs.append(re)
-            if im:
-                eqs.append(im)
-        if not eqs:
+        """Add the real and imaginary parts of polys to the echelon.
+
+        Every part is checked for linearity before any is reduced, and
+        the rows are added to a copy that replaces the echelon only once
+        every part proved consistent, so a failed declaration leaves the
+        connection unchanged.
+        """
+        parts = [part for p in polys for part in p.real_imag() if part]
+        for part in parts:
+            part.linear_split(self._own)
+        ech = self._echelon.copy()
+        for part in parts:
+            red = ech.reduce(part.terms)
+            if red and ech.insert(red) is None:
+                raise InconsistentError(f"equation reduces to {Poly(red)} = 0")
+        if len(ech.rows) == len(self._echelon.rows):
             return
-        unsolved = self.free_parameters()
-        sol = linear_solve(eqs, unsolved)
-        if not sol.assignments:
-            return
-        self._subs = {s: p.substitute(sol.assignments) for s, p in self._subs.items()}
-        self._subs.update(sol.assignments)
+        self._echelon = ech
+        self._subs = ech.solved()
 
     @staticmethod
     def _form_equations(delta: Form):

@@ -17,7 +17,7 @@ with the codimension of V_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .basis import AffineBasis, FormBasis
 from .errors import (
@@ -145,9 +145,18 @@ def reduced_polar_equations(bundle: FrameBundle, form: Form, j: int, order=None)
 
 @dataclass(frozen=True)
 class CartanReport:
+    """Polar ranks, codimension and verdict, with the equations behind them.
+
+    vn_equations are the retained equations of V_n; polar[j] the
+    retained polar equations at j, in insertion order.  Equality and
+    hashing look at (c, codim, involutive) only.
+    """
+
     c: tuple
     codim: int
     involutive: bool
+    vn_equations: tuple = field(default=(), compare=False)
+    polar: tuple = field(default=(), compare=False)
 
 
 def cartan_test(bundle: FrameBundle, ideal, flag_order=None) -> CartanReport:
@@ -171,14 +180,15 @@ def cartan_test(bundle: FrameBundle, ideal, flag_order=None) -> CartanReport:
     if container.inconsistent:
         raise InconsistentError("the equations for V_n are contradictory")
     codim = container.size()
-    c = []
+    polar = []
     for j in range(bundle.n):
-        polar = FormBasis(bundle.manifold)
+        basis = FormBasis(bundle.manifold)
         for form in ideal:
             for eq in reduced_polar_equations(bundle, form, j, flag_order):
-                polar.insert(eq)
-        c.append(polar.size())
-    return CartanReport(tuple(c), codim, sum(c) == codim)
+                basis.insert(eq)
+        polar.append(basis.elements)
+    c = tuple(len(eqs) for eqs in polar)
+    return CartanReport(c, codim, sum(c) == codim, container.elements, tuple(polar))
 
 
 def load_ideal(bundle: FrameBundle, text: str):

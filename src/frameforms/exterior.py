@@ -333,17 +333,20 @@ def _coeff_print(c: Poly, mono_str: str) -> str:
     return f"({c})*{mono_str}"
 
 
-def print_form(w: Form) -> str:
-    """Deterministic text rendering; inverse of parse_form on its range."""
-    if not w.terms:
-        return "0"
+def _print_terms(terms) -> str:
+    """Join (coefficient, monomial string) pairs into a signed sum; "0" if none."""
     parts = []
-    for m in sorted(w.terms, key=_mono_key):
-        t = _coeff_print(w.terms[m], _mono_print(m))
+    for c, mono_str in terms:
+        t = _coeff_print(c, mono_str)
         if parts and not t.startswith("-"):
             parts.append("+")
         parts.append(t)
-    return "".join(parts)
+    return "".join(parts) or "0"
+
+
+def print_form(w: Form) -> str:
+    """Deterministic text rendering; inverse of parse_form on its range."""
+    return _print_terms((w.terms[m], _mono_print(m)) for m in sorted(w.terms, key=_mono_key))
 
 
 # --- parsing --------------------------------------------------------------
@@ -369,9 +372,11 @@ def parse_form(frame, text: str) -> Form:
     """Parse a form string like "567-512" or "3/2*123-42" over a frame.
 
     Grammar: form := ['-'] term (('+'|'-') term)*;
-    term := [coeff '*'] ['e'] digits; coeff := integer ['/' integer];
+    term := [coeff '*'] (['e'] digits | 'e[' integer (',' integer)* ']');
+    coeff := integer ['/' integer];
     digits := one or more of '1'..'9', each a frame index.
-    The optional 'e' lets print_form output parse back.
+    The optional 'e' and the bracket list, which print_form writes when
+    an index exceeds 9, let print_form output parse back.
     """
     sc = _Scanner(text.strip())
     if not sc.text:
@@ -426,19 +431,32 @@ def _parse_term(frame, sc, sign):
         else:
             # The integer was the digit string of the monomial itself.
             sc.pos = num_start
+    mono = Form.scalar(frame, coeff)
     if sc.peek() == "e":
         sc.take()
+        if sc.peek() == "[":
+            sc.take()
+            while True:
+                d, pos = _parse_int(sc)
+                mono = wedge(mono, _generator(frame, d, pos))
+                if sc.peek() != ",":
+                    break
+                sc.take()
+            if sc.take() != "]":
+                sc.error("expected ',' or ']' in an index list")
+            return mono
     digit_start = sc.pos
-    mono = Form.scalar(frame, coeff)
     while sc.peek().isdigit():
-        d = int(sc.take())
-        if d == 0:
-            sc.error("frame index digit must be 1-9")
-        if d > frame.dim:
-            raise FrameIndexError(
-                f"index {d} exceeds frame dimension {frame.dim} at position {sc.pos - 1}"
-            )
-        mono = wedge(mono, Form.generator(frame, d))
+        mono = wedge(mono, _generator(frame, int(sc.take()), sc.pos - 1))
     if sc.pos == digit_start:
         sc.error("expected frame index digits")
     return mono
+
+
+def _generator(frame, d, pos):
+    """The generator of frame index d, read at position pos."""
+    if d == 0:
+        raise FormParseError(pos, "frame index must be 1 or more")
+    if d > frame.dim:
+        raise FrameIndexError(f"index {d} exceeds frame dimension {frame.dim} at position {pos}")
+    return Form.generator(frame, d)

@@ -6,10 +6,14 @@ monomials over session symbols to Gaussian-rational coefficients, kept
 in a unique canonical form (zero coefficients are never stored).
 
 Symbols are created through a Session, which assigns a strictly
-increasing creation index; the index is the identity of the symbol and
-the total order used everywhere canonical ordering is needed.  A
-session and every object created in it are confined to one thread at a
-time.
+increasing creation index from one process-wide counter; the index is
+the identity of the symbol and the total order used everywhere
+canonical ordering is needed, so symbols of different sessions never
+collide.  A session and every object created in it are confined to one
+thread at a time.
+
+Echelon is the one exact elimination kernel: linear_solve, the bases
+and the connection declarations all reduce through it.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ __all__ = [
     "GaussianRational",
     "I",
     "Poly",
+    "Echelon",
     "LinearSolution",
     "linear_solve",
 ]
@@ -117,7 +122,8 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # A real value hashes as its Fraction, since it compares equal to it.
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __str__(self):
         if not self.im:
@@ -196,19 +202,21 @@ class Symbol:
         return -self._p()
 
 
+# Creation indices are unique across sessions, so that symbols of two
+# sessions can never be mistaken for each other.
+_INDEX = itertools.count()
+
+
 class Session:
     """Registry that hands out symbols with unique creation indices.
 
     All objects of one computation (symbols, manifolds, connections)
-    must come from the same session; the creation index provides the
+    should come from the same session; the creation index provides the
     stable total order behind every canonical ordering in the engine.
     """
 
-    def __init__(self):
-        self._counter = itertools.count()
-
     def next_index(self):
-        return next(self._counter)
+        return next(_INDEX)
 
     def symbol(self, name) -> Symbol:
         return Symbol(name, self.next_index())
@@ -462,6 +470,69 @@ def as_poly(x) -> Poly:
     return p
 
 
+class Echelon:
+    """Incremental, fully reduced, sparse row echelon form over Q(i).
+
+    A row is a dict key -> GaussianRational, stored under its pivot.
+    `order(key)` gives the sort key of a key that may pivot, or None for
+    a key that never pivots (a parameter monomial, a bookkeeping tag).
+    Each row's pivot is its least pivotable key, with coefficient one,
+    and no row holds another row's pivot, so the rows are the unique
+    reduced echelon form of their span in that column order.  `ops`
+    counts the multiply-subtract steps spent.
+    """
+
+    __slots__ = ("order", "rows", "ops")
+
+    def __init__(self, order, rows=None):
+        self.order = order
+        self.rows = {} if rows is None else rows
+        self.ops = 0
+
+    def copy(self) -> "Echelon":
+        return Echelon(self.order, {p: dict(row) for p, row in self.rows.items()})
+
+    def _subtract(self, v, c, row):
+        """v -= c * row, in place."""
+        for k, r in row.items():
+            s = v.get(k, _ZERO) - c * r
+            if s:
+                v[k] = s
+            else:
+                v.pop(k, None)
+        self.ops += len(row)
+
+    def reduce(self, vec) -> dict:
+        """A new dict: vec with every stored pivot eliminated."""
+        v = dict(vec)
+        # Rows hold no other row's pivot, so one pass over vec's pivots suffices.
+        for p in [k for k in v if k in self.rows]:
+            self._subtract(v, v[p], self.rows[p])
+        return v
+
+    def insert(self, red):
+        """Store a reduced vector as a new row and return its pivot.
+
+        Returns None, storing nothing, when no key of `red` may pivot.
+        """
+        order = self.order
+        pivot = min((k for k in red if order(k) is not None), key=order, default=None)
+        if pivot is None:
+            return None
+        inv = _ONE / red[pivot]
+        row = {k: c * inv for k, c in red.items()}
+        for other in self.rows.values():
+            c = other.get(pivot)
+            if c:
+                self._subtract(other, c, row)
+        self.rows[pivot] = row
+        return pivot
+
+    def solved(self) -> dict:
+        """For rows keyed by monomials: each pivot symbol's value, minus its row's rest."""
+        return {p[0][0]: Poly({m: -c for m, c in row.items() if m != p}) for p, row in self.rows.items()}
+
+
 @dataclass(frozen=True)
 class LinearSolution:
     """Result of linear_solve: assignments plus the leftover free unknowns."""
@@ -478,62 +549,23 @@ def linear_solve(equations, unknowns) -> LinearSolution:
 
     Each equation must be affine in the unknowns with constant
     coefficients on the unknowns; parameters (other symbols) may appear
-    only in the unknown-free part.  Pivots are chosen deterministically:
-    the first equation, in input order, with a nonzero coefficient on
-    the earliest-created unsolved unknown.  Underdetermined systems
-    leave the unsolved unknowns in `free`; an equation that reduces to a
-    nonzero constant or a nonzero parameter-only polynomial raises
-    InconsistentError.
+    only in the unknown-free part.  The result is the reduced echelon
+    form with the unknowns ordered by creation index: each pivot unknown
+    is assigned an expression in the free unknowns and the parameters.
+    Underdetermined systems leave the other unknowns in `free`; an
+    equation that reduces to a nonzero constant or a nonzero
+    parameter-only polynomial raises InconsistentError.
     """
-    unknown_list = sorted(set(unknowns), key=lambda s: s.index)
-    unknown_set = set(unknown_list)
-    rows = []
-    for eq in equations:
-        p = as_poly(eq)
-        coeffs, rest = p.linear_split(unknown_set)
-        rows.append([coeffs, rest, True])
-
-    exprs = {}
-    order = []
-    for u in unknown_list:
-        pivot = None
-        for row in rows:
-            if row[2] and u in row[0]:
-                pivot = row
-                break
-        if pivot is None:
-            continue
-        coeffs, rest, _ = pivot
-        cu = coeffs.pop(u)
-        expr_coeffs = {v: -(cv / cu) for v, cv in coeffs.items()}
-        expr_rest = rest * (-_ONE / cu)
-        pivot[2] = False
-        for row in rows:
-            if not row[2]:
-                continue
-            c = row[0].pop(u, None)
-            if c is None:
-                continue
-            for v, cv in expr_coeffs.items():
-                s = row[0].get(v, _ZERO) + c * cv
-                if s:
-                    row[0][v] = s
-                else:
-                    row[0].pop(v, None)
-            row[1] = row[1] + expr_rest * c
-        exprs[u] = (expr_coeffs, expr_rest)
-        order.append(u)
-
-    for coeffs, rest, active in rows:
-        if active and rest:
-            raise InconsistentError(f"equation reduces to {rest} = 0")
-
-    assignments = {}
-    for u in reversed(order):
-        expr_coeffs, expr_rest = exprs[u]
-        p = expr_rest
-        for v, c in expr_coeffs.items():
-            p = p + (assignments[v] if v in assignments else Poly.from_symbol(v)) * c
-        assignments[u] = p
-    free = frozenset(u for u in unknown_list if u not in assignments)
+    unknown_set = set(unknowns)
+    polys = [as_poly(eq) for eq in equations]
+    for p in polys:
+        p.linear_split(unknown_set)
+    position = {((u, 1),): u.index for u in unknown_set}
+    ech = Echelon(position.get)
+    for p in polys:
+        red = ech.reduce(p.terms)
+        if red and ech.insert(red) is None:
+            raise InconsistentError(f"equation reduces to {Poly(red)} = 0")
+    assignments = ech.solved()
+    free = frozenset(u for u in unknown_set if u not in assignments)
     return LinearSolution(assignments, free)

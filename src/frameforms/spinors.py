@@ -14,7 +14,7 @@ suite's expected tables.
 from __future__ import annotations
 
 from .errors import DegreeError, DimensionError
-from .exterior import Form
+from .exterior import Form, _print_terms
 from .scalar import GaussianRational, Poly, as_poly
 
 __all__ = ["CliffordTable", "build_clifford_table", "Spinor", "clifford_mul"]
@@ -194,31 +194,7 @@ class Spinor:
         return Spinor(self.dim, {k: c for k, c in out.items() if c})
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for k in sorted(self.terms):
-            c = self.terms[k]
-            mono = f"u{k}"
-            if c.is_constant():
-                v = c.constant_value()
-                if v == 1:
-                    t = mono
-                elif v == -1:
-                    t = "-" + mono
-                else:
-                    s = str(v)
-                    if v.re and v.im:
-                        s = f"({s})"
-                    t = f"{s}*{mono}"
-            elif len(c.terms) == 1:
-                t = f"{c}*{mono}"
-            else:
-                t = f"({c})*{mono}"
-            if parts and not t.startswith("-"):
-                parts.append("+")
-            parts.append(t)
-        return "".join(parts)
+        return _print_terms((self.terms[k], f"u{k}") for k in sorted(self.terms))
 
     def __repr__(self):
         return f"Spinor({self})"

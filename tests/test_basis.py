@@ -115,6 +115,16 @@ def test_dual_basis_with_extension():
     dual = b.dual_basis()
     assert len(dual) == 1
     assert pairing(dual[0], M.e(1) + M.e(2)) == 1
+    # the extension is e1, the first unit vector independent of the span
+    assert dual == [M.e(2)]
+    M2 = FrameManifold(Session(), 2)
+    b2 = FormBasis(M2)
+    b2.insert(M2.e(1) + M2.e(2))
+    assert b2.dual_basis() == [M2.e(2)]
+    b3 = FormBasis(M)
+    b3.insert(M.e(1) + M.e(2))
+    b3.insert(M.e(2) + M.e(3))
+    assert b3.dual_basis() == [M.e(2) - M.e(3), M.e(3)]
     assert b.components(3 * (M.e(1) + M.e(2))) == [3]
     with pytest.raises(NotInSpanError):
         b.components(M.e(1))  # touches S but lies outside the span

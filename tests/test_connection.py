@@ -7,6 +7,7 @@ from frameforms import (
     Connection,
     FrameManifold,
     InconsistentError,
+    NonLinearError,
     Poly,
     RiemannianManifold,
     Session,
@@ -269,6 +270,31 @@ def test_declare_zero_examples():
     assert c._subs == before
     with pytest.raises(InconsistentError):
         c.declare_zero([(M.e(1) * M.e(2)) * 3])
+
+
+def test_failed_declaration_leaves_connection_unchanged():
+    s = Session()
+    M = torus(s)
+    c = Connection(M)
+    c.declare_nabla_vector(M.e(1), M.e(1), M.e(2))
+    g1, g2, g3 = c.free_parameters()[:3]
+    subs, free = dict(c._subs), c.free_parameters()
+    table = [str(c.gamma(i, j, k)) for i in range(1, 5) for j in range(1, 5) for k in range(1, 5)]
+
+    def unchanged():
+        assert c._subs == subs
+        assert c.free_parameters() == free
+        assert [str(c.gamma(i, j, k)) for i in range(1, 5) for j in range(1, 5) for k in range(1, 5)] == table
+
+    with pytest.raises(InconsistentError):
+        c.declare_zero([g1 - 1, g1 - 2])
+    unchanged()
+    with pytest.raises(NonLinearError):
+        c.declare_zero([g2 - 1, g3 * g3])
+    unchanged()
+    c.declare_zero([g1 - 1])
+    assert g1 not in c.free_parameters()
+    assert c._subs[g1] == 1
 
 
 def test_almost_complex_torsion_reference_values():

@@ -1,6 +1,7 @@
 import pytest
 
 from frameforms import (
+    CartanReport,
     DimensionError,
     FileFormatError,
     FormBasis,
@@ -153,6 +154,11 @@ def test_cartan_g2():
     assert report.c == (0, 0, 0, 1, 5, 15, 28)
     assert report.codim == 49
     assert report.involutive
+    # the report carries the equations it counted; equality ignores them
+    assert len(report.vn_equations) == 49
+    assert tuple(len(eqs) for eqs in report.polar) == report.c
+    assert report == CartanReport(report.c, 49, True)
+    assert hash(report) == hash(CartanReport(report.c, 49, True))
 
 
 def test_cartan_empty_ideal():

@@ -14,6 +14,7 @@ from frameforms import (
     Session,
     coefficients,
     degree,
+    frame_bundle,
     hook,
     pairing,
     parse_form,
@@ -272,6 +273,27 @@ def test_cross_manifold_operations_rejected():
         hook(A.e(1), B.e(1) * B.e(2))
     with pytest.raises(FrameMismatchError):
         A.e(1) + B.e(1)
+
+
+def test_parse_print_roundtrip_indices_above_nine():
+    M = _manifold(11)
+    w = M.e(10) * M.e(11)
+    assert print_form(w) == "e[10,11]"
+    assert parse_form(M, "e[10,11]") == w
+    assert parse_form(M, "-3/2*e[11,2]+e12") == Fraction(3, 2) * (M.e(2) * M.e(11)) + M.e(1) * M.e(2)
+    with pytest.raises(FormParseError):
+        parse_form(M, "e[10,0]")
+    with pytest.raises(FormParseError):
+        parse_form(M, "e[1,2")
+    with pytest.raises(FrameIndexError):
+        parse_form(M, "e[3,12]")
+    rng = random.Random(46)
+    P = frame_bundle(Session(), 3)
+    for N in (M, P.manifold):
+        for _ in range(300):
+            w = _rand_form(rng, N, rng.randint(1, 3), rng.randint(1, 4))
+            if w:
+                assert parse_form(N, print_form(w)) == w
 
 
 def test_parse_print_roundtrip_randomized():

@@ -27,6 +27,15 @@ def test_gaussian_rational_arithmetic():
     assert str(GaussianRational(0, Fraction(-3, 2))) == "-3/2*i"
 
 
+def test_hash_agrees_with_equality():
+    assert GaussianRational(3) == 3
+    assert len({GaussianRational(3), 3}) == 1
+    assert hash(GaussianRational(-7)) == hash(-7)
+    half = Fraction(1, 2)
+    assert hash(GaussianRational(half)) == hash(half)
+    assert len({GaussianRational(half), half, GaussianRational(half, 1)}) == 2
+
+
 def test_floats_are_rejected():
     with pytest.raises(TypeError):
         GaussianRational(0.5)
@@ -48,6 +57,14 @@ def test_symbol_identity_and_order():
     assert x1 < x2
     assert x1 == x1
     assert x1.index < x2.index
+
+
+def test_symbols_of_different_sessions_are_distinct():
+    a = Session().symbol("a")
+    b = Session().symbol("b")
+    assert a != b
+    assert a - b != 0
+    assert str(a - b) == "a-b"
 
 
 def test_poly_ring_examples():
@@ -174,6 +191,9 @@ def test_linear_solve_nonlinear_errors():
         linear_solve([a * x], [x])
     with pytest.raises(NonLinearError):
         linear_solve([x * y], [x, y])
+    # every equation is checked for linearity before any is eliminated
+    with pytest.raises(NonLinearError):
+        linear_solve([x, x - 1, x * x], [x])
 
 
 def test_linear_solve_inconsistent():
