@@ -26,7 +26,7 @@ from .errors import (
     NonLinearError,
     NotInSpanError,
 )
-from .exterior import Form
+from .exterior import Form, _mono_key
 from .scalar import Echelon, GaussianRational, Poly, as_poly
 
 __all__ = ["Basis", "FormBasis", "SymbolBasis", "AffineBasis", "CONST"]
@@ -57,8 +57,7 @@ class _FormSpace:
             raise FrameMismatchError("form belongs to a different manifold")
         return dict(x.terms)
 
-    def sort_key(self, key):
-        return (len(key), key)
+    sort_key = staticmethod(_mono_key)
 
     def build(self, pairs):
         return Form._make(self.manifold, {k: _as_poly_coeff(c) for k, c in pairs})

@@ -62,7 +62,6 @@ class FrameBundle:
         for i in range(n + 1, n * (n + 1) + 1):
             for j in range(1, n + 1):
                 self.p[(i, j)] = session.symbol(f"p{i}{j}")
-        self._modulo_ic = {i: self.manifold.zero() for i in range(1, n + 1)}
 
     def theta(self, i: int) -> Form:
         if not 1 <= i <= self.n:
@@ -79,8 +78,9 @@ class FrameBundle:
         return parse_form(self.manifold, text)
 
     def modulo_ic(self, w: Form) -> Form:
-        """Project modulo the independence forms (theta^i -> 0)."""
-        return substitute_form(w, self._modulo_ic)
+        """Project modulo the independence forms: drop every term with a theta factor."""
+        n = self.n
+        return Form(w.manifold, {m: c for m, c in w.terms.items() if not m or m[0] > n})
 
 
 def frame_bundle(session: Session, n: int) -> FrameBundle:

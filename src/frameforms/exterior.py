@@ -19,7 +19,7 @@ from .errors import (
     FrameMismatchError,
     MixedDegreeError,
 )
-from .scalar import GaussianRational, Poly, Symbol, as_poly
+from .scalar import GaussianRational, Poly, Symbol, accumulate, as_poly
 
 __all__ = [
     "Form",
@@ -110,15 +110,7 @@ class Form:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in o.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Form(self.manifold, out)
+        return Form(self.manifold, accumulate(dict(self.terms), o.terms.items()))
 
     __radd__ = __add__
 
@@ -196,22 +188,14 @@ def wedge(a: Form, b: Form) -> Form:
     """Exterior product; bilinear over Poly and graded-anticommutative."""
     if b.manifold is not a.manifold:
         raise FrameMismatchError("forms belong to different manifolds")
-    out = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            m, sign = _merge_indices(m1, m2)
-            if not sign:
-                continue
-            c = c1 * c2
-            if sign < 0:
-                c = -c
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    return Form(a.manifold, out)
+    pairs = (
+        (m, c1 * c2 if sign > 0 else -(c1 * c2))
+        for m1, c1 in a.terms.items()
+        for m2, c2 in b.terms.items()
+        for m, sign in [_merge_indices(m1, m2)]
+        if sign
+    )
+    return Form(a.manifold, accumulate({}, pairs))
 
 
 def hook(v: Form, w: Form) -> Form:
@@ -224,37 +208,27 @@ def hook(v: Form, w: Form) -> Form:
         raise FrameMismatchError("forms belong to different manifolds")
     if v and not v.is_homogeneous(1):
         raise DegreeError("hook expects a degree-1 first argument")
-    out = {}
-    for (g,), cv in v.terms.items():
-        for mono, cm in w.terms.items():
-            try:
-                pos = mono.index(g)
-            except ValueError:
-                continue
-            rest = mono[:pos] + mono[pos + 1 :]
-            c = cv * cm
-            if pos % 2:
-                c = -c
-            s = out.get(rest)
-            s = c if s is None else s + c
-            if s:
-                out[rest] = s
-            else:
-                out.pop(rest, None)
-    return Form(v.manifold, out)
+    pairs = (
+        (mono[:pos] + mono[pos + 1 :], -(cv * cm) if pos % 2 else cv * cm)
+        for (g,), cv in v.terms.items()
+        for mono, cm in w.terms.items()
+        if g in mono
+        for pos in [mono.index(g)]
+    )
+    return Form(v.manifold, accumulate({}, pairs))
 
 
 def pairing(a: Form, b: Form) -> Poly:
     """Canonical bilinear pairing; monomials form an orthonormal set."""
     if b.manifold is not a.manifold:
         raise FrameMismatchError("forms belong to different manifolds")
-    out = Poly.zero()
+    out = {}
     small, large = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
     for m, c in small.items():
         c2 = large.get(m)
         if c2 is not None:
-            out = out + c * c2
-    return out
+            accumulate(out, (c * c2).terms.items())
+    return Poly(out)
 
 
 def degree(w: Form) -> int:
@@ -290,7 +264,7 @@ def substitute_form(w: Form, rules: dict) -> Form:
         if any(len(m) > 1 for m in f.terms):
             raise DegreeError(f"replacement for e{g} must have degree <= 1")
         repl[g] = f
-    out = Form.zero(M)
+    out = {}
     for mono, c in w.terms.items():
         term = Form.scalar(M, c)
         for g in mono:
@@ -300,24 +274,20 @@ def substitute_form(w: Form, rules: dict) -> Form:
             term = wedge(term, factor)
             if not term:
                 break
-        out = out + term
-    return out
+        accumulate(out, term.terms.items())
+    return Form(M, out)
 
 
 # --- printing -------------------------------------------------------------
 
 def _mono_print(mono):
-    if not mono:
-        return ""
-    if all(i <= 9 for i in mono):
+    # The scalar monomial prints as e[], so a scalar part parses back as one.
+    if mono and all(i <= 9 for i in mono):
         return "e" + "".join(str(i) for i in mono)
     return "e[" + ",".join(str(i) for i in mono) + "]"
 
 
 def _coeff_print(c: Poly, mono_str: str) -> str:
-    if not mono_str:
-        s = str(c)
-        return s if c.is_constant() else f"({s})"
     if c.is_constant():
         v = c.constant_value()
         if v == 1:
@@ -371,16 +341,20 @@ class _Scanner:
 def parse_form(frame, text: str) -> Form:
     """Parse a form string like "567-512" or "3/2*123-42" over a frame.
 
-    Grammar: form := ['-'] term (('+'|'-') term)*;
-    term := [coeff '*'] (['e'] digits | 'e[' integer (',' integer)* ']');
+    Grammar: form := '0' | ['-'] term (('+'|'-') term)*;
+    term := [coeff '*'] (['e'] digits | 'e[' [integer (',' integer)*] ']');
     coeff := integer ['/' integer];
     digits := one or more of '1'..'9', each a frame index.
-    The optional 'e' and the bracket list, which print_form writes when
-    an index exceeds 9, let print_form output parse back.
+    '0' is the zero form and the empty list 'e[]' the scalar monomial 1.
+    The optional 'e' and the bracket list, which print_form writes for
+    the scalar monomial and when an index exceeds 9, let print_form
+    output parse back.
     """
     sc = _Scanner(text.strip())
     if not sc.text:
         sc.error("empty form string")
+    if sc.text == "0":
+        return Form.zero(frame)
     out = Form.zero(frame)
     sign = 1
     if sc.peek() == "-":
@@ -436,6 +410,9 @@ def _parse_term(frame, sc, sign):
         sc.take()
         if sc.peek() == "[":
             sc.take()
+            if sc.peek() == "]":
+                sc.take()
+                return mono
             while True:
                 d, pos = _parse_int(sc)
                 mono = wedge(mono, _generator(frame, d, pos))

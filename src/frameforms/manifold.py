@@ -22,7 +22,7 @@ from .errors import (
     RedeclarationError,
 )
 from .exterior import Form, hook, parse_form, wedge
-from .scalar import Poly, Session
+from .scalar import Poly, Session, accumulate
 
 __all__ = ["FrameManifold", "load_manifold"]
 
@@ -90,7 +90,7 @@ class FrameManifold:
     def d(self, w) -> Form:
         """Exterior derivative via the d-table, Leibniz on monomials."""
         w = w if isinstance(w, Form) else Form.scalar(self, w)
-        out = Form.zero(self)
+        out = {}
         one = Poly.constant(1)
         for mono, c in w.terms.items():
             for pos, g in enumerate(mono):
@@ -100,8 +100,8 @@ class FrameManifold:
                 prefix = Form(self, {mono[:pos]: one})
                 suffix = Form(self, {mono[pos + 1 :]: one})
                 term = wedge(wedge(prefix, dg), suffix)
-                out = out + term * (c if pos % 2 == 0 else -c)
-        return out
+                accumulate(out, (term * (c if pos % 2 == 0 else -c)).terms.items())
+        return Form(self, out)
 
     def lie_bracket(self, X: Form, Y: Form) -> Form:
         """Constant-coefficient Lie bracket: <[X,Y], e^k> = −(de^k)(X,Y)."""

@@ -12,6 +12,8 @@ canonical ordering is needed, so symbols of different sessions never
 collide.  A session and every object created in it are confined to one
 thread at a time.
 
+accumulate is the one sparse-sum step: polynomials, forms, spinors and
+echelon rows all add coefficients into their term dicts through it.
 Echelon is the one exact elimination kernel: linear_solve, the bases
 and the connection declarations all reduce through it.
 """
@@ -262,10 +264,6 @@ class Poly:
         # terms is trusted to be canonical; use the constructors below.
         self.terms = terms or {}
 
-    @staticmethod
-    def _make(raw):
-        return Poly({m: c for m, c in raw.items() if c})
-
     @classmethod
     def zero(cls):
         return cls({})
@@ -293,14 +291,7 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in o.terms.items():
-            s = out.get(m, _ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Poly(out)
+        return Poly(accumulate(dict(self.terms), o.terms.items()))
 
     __radd__ = __add__
 
@@ -320,16 +311,12 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                m = _mono_mul(m1, m2)
-                c = out.get(m, _ZERO) + c1 * c2
-                if c:
-                    out[m] = c
-                else:
-                    out.pop(m, None)
-        return Poly(out)
+        pairs = (
+            (_mono_mul(m1, m2), c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in o.terms.items()
+        )
+        return Poly(accumulate({}, pairs))
 
     __rmul__ = __mul__
 
@@ -376,15 +363,15 @@ class Poly:
         """Simultaneous (non-iterated) substitution of symbols by polynomials."""
         if not rules:
             return self
-        out = Poly.zero()
+        out = {}
         for m, c in self.terms.items():
             term = Poly.constant(c)
             for s, e in m:
                 rep = rules.get(s)
                 base = rep if rep is not None else Poly.from_symbol(s)
                 term = term * base**e
-            out = out + term
-        return out
+            accumulate(out, term.terms.items())
+        return Poly(out)
 
     def real_imag(self):
         """Split into (re, im) with symbols treated as real-valued quantities."""
@@ -463,6 +450,22 @@ def _as_gaussian(x) -> GaussianRational:
     return GaussianRational(x)
 
 
+def accumulate(out: dict, pairs) -> dict:
+    """Add each (key, coefficient) pair into the sparse dict out, in place.
+
+    A key whose sum is zero is dropped, so out never stores a zero.
+    Returns out.
+    """
+    for k, c in pairs:
+        s = out.get(k)
+        s = c if s is None else s + c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
 def as_poly(x) -> Poly:
     p = Poly._coerce(x)
     if p is None:
@@ -494,12 +497,8 @@ class Echelon:
 
     def _subtract(self, v, c, row):
         """v -= c * row, in place."""
-        for k, r in row.items():
-            s = v.get(k, _ZERO) - c * r
-            if s:
-                v[k] = s
-            else:
-                v.pop(k, None)
+        c = -c
+        accumulate(v, ((k, c * r) for k, r in row.items()))
         self.ops += len(row)
 
     def reduce(self, vec) -> dict:

@@ -1,8 +1,12 @@
 """The 2^m-dimensional complex spinor module and Clifford multiplication.
 
-Frame vectors act through a table of gamma matrices over the Gaussian
-rationals satisfying g_i g_j + g_j g_i = -2 delta_ij.  The matrices come
-from the standard doubling construction: the base pair on C^2 is
+Frame vectors act through gamma matrices over the Gaussian rationals
+satisfying g_i g_j + g_j g_i = -2 delta_ij.  Every gamma is a monomial
+matrix, with one nonzero entry in each row and column, so a table
+stores it as the (row, phase) of that entry in each column: Clifford
+multiplication moves and rescales each spinor term once, and gamma(i)
+expands the dense matrix on request.  The matrices come from the
+standard doubling construction: the base pair on C^2 is
 (i*sigma1, i*sigma2), doubling pads existing generators with sigma3 on
 the new highest tensor factor and adds the base pair there; for odd n
 the last generator is the (normalized) product of all the others.  The
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 from .errors import DegreeError, DimensionError
 from .exterior import Form, _print_terms
-from .scalar import GaussianRational, Poly, as_poly
+from .scalar import GaussianRational, Poly, accumulate, as_poly
 
 __all__ = ["CliffordTable", "build_clifford_table", "Spinor", "clifford_mul"]
 
@@ -23,43 +27,16 @@ _ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
 _I = GaussianRational(0, 1)
 
-# 2x2 blocks of the doubling step, as tuples of row tuples.
-_P_A = ((_ZERO, _I), (_I, _ZERO))  # i*sigma1
-_P_B = ((_ZERO, _ONE), (-_ONE, _ZERO))  # i*sigma2
-_PAD = ((_ONE, _ZERO), (_ZERO, -_ONE))  # sigma3
+# 2x2 blocks of the doubling step, as the (row, phase) of each column.
+_P_A = ((1, _I), (0, _I))  # i*sigma1
+_P_B = ((1, -_ONE), (0, _ONE))  # i*sigma2
+_PAD = ((0, _ONE), (1, -_ONE))  # sigma3
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum((a[r][k] * b[k][c] for k in range(n)), _ZERO) for c in range(n))
-        for r in range(n)
-    )
-
-
-def _mat_scale(a, c):
-    return tuple(tuple(c * v for v in row) for row in a)
-
-
-def _expand_high(block, small):
-    """Place `block` on the new highest bit, `small` on the old indices."""
+def _kron(block, small):
+    """block ⊗ small: `block` on the new highest bit, `small` on the old indices."""
     n = len(small)
-    out = [[_ZERO] * (2 * n) for _ in range(2 * n)]
-    for s in range(2):
-        for t in range(2):
-            c = block[s][t]
-            if not c:
-                continue
-            for x in range(n):
-                for y in range(n):
-                    v = small[x][y]
-                    if v:
-                        out[x + s * n][y + t * n] = c * v
-    return tuple(tuple(row) for row in out)
-
-
-def _identity(n):
-    return tuple(tuple(_ONE if r == c else _ZERO for c in range(n)) for r in range(n))
+    return tuple((x + s * n, c * v) for s, c in block for x, v in small)
 
 
 class CliffordTable:
@@ -71,31 +48,26 @@ class CliffordTable:
         self.spinor_dim = 2 ** self.m
         self._gammas = tuple(gammas)
 
-    def gamma(self, i):
-        """Matrix of Clifford multiplication by the i-th frame vector (1-based)."""
+    def _columns(self, i):
         if not 1 <= i <= self.n:
             raise DimensionError(f"gamma index {i} outside 1..{self.n}")
         return self._gammas[i - 1]
+
+    def gamma(self, i):
+        """Matrix of Clifford multiplication by the i-th frame vector (1-based)."""
+        rows = [[_ZERO] * self.spinor_dim for _ in range(self.spinor_dim)]
+        for k, (r, v) in enumerate(self._columns(i)):
+            rows[r][k] = v
+        return tuple(map(tuple, rows))
 
     def apply(self, i, psi: "Spinor") -> "Spinor":
         if psi.dim != self.spinor_dim:
             raise DimensionError(
                 f"spinor of dimension {psi.dim} does not match the table ({self.spinor_dim})"
             )
-        g = self.gamma(i)
-        out = {}
-        for k, c in psi.terms.items():
-            for r in range(self.spinor_dim):
-                v = g[r][k]
-                if not v:
-                    continue
-                s = out.get(r)
-                s = c * v if s is None else s + c * v
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
-        return Spinor(self.spinor_dim, out)
+        g = self._columns(i)
+        # Distinct columns have distinct rows, so no two terms land together.
+        return Spinor(self.spinor_dim, {g[k][0]: c * g[k][1] for k, c in psi.terms.items()})
 
 
 def build_clifford_table(n: int) -> CliffordTable:
@@ -106,17 +78,16 @@ def build_clifford_table(n: int) -> CliffordTable:
     gammas = []
     dim = 1
     for _ in range(m):
-        ident = _identity(dim)
-        gammas = [_expand_high(_PAD, g) for g in gammas]
-        gammas.append(_expand_high(_P_A, ident))
-        gammas.append(_expand_high(_P_B, ident))
+        ident = tuple((k, _ONE) for k in range(dim))
+        gammas = [_kron(_PAD, g) for g in gammas]
+        gammas.append(_kron(_P_A, ident))
+        gammas.append(_kron(_P_B, ident))
         dim *= 2
     if n % 2:
-        prod = _identity(dim)
+        # g_1 ... g_2m, times i when m is even so that it squares to -1.
+        prod = tuple((k, _I if m % 2 == 0 else _ONE) for k in range(dim))
         for g in gammas:
-            prod = _mat_mul(prod, g)
-        if m % 2 == 0:
-            prod = _mat_scale(prod, _I)
+            prod = tuple((prod[r][0], prod[r][1] * v) for r, v in g)
         gammas.append(prod)
     return CliffordTable(n, gammas)
 
@@ -148,15 +119,7 @@ class Spinor:
         if not isinstance(other, Spinor):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return Spinor(self.dim, out)
+        return Spinor(self.dim, accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, Spinor):

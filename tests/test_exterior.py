@@ -40,6 +40,12 @@ def _rand_form(rng, M, deg, nterms=3, rational=True):
     return out
 
 
+def _rand_mixed_form(rng, M):
+    """Zero, scalar, homogeneous or mixed-degree, possibly after cancellation."""
+    a = _rand_form(rng, M, rng.randint(0, 3), rng.randint(0, 4))
+    return a + _rand_form(rng, M, rng.randint(0, 3), rng.randint(0, 4))
+
+
 def test_wedge_examples():
     M = _manifold()
     e = M.e
@@ -209,7 +215,10 @@ def test_print_examples():
     x = M.session.symbol("x")
     assert print_form(e(1) * (x + 1)) == "(x+1)*e1"
     assert print_form(e(1) * x) == "x*e1"
-    assert print_form(M.scalar(3) + e(1) * e(2)) == "3+e12"
+    assert print_form(M.scalar(3) + e(1) * e(2)) == "3*e[]+e12"
+    assert parse_form(M, "3*e[]+e12") == M.scalar(3) + e(1) * e(2)
+    assert parse_form(M, "-e[]") == M.scalar(-1)
+    assert parse_form(M, "0") == M.zero()
 
 
 def test_exterior_algebra_laws_randomized():
@@ -243,6 +252,9 @@ def test_hook_antiderivation_randomized():
         # double contraction vanishes
         w = _rand_form(rng, M, rng.randint(1, 4), 3)
         assert hook(v, hook(v, w)) == 0
+        # Cancelling sums, wedges and hooks store no zero, not even inside a coefficient.
+        for r in (lhs, rhs, a + b, a - a, wedge(a, b), hook(v, a), hook(v, w)):
+            assert all(c and all(c.terms.values()) for c in r.terms.values())
 
 
 def test_single_monomial_pairing_is_one():
@@ -291,16 +303,13 @@ def test_parse_print_roundtrip_indices_above_nine():
     P = frame_bundle(Session(), 3)
     for N in (M, P.manifold):
         for _ in range(300):
-            w = _rand_form(rng, N, rng.randint(1, 3), rng.randint(1, 4))
-            if w:
-                assert parse_form(N, print_form(w)) == w
+            w = _rand_mixed_form(rng, N)
+            assert parse_form(N, print_form(w)) == w
 
 
 def test_parse_print_roundtrip_randomized():
     rng = random.Random(45)
     M = _manifold(9)
     for _ in range(1000):
-        w = _rand_form(rng, M, rng.randint(1, 3), rng.randint(1, 4))
-        if not w:
-            continue
+        w = _rand_mixed_form(rng, M)
         assert parse_form(M, print_form(w)) == w

@@ -144,6 +144,52 @@ def test_ring_laws_randomized():
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+        # Cancelling sums and products store no zero coefficient.
+        for r in (a + b, a - b, a * b, (a + b) * (a - b), a.substitute({syms[0]: b})):
+            assert all(r.terms.values())
+
+
+def test_poly_matches_sympy_randomized():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(12)
+    s = Session()
+    syms = s.symbols("x y z")
+    gens = sympy.symbols("x y z")
+    to_gen = dict(zip(syms, gens))
+
+    def rand_poly():
+        p = Poly.zero()
+        for _ in range(rng.randint(0, 4)):
+            term = Poly.constant(
+                GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+            )
+            for _ in range(rng.randint(0, 3)):
+                term = term * rng.choice(syms)
+            p = p + term
+        return p
+
+    def to_sympy(p):
+        return sympy.Add(*(
+            (sympy.Rational(c.re.numerator, c.re.denominator)
+             + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+            * sympy.Mul(*(to_gen[sym] ** e for sym, e in m))
+            for m, c in p.terms.items()
+        ))
+
+    def same(p, expr):
+        return sympy.expand(to_sympy(p) - expr) == 0
+
+    for _ in range(150):
+        a, b = rand_poly(), rand_poly()
+        sa, sb = to_sympy(a), to_sympy(b)
+        assert same(a + b, sa + sb)
+        assert same(a - b, sa - sb)
+        assert same(a * b, sa * sb)
+        n = rng.randint(0, 3)
+        assert same(a**n, sa**n)
+        rules = {sym: rand_poly() for sym in rng.sample(syms, rng.randint(0, 3))}
+        expected = sa.subs({to_gen[k]: to_sympy(v) for k, v in rules.items()}, simultaneous=True)
+        assert same(a.substitute(rules), expected)
 
 
 def test_linear_solve_examples():

@@ -174,3 +174,33 @@ def test_random_spinor_linearity():
             psi = psi + Spinor.basis(t.spinor_dim, k) * Fraction(rng.randint(-2, 2))
         phi = Spinor.basis(t.spinor_dim, rng.randrange(t.spinor_dim))
         assert clifford_mul(t, v, psi + phi) == clifford_mul(t, v, psi) + clifford_mul(t, v, phi)
+        # Cancelling sums store no zero, not even inside a coefficient.
+        for r in (psi + phi, psi - psi, clifford_mul(t, v, psi + phi)):
+            assert all(c and all(c.terms.values()) for c in r.terms.values())
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_apply_matches_dense_gamma(n):
+    """Clifford multiplication equals the dense product gamma(i) . psi."""
+    rng = random.Random(n)
+    s = Session()
+    x, y = s.symbols("x y")
+    t = build_clifford_table(n)
+    dim = t.spinor_dim
+
+    def rand_coeff():
+        c = Poly.zero()
+        for mono in (1, x, x * y):
+            c = c + mono * GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
+        return c
+
+    for _ in range(10):
+        psi = Spinor(dim, {k: c for k in range(dim) if (c := rand_coeff())})
+        for i in range(1, n + 1):
+            g = t.gamma(i)
+            dense = {}
+            for r in range(dim):
+                v = sum((c * g[r][k] for k, c in psi.terms.items()), Poly.zero())
+                if v:
+                    dense[r] = v
+            assert t.apply(i, psi) == Spinor(dim, dense), (n, i)
