@@ -9,10 +9,10 @@ generators are never differentiated).
 Integral n-planes are coordinatized by substituting every omega
 generator with sum_j p_ij theta^j; the coefficients of the substituted
 ideal cut out V_n and are affine in the p symbols exactly when the
-system is linear.  Reduced polar equations come from contracting ideal
-generators with flag vectors down to degree one and projecting modulo
-the theta's; Cartan's test compares the sum of their ranks c_0..c_{n-1}
-with the codimension of V_n.
+system is linear.  Reduced polar equations contract ideal generators
+with flag vectors down to degree one, modulo the theta's; Cartan's test
+grows one basis of them along the flag and compares its ranks
+c_0..c_{n-1} with the codimension of V_n.
 """
 
 from __future__ import annotations
@@ -119,28 +119,32 @@ def equations_for_Vn(bundle: FrameBundle, ideal) -> AffineBasis:
     return container
 
 
+def _flag_order(bundle: FrameBundle, order):
+    """The flag as a list: the identity for None, else a checked permutation of 1..n."""
+    order = list(range(1, bundle.n + 1)) if order is None else list(order)
+    if sorted(order) != list(range(1, bundle.n + 1)):
+        raise DimensionError(f"flag order must be a permutation of 1..{bundle.n}")
+    return order
+
+
+def _new_polar_equations(bundle: FrameBundle, form: Form, j: int, order):
+    """The reduced polar equations of `form` at j that use the j-th flag vector."""
+    if j > 0 and degree(form) > 1:
+        contracted = hook(bundle.theta(order[j - 1]), form)
+        return reduced_polar_equations(bundle, contracted, j - 1, order)
+    return [bundle.modulo_ic(form)] if j == 0 and degree(form) == 1 else []
+
+
 def reduced_polar_equations(bundle: FrameBundle, form: Form, j: int, order=None):
     """All contractions of `form` by flag vectors theta_1..theta_j, reduced.
 
-    Recursion: a degree-1 form is emitted modulo the independence forms;
-    otherwise, for j > 0, recurse on the form itself and on its hook
-    with the j-th flag vector.
+    It is the list at j - 1 followed by those that contract the j-th flag
+    vector first; a contraction is kept, modulo the theta's, at degree one.
     """
     if not 0 <= j <= bundle.n:
         raise DimensionError(f"flag length {j} outside 0..{bundle.n}")
-    if order is None:
-        order = list(range(1, bundle.n + 1))
-    out = []
-
-    def rec(w, jj):
-        if degree(w) == 1:
-            out.append(bundle.modulo_ic(w))
-        elif jj > 0:
-            rec(w, jj - 1)
-            rec(hook(bundle.theta(order[jj - 1]), w), jj - 1)
-
-    rec(form, j)
-    return out
+    order = _flag_order(bundle, order)
+    return [eq for jj in range(j + 1) for eq in _new_polar_equations(bundle, form, jj, order)]
 
 
 @dataclass(frozen=True)
@@ -148,8 +152,8 @@ class CartanReport:
     """Polar ranks, codimension and verdict, with the equations behind them.
 
     vn_equations are the retained equations of V_n; polar[j] the
-    retained polar equations at j, in insertion order.  Equality and
-    hashing look at (c, codim, involutive) only.
+    retained polar equations at j in insertion order, a prefix of
+    polar[j + 1].  Equality and hashing look at (c, codim, involutive) only.
     """
 
     c: tuple
@@ -162,29 +166,24 @@ class CartanReport:
 def cartan_test(bundle: FrameBundle, ideal, flag_order=None) -> CartanReport:
     """Cartan's involutivity test for a linear system at one flag.
 
-    Reports the polar ranks c_j for j = 0..n-1 and the codimension of
-    V_n; the verdict is the equality sum(c) == codim.  Raises
-    NotLinearError for non-linear ideals and InconsistentError when the
-    affine equations admit no integral element.
+    Grows one polar basis along the flag, inserting at step j the
+    equations that use the j-th flag vector; c_j is its rank then and
+    the verdict is sum(c) == codim V_n.  Raises NotLinearError for
+    non-linear ideals and InconsistentError when V_n is empty.
     """
     ideal = list(ideal)
     if not is_linear(bundle, ideal):
         raise NotLinearError("the ideal is not linear in the connection forms")
-    if flag_order is None:
-        flag_order = list(range(1, bundle.n + 1))
-    else:
-        flag_order = list(flag_order)
-        if sorted(flag_order) != list(range(1, bundle.n + 1)):
-            raise DimensionError(f"flag order must be a permutation of 1..{bundle.n}")
+    order = _flag_order(bundle, flag_order)
     container = equations_for_Vn(bundle, ideal)
     if container.inconsistent:
         raise InconsistentError("the equations for V_n are contradictory")
     codim = container.size()
+    basis = FormBasis(bundle.manifold)
     polar = []
     for j in range(bundle.n):
-        basis = FormBasis(bundle.manifold)
         for form in ideal:
-            for eq in reduced_polar_equations(bundle, form, j, flag_order):
+            for eq in _new_polar_equations(bundle, form, j, order):
                 basis.insert(eq)
         polar.append(basis.elements)
     c = tuple(len(eqs) for eqs in polar)

@@ -181,7 +181,12 @@ def test_criterion_6b_clifford_relations():
                     for r in range(dim):
                         for c in range(dim):
                             s = sum(
-                                (gi[r][k] * gj[k][c] + gj[r][k] * gi[k][c] for k in range(dim)),
+                                (
+                                    x[r][k] * y[k][c]
+                                    for x, y in ((gi, gj), (gj, gi))
+                                    for k in range(dim)
+                                    if x[r][k] and y[k][c]
+                                ),
                                 zero,
                             )
                             expected = -2 if (i == j and r == c) else 0

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from frameforms import (
@@ -12,6 +14,7 @@ from frameforms import (
     degree,
     equations_for_Vn,
     frame_bundle,
+    hook,
     is_linear,
     load_ideal,
     reduced_polar_equations,
@@ -19,11 +22,41 @@ from frameforms import (
 )
 from frameforms.cli import G2_PHI, G2_STAR_PHI, g2_ideal
 
+# The Cayley 4-form; d of it generates the Spin(7) system on n = 8.
+SPIN7_PHI = "1234+1256+1278+3456+3478+5678+1357-1368-1458-1467-2358-2367-2457+2468"
+
 
 def _g2():
     session = Session()
     bundle = frame_bundle(session, 7)
     return bundle, g2_ideal(bundle)
+
+
+def _spin7():
+    bundle = frame_bundle(Session(), 8)
+    return bundle, [bundle.d(bundle.parse(SPIN7_PHI))]
+
+
+def _seeded_flags(n, count, seed):
+    """The identity flag followed by `count` distinct seeded permutations of 1..n."""
+    rng = random.Random(seed)
+    flags = [list(range(1, n + 1))]
+    while len(flags) < count + 1:
+        order = rng.sample(range(1, n + 1), n)
+        if order not in flags:
+            flags.append(order)
+    return flags
+
+
+def _recursive_polar_equations(P, form, j, order):
+    """Reference: contract the whole flag tree from scratch, highest vector first."""
+    if degree(form) == 1:
+        return [P.modulo_ic(form)]
+    if j == 0:
+        return []
+    return _recursive_polar_equations(P, form, j - 1, order) + _recursive_polar_equations(
+        P, hook(P.theta(order[j - 1]), form), j - 1, order
+    )
 
 
 def test_frame_bundle_structure():
@@ -189,6 +222,37 @@ def test_cartan_flag_permutation():
         cartan_test(P, ideal, flag_order=[1, 1, 2, 3, 4, 5, 6])
 
 
+def test_bad_flag_orders_raise():
+    """A repeated flag vector or a short flag is an error, not a silent answer."""
+    P, ideal = _g2()
+    for bad in ([1, 1, 2, 3, 4, 5, 6], [1]):
+        with pytest.raises(DimensionError):
+            reduced_polar_equations(P, ideal[0], 6, bad)
+        with pytest.raises(DimensionError):
+            cartan_test(P, ideal, flag_order=bad)
+
+
+@pytest.mark.parametrize("system", [_g2, _spin7], ids=["g2", "spin7"])
+def test_incremental_polar_basis_matches_per_j_rebuild(system):
+    """One basis grown along the flag gives the ranks of a fresh basis at every j."""
+    P, ideal = system()
+    for order in _seeded_flags(P.n, 3, seed=5):
+        report = cartan_test(P, ideal, order)
+        previous = [[] for _ in ideal]
+        for j in range(P.n):
+            fresh = FormBasis(P.manifold)
+            for g, form in enumerate(ideal):
+                eqs = reduced_polar_equations(P, form, j, order)
+                assert eqs == _recursive_polar_equations(P, form, j, order)
+                assert eqs[: len(previous[g])] == previous[g]
+                previous[g] = eqs
+                for eq in eqs:
+                    fresh.insert(eq)
+            assert report.c[j] == fresh.size(), (order, j)
+            if j + 1 < P.n:
+                assert report.polar[j + 1][: report.c[j]] == report.polar[j]
+
+
 def test_cartan_requires_linearity():
     P = frame_bundle(Session(), 2)
     with pytest.raises(NotLinearError):
@@ -251,26 +315,35 @@ def _echelon_rank_dense(rows):
 
 
 def test_g2_numbers_against_independent_echelon():
-    """Recompute the polar rank and codimension with a plain dense echelon."""
-    zero = GaussianRational(0)
-    P, ideal = _g2()
-    polar = []
-    for form in ideal:
-        polar.extend(w for w in reduced_polar_equations(P, form, 6) if w)
-    keys = sorted({m for w in polar for m in w.terms})
-    dense = [
-        [w.terms[k].constant_value() if k in w.terms else zero for k in keys]
-        for w in polar
-    ]
-    assert _echelon_rank_dense(dense) == 28
+    """Recompute the polar ranks and codimension with a plain dense echelon.
 
-    eqs = equations_for_Vn(P, ideal).elements
-    syms = sorted({s for eq in eqs for s in eq.free_symbols()}, key=lambda s: s.index)
-    pos = {s: i for i, s in enumerate(syms)}
-    rows = []
-    for eq in eqs:
-        row = [zero] * len(syms)
-        for mono, c in eq.terms.items():
-            row[pos[mono[0][0]]] = c
-        rows.append(row)
-    assert _echelon_rank_dense(rows) == 49
+    The inputs are G2 on n = 7 and Spin(7) on n = 8; the codimension of
+    V_n is n * (dim so(n) - dim H) for the stabilizer H of the form.
+    """
+    zero = GaussianRational(0)
+    systems = [
+        (_g2, (0, 0, 0, 1, 5, 15, 28), 14, 49),
+        (_spin7, (0, 0, 0, 0, 1, 5, 15, 35), 21, 56),
+    ]
+    for system, c, dim_h, codim in systems:
+        P, ideal = system()
+        assert codim == P.n * (P.n * (P.n - 1) // 2 - dim_h)
+        for j in range(P.n):
+            polar = [w for form in ideal for w in reduced_polar_equations(P, form, j) if w]
+            keys = sorted({m for w in polar for m in w.terms})
+            dense = [
+                [w.terms[k].constant_value() if k in w.terms else zero for k in keys]
+                for w in polar
+            ]
+            assert _echelon_rank_dense(dense) == c[j], (P.n, j)
+
+        eqs = equations_for_Vn(P, ideal).elements
+        syms = sorted({s for eq in eqs for s in eq.free_symbols()}, key=lambda s: s.index)
+        pos = {s: i for i, s in enumerate(syms)}
+        rows = []
+        for eq in eqs:
+            row = [zero] * len(syms)
+            for mono, coeff in eq.terms.items():
+                row[pos[mono[0][0]]] = coeff
+            rows.append(row)
+        assert _echelon_rank_dense(rows) == codim

@@ -21,9 +21,13 @@ IU = GaussianRational(0, 1)
 
 
 def _matmul(a, b):
+    """Dense matrix product that adds up only the nonzero terms a[r][k] * b[k][c]."""
     n = len(a)
     return tuple(
-        tuple(sum((a[r][k] * b[k][c] for k in range(n)), ZERO) for c in range(n))
+        tuple(
+            sum((a[r][k] * b[k][c] for k in range(n) if a[r][k] and b[k][c]), ZERO)
+            for c in range(n)
+        )
         for r in range(n)
     )
 
