@@ -6,13 +6,13 @@ theta^i, generator i*n+j is the connection form omega_ij, and the only
 structure equations are d theta^i = sum_j theta^j ∧ omega_ij (the omega
 generators are never differentiated).
 
-Integral n-planes are coordinatized by substituting every omega
-generator with sum_j p_ij theta^j; the coefficients of the substituted
-ideal cut out V_n and are affine in the p symbols exactly when the
-system is linear.  Reduced polar equations contract ideal generators
-with flag vectors down to degree one, modulo the theta's; Cartan's test
-grows one basis of them along the flag and compares its ranks
-c_0..c_{n-1} with the codimension of V_n.
+On an integral n-plane each omega generator a is sum_j p_aj theta^j, so
+a linear term c theta^I ∧ omega_a adds ±c p_aj to the equation of
+theta^(I+j) for each j not in I: V_n is cut out by this constant map on
+the index pairs (a, j), the tableau.  Reduced polar equations contract
+ideal generators with flag vectors down to degree one, modulo the
+theta's; Cartan's test grows one basis of them along the flag and
+compares its ranks c_0..c_{n-1} with the codimension of V_n.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ from .errors import (
     FileFormatError,
     FormParseError,
     FrameIndexError,
-    InconsistentError,
+    NonLinearError,
     NotLinearError,
 )
-from .exterior import Form, degree, hook, parse_form, substitute_form
+from .exterior import Form, _merge_indices, _mono_key, degree, hook, parse_form
 from .manifold import FrameManifold
-from .scalar import Session
+from .scalar import Poly, Session, accumulate
 
 __all__ = [
     "FrameBundle",
@@ -69,6 +69,8 @@ class FrameBundle:
         return self.manifold.e(i)
 
     def omega(self, i: int, j: int) -> Form:
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise FrameIndexError(f"omega index ({i}, {j}) outside 1..{self.n}")
         return self.manifold.e(i * self.n + j)
 
     def d(self, w: Form) -> Form:
@@ -89,33 +91,33 @@ def frame_bundle(session: Session, n: int) -> FrameBundle:
 
 def is_linear(bundle: FrameBundle, ideal) -> bool:
     """True when every monomial of every generator has exactly one omega factor."""
-    n = bundle.n
-    for form in ideal:
-        for mono, _ in form.terms.items():
-            if sum(1 for g in mono if g > n) != 1:
-                return False
-    return True
+    return all(sum(g > bundle.n for g in mono) == 1 for form in ideal for mono in form.terms)
 
 
 def equations_for_Vn(bundle: FrameBundle, ideal) -> AffineBasis:
     """Equations cutting out the integral n-planes, as an affine equation set.
 
-    Substitutes every omega generator by its p-combination of thetas and
-    collects every monomial coefficient; the size of the returned basis
-    is the codimension of V_n.
+    Each generator's tableau rows (see the module docstring) are inserted
+    in monomial order; the size is the codimension of V_n.  Raises
+    NonLinearError for a term without exactly one omega factor or with a
+    symbolic coefficient.
     """
     n = bundle.n
-    rules = {}
-    for i in range(n + 1, n * (n + 1) + 1):
-        x = bundle.manifold.zero()
-        for j in range(1, n + 1):
-            x = x + bundle.theta(j) * bundle.p[(i, j)]
-        rules[i] = x
     container = AffineBasis()
     for form in ideal:
-        substituted = substitute_form(form, rules)
-        for _, coeff in substituted.coefficients():
-            container.insert(coeff)
+        rows = {}
+        for mono, c in form.terms.items():
+            if sum(g > n for g in mono) != 1 or not c.is_constant():
+                term = Form(bundle.manifold, {mono: c})
+                raise NonLinearError(f"{term} is not linear in the connection forms")
+            a, value = mono[-1], c.constant_value()
+            for j in range(1, n + 1):
+                merged, sign = _merge_indices(mono[:-1], (j,))
+                if sign:
+                    entry = (((bundle.p[(a, j)], 1),), value if sign > 0 else -value)
+                    accumulate(rows.setdefault(merged, {}), [entry])
+        for merged in sorted(rows, key=_mono_key):
+            container.insert(Poly(rows[merged]))
     return container
 
 
@@ -169,15 +171,13 @@ def cartan_test(bundle: FrameBundle, ideal, flag_order=None) -> CartanReport:
     Grows one polar basis along the flag, inserting at step j the
     equations that use the j-th flag vector; c_j is its rank then and
     the verdict is sum(c) == codim V_n.  Raises NotLinearError for
-    non-linear ideals and InconsistentError when V_n is empty.
+    non-linear ideals.
     """
     ideal = list(ideal)
     if not is_linear(bundle, ideal):
         raise NotLinearError("the ideal is not linear in the connection forms")
     order = _flag_order(bundle, flag_order)
     container = equations_for_Vn(bundle, ideal)
-    if container.inconsistent:
-        raise InconsistentError("the equations for V_n are contradictory")
     codim = container.size()
     basis = FormBasis(bundle.manifold)
     polar = []

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -13,6 +14,7 @@ G2_IDEAL_FILE = (
     "d: 567-512-534-613-642-714-723\n"
     "d: 1234-6712-6734-7513-7542-5614-5623\n"
 )
+SPIN7_IDEAL_FILE = "d: 1234+1256+1278+3456+3478+5678+1357-1368-1458-1467-2358-2367-2457+2468\n"
 
 GOLDEN = {
     "nilpotent-torsion": (
@@ -92,9 +94,46 @@ def test_eds_command_flag_and_verbose(tmp_path):
     assert "codim(V_7)=49" in out
     rc, out, _ = _run(["eds", "--dim", "7", "--ideal-file", str(ideal), "--verbose"])
     assert rc == 0
+    assert out.startswith(
+        "# Vn equation: -p362+p371-p384+p393-p433+p444+p451-p462-p504-p513+p522+p531\n"
+    )
     assert out.count("# Vn equation:") == 49
     assert out.count("# polar[j=6]:") == 28
     assert out.endswith("INVOLUTIVE\n")
+
+
+@pytest.mark.parametrize(
+    "ideal_text, dim, flag, digest",
+    [
+        (
+            G2_IDEAL_FILE,
+            7,
+            None,
+            "a13cdef4b866cc9e509bd24d957f9417e74470a2d461c12dfdde7c6c60ccc48d",
+        ),
+        (
+            G2_IDEAL_FILE,
+            7,
+            "3,1,2,7,5,6,4",
+            "884b83a1ad892347927fd39ac0cbd88a39d9f0151ed4bc4b16c9717308bc73f8",
+        ),
+        (
+            SPIN7_IDEAL_FILE,
+            8,
+            None,
+            "fbcfcd5ab914deef828c0e41bd4d891f203017bc625d350d729486fa174b1fc9",
+        ),
+    ],
+    ids=["g2", "g2-flag", "spin7"],
+)
+def test_eds_verbose_output_pinned(tmp_path, ideal_text, dim, flag, digest):
+    """The whole --verbose stdout, V_n and polar lines included, byte for byte."""
+    ideal = tmp_path / "system.ideal"
+    ideal.write_text(ideal_text)
+    args = ["eds", "--dim", str(dim), "--ideal-file", str(ideal), "--verbose"]
+    rc, out, err = _run(args + (["--flag", flag] if flag else []))
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_eds_command_not_linear_exits_2(tmp_path):

@@ -1,14 +1,20 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from frameforms import (
+    AffineBasis,
     CartanReport,
     DimensionError,
     FileFormatError,
     FormBasis,
+    FrameIndexError,
     GaussianRational,
+    NonLinearError,
     NotLinearError,
+    Poly,
     Session,
     cartan_test,
     degree,
@@ -18,6 +24,7 @@ from frameforms import (
     is_linear,
     load_ideal,
     reduced_polar_equations,
+    substitute_form,
     wedge,
 )
 from frameforms.cli import G2_PHI, G2_STAR_PHI, g2_ideal
@@ -59,6 +66,44 @@ def _recursive_polar_equations(P, form, j, order):
     )
 
 
+def _substituted_vn_equations(P, ideal):
+    """Reference: substitute omega_a = sum_j p_aj theta^j and collect every coefficient."""
+    n = P.n
+    rules = {}
+    for a in range(n + 1, n * (n + 1) + 1):
+        x = P.manifold.zero()
+        for j in range(1, n + 1):
+            x = x + P.theta(j) * P.p[(a, j)]
+        rules[a] = x
+    container = AffineBasis()
+    for form in ideal:
+        for _, coeff in substitute_form(form, rules).coefficients():
+            container.insert(coeff)
+    return container.elements
+
+
+def _random_linear_ideal(rng, n):
+    """One to three generators, each a sum of terms c theta^I ∧ omega_a of one degree.
+
+    Every coefficient c is in Q(i) with a nonzero imaginary part.
+    """
+    P = frame_bundle(Session(), n)
+    ideal = []
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randint(0, min(n, 3))
+        form = P.manifold.zero()
+        for _ in range(rng.randint(1, 4)):
+            c = GaussianRational(
+                Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.choice([-2, -1, 1, 2])
+            )
+            term = P.manifold.e(rng.randint(n + 1, n * (n + 1))) * c
+            for i in sorted(rng.sample(range(1, n + 1), k), reverse=True):
+                term = P.theta(i) * term
+            form = form + term
+        ideal.append(form)
+    return P, ideal
+
+
 def test_frame_bundle_structure():
     s = Session()
     P = frame_bundle(s, 7)
@@ -68,6 +113,15 @@ def test_frame_bundle_structure():
         expected = expected + P.theta(j) * P.manifold.e(7 + j)
     assert P.d(P.theta(1)) == expected
     assert P.omega(1, 3) == P.manifold.e(10)
+
+
+def test_omega_checks_its_indices():
+    """An index outside 1..n is an error, not another generator."""
+    P = frame_bundle(Session(), 3)
+    for i, j in [(0, 1), (1, 0), (2, 4)]:
+        with pytest.raises(FrameIndexError):
+            P.omega(i, j)
+    assert P.omega(3, 3) == P.manifold.e(12)
 
 
 def test_frame_bundle_small_dimensions():
@@ -113,14 +167,50 @@ def test_equations_for_vn_trivial_cases():
     # the substituted 3-form in two thetas vanishes identically
     ideal = [P.d(P.theta(1) * P.theta(2))]
     assert equations_for_Vn(P, ideal).size() == 0
+    # theta^2 ∧ omega_11 (generator 3) on theta^1 ∧ theta^2: theta^2 ∧ theta^1 = -theta^12
+    eqs = equations_for_Vn(P, [P.theta(2) * P.omega(1, 1)]).elements
+    assert eqs == (-Poly.from_symbol(P.p[(3, 1)]),)
 
 
 def test_equations_for_vn_nonlinear_propagates():
-    from frameforms import NonLinearError
+    """Each term needs one omega factor and a constant coefficient.
 
-    P = frame_bundle(Session(), 2)
-    with pytest.raises(NonLinearError):
-        equations_for_Vn(P, [P.omega(1, 1) * P.omega(1, 2)])
+    cartan_test rejects the same ideals earlier, through is_linear.
+    """
+    s = Session()
+    P = frame_bundle(s, 2)
+    bad = [
+        [P.omega(1, 1) * P.omega(1, 2)],
+        [P.theta(1) * P.omega(1, 1) * s.symbol("a")],
+        [P.theta(1)],
+        [P.omega(1, 1) * P.omega(1, 2) * P.omega(2, 1)],
+    ]
+    for ideal in bad:
+        with pytest.raises(NonLinearError):
+            equations_for_Vn(P, ideal)
+    for ideal in bad[2:]:
+        with pytest.raises(NotLinearError):
+            cartan_test(P, ideal)
+
+
+def test_vn_tableau_matches_substitution():
+    """The tableau rows equal the substituted coefficients, printed and in order."""
+    rng = random.Random(11)
+    systems = [_g2(), _spin7()]
+    systems += [_random_linear_ideal(rng, 1 + i % 5) for i in range(60)]
+    for P, ideal in systems:
+        expected = [str(eq) for eq in _substituted_vn_equations(P, ideal)]
+        assert [str(eq) for eq in equations_for_Vn(P, ideal).elements] == expected
+
+
+def test_cartan_inequality_on_random_linear_ideals():
+    """sum(c) <= codim V_n at every permutation flag (Cartan's inequality)."""
+    rng = random.Random(4)
+    for i in range(24):
+        P, ideal = _random_linear_ideal(rng, 2 + i % 3)
+        for order in itertools.permutations(range(1, P.n + 1)):
+            report = cartan_test(P, ideal, order)
+            assert sum(report.c) <= report.codim, (i, order, report)
 
 
 def test_reduced_polar_equations_g2():
