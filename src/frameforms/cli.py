@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .basis import FormBasis
 from .connection import Connection, RiemannianManifold
-from .eds import cartan_test, frame_bundle, load_ideal
+from .eds import _flag_order, cartan_test, frame_bundle, load_ideal
 from .errors import (
     EngineError,
     FileFormatError,
@@ -200,14 +200,17 @@ def _cmd_example(args, out):
     return 0
 
 
-def _parse_flag(text, n):
+def _parse_flag(text, bundle):
+    """The --flag order; whether it is a permutation is `_flag_order`'s to decide."""
+    n = bundle.n
     try:
         order = [int(p) for p in text.split(",")]
     except ValueError:
-        raise _UsageError(f"--flag must be a comma-separated permutation of 1..{n}")
-    if sorted(order) != list(range(1, n + 1)):
-        raise _UsageError(f"--flag must be a permutation of 1..{n}")
-    return order
+        raise _UsageError(f"--flag must be a comma-separated permutation of 1..{n}") from None
+    try:
+        return _flag_order(bundle, order)
+    except DimensionError:
+        raise _UsageError(f"--flag must be a permutation of 1..{n}") from None
 
 
 def _cmd_eds(args, out):
@@ -215,7 +218,7 @@ def _cmd_eds(args, out):
     bundle = frame_bundle(session, args.dim)
     with open(args.ideal_file, "r", encoding="utf-8") as fh:
         ideal = load_ideal(bundle, fh.read())
-    flag = _parse_flag(args.flag, args.dim) if args.flag else None
+    flag = _parse_flag(args.flag, bundle) if args.flag else None
     report = cartan_test(bundle, ideal, flag)
     if args.verbose:
         for eq in report.vn_equations:

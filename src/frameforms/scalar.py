@@ -1,9 +1,12 @@
 """Exact scalar arithmetic: symbols, Gaussian rationals, polynomials.
 
-The scalar field of the whole engine is Q(i), represented exactly by
-pairs of Fractions.  Polynomials are sparse maps from multi-degree
-monomials over session symbols to Gaussian-rational coefficients, kept
-in a unique canonical form (zero coefficients are never stored).
+The scalar field of the whole engine is Q(i).  A GaussianRational holds
+(a + b*i)/d as three ints normalized to gcd(a, b, d) = 1 and d > 0, so
+its arithmetic runs on Python ints and builds no Fraction; `re` and
+`im` give the parts as Fractions.  Polynomials are sparse maps from
+multi-degree monomials over session symbols to Gaussian-rational
+coefficients, kept in a unique canonical form (zero coefficients are
+never stored).
 
 Symbols are created through a Session, which assigns a strictly
 increasing creation index from one process-wide counter; the index is
@@ -23,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .errors import InconsistentError, NonLinearError
 
@@ -39,104 +43,148 @@ __all__ = [
 
 
 class GaussianRational:
-    """An exact complex number re + im*i with rational re, im.
+    """An exact complex number (a + b*i)/d with integers a, b and d.
 
+    The triple is normalized, gcd(a, b, d) = 1 and d > 0, so each value
+    has one representation (zero is (0, 0, 1)) and equality compares
+    the three integers.  `re` and `im` give the parts as Fractions.
     Floats are rejected outright: everything in the engine is exact.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
         if isinstance(re, float) or isinstance(im, float):
             raise TypeError("floating point is not supported; use Fraction")
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        re = re if isinstance(re, Fraction) else Fraction(re)
+        im = im if isinstance(im, Fraction) else Fraction(im)
+        p, q = re.denominator, im.denominator
+        d = p * q // gcd(p, q)
+        # Over the least common denominator of two reduced fractions the
+        # triple is already normalized.
+        self._a, self._b, self._d = re.numerator * (d // p), im.numerator * (d // q), d
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
-        return None
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, GaussianRational) else _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        d, f = self._d, o._d
+        if d == f:
+            return _make(self._a + o._a, self._b + o._b, d)
+        return _make(self._a * f + o._a * d, self._b * f + o._b * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, GaussianRational) else _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return self + -o
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return o + -self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, GaussianRational) else _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        a, b, c, e = self._a, self._b, o._a, o._b
+        return _make(a * c - b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, GaussianRational) else _coerce(other)
         if o is None:
             return NotImplemented
-        n = o.re * o.re + o.im * o.im
+        c, e = o._a, o._b
+        n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        # (a+bi)/d / ((c+ei)/f) = (a+bi)(c-ei) f / (d (c^2+e^2))
+        a, b, f = self._a, self._b, o._d
+        return _make((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        out = _new(GaussianRational)
+        out._a, out._b, out._d = -self._a, -self._b, self._d
+        return out
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        out = _new(GaussianRational)
+        out._a, out._b, out._d = self._a, -self._b, self._d
+        return out
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, GaussianRational) else _coerce(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
-        # A real value hashes as its Fraction, since it compares equal to it.
-        return hash((self.re, self.im)) if self.im else hash(self.re)
+        # A real value hashes as the int or Fraction it compares equal to.
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
 
     def __str__(self):
-        if not self.im:
+        if not self._b:
             return str(self.re)
-        if not self.re:
-            return _imag_str(self.im)
         im = _imag_str(self.im)
-        return f"{self.re}+{im}" if self.im > 0 else f"{self.re}{im}"
+        if not self._a:
+            return im
+        return f"{self.re}+{im}" if self._b > 0 else f"{self.re}{im}"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+
+
+def _make(a, b, d) -> GaussianRational:
+    """(a + b*i)/d as a normalized GaussianRational, for ints a, b and d > 0."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    out = _new(GaussianRational)
+    out._a, out._b, out._d = a, b, d
+    return out
+
+
+def _coerce(x):
+    """An int or Fraction as a GaussianRational, or None for any other type."""
+    if isinstance(x, int):
+        return _make(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _make(x.numerator, 0, x.denominator)
+    return None
 
 
 def _imag_str(im):
@@ -311,10 +359,18 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        st, ot = self.terms, o.terms
+        if len(st) == 1 and () in st:
+            st, ot = ot, st
+        # A constant factor scales the other side's coefficients; Q(i) has
+        # no zero divisors, so no product vanishes.
+        if len(ot) == 1 and () in ot:
+            c = ot[()]
+            return Poly({m: c1 * c for m, c1 in st.items()})
         pairs = (
             (_mono_mul(m1, m2), c1 * c2)
-            for m1, c1 in self.terms.items()
-            for m2, c2 in o.terms.items()
+            for m1, c1 in st.items()
+            for m2, c2 in ot.items()
         )
         return Poly(accumulate({}, pairs))
 
@@ -378,10 +434,10 @@ class Poly:
         re = {}
         im = {}
         for m, c in self.terms.items():
-            if c.re:
-                re[m] = GaussianRational(c.re)
-            if c.im:
-                im[m] = GaussianRational(c.im)
+            if c._a:
+                re[m] = _make(c._a, 0, c._d)
+            if c._b:
+                im[m] = _make(c._b, 0, c._d)
         return Poly(re), Poly(im)
 
     def linear_split(self, unknowns):
@@ -428,7 +484,7 @@ class Poly:
                 t = "-" + mono
             else:
                 cs = str(c)
-                if c.re and c.im:
+                if c._a and c._b:
                     cs = f"({cs})"
                 t = f"{cs}*{mono}"
             if parts and not t.startswith("-"):

@@ -162,6 +162,22 @@ def test_eds_command_input_errors(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("a,b", "--flag must be a comma-separated permutation of 1..7"),
+        ("1,2", "--flag must be a permutation of 1..7"),
+        ("1,1,3,4,5,6,7", "--flag must be a permutation of 1..7"),
+    ],
+    ids=["not-integers", "too-short", "repeated"],
+)
+def test_eds_command_bad_flag(tmp_path, flag, message):
+    ideal = tmp_path / "g2.ideal"
+    ideal.write_text(G2_IDEAL_FILE)
+    rc, out, err = _run(["eds", "--dim", "7", "--ideal-file", str(ideal), "--flag", flag])
+    assert (rc, out, err) == (1, "", f"frameforms: {message}\n")
+
+
 def test_dform_command(tmp_path):
     mfd = tmp_path / "nil.mfd"
     mfd.write_text(NILPOTENT_FILE)

@@ -381,6 +381,16 @@ def test_su2_parallel_spinor_chain():
     assert M.d(M.e(1) * M.e(2) - M.e(3) * M.e(4)) != 0
 
 
+# n * dim of the stabilizer of a pure spinor: SU(2), SU(2), SU(3), SU(3), SU(4).
+@pytest.mark.parametrize("n, free", [(4, 12), (5, 15), (6, 48), (7, 56), (8, 120)])
+def test_parallel_spinor_leaves_stabilizer(n, free):
+    for k in range(2 ** (n // 2)):
+        M = RiemannianManifold(Session(), n)
+        for i in range(1, n + 1):
+            M.declare_nabla_spinor(M.e(i), M.u(k), 0)
+        assert len(M.connection.free_parameters()) == free, f"u({k})"
+
+
 def test_su2_converse_impose_d():
     s = Session()
     M = RiemannianManifold(s, 4)

@@ -284,6 +284,32 @@ def test_cartan_g2():
     assert hash(report) == hash(CartanReport(report.c, 49, True))
 
 
+@pytest.mark.parametrize(
+    "n, text, c",
+    [
+        (7, f"d: {G2_PHI}\nd: {G2_STAR_PHI}\n", (0, 0, 0, 1, 5, 15, 28)),
+        (8, f"d: {SPIN7_PHI}\n", (0, 0, 0, 0, 1, 5, 15, 35)),
+    ],
+    ids=["g2", "spin7"],
+)
+def test_cartan_test_builds_no_fraction(monkeypatch, n, text, c):
+    """Q(i) arithmetic stays on integer triples: no Fraction after the ideal is loaded."""
+    P = frame_bundle(Session(), n)
+    ideal = load_ideal(P, text)
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    report = cartan_test(P, ideal)
+    monkeypatch.undo()
+    assert report.c == c and report.involutive
+    assert made == []
+
+
 def test_cartan_empty_ideal():
     P = frame_bundle(Session(), 3)
     report = cartan_test(P, [])

@@ -1,3 +1,5 @@
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -34,6 +36,101 @@ def test_hash_agrees_with_equality():
     half = Fraction(1, 2)
     assert hash(GaussianRational(half)) == hash(half)
     assert len({GaussianRational(half), half, GaussianRational(half, 1)}) == 2
+
+
+def _rand_rational(rng):
+    """A seeded Fraction, with numerator and denominator up to 2**70 half the time."""
+    bound = 2**70 if rng.random() < 0.5 else 6
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def _rand_operand(rng):
+    """A seeded int, Fraction or GaussianRational, zero parts included."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice([0, 1, -1, rng.randint(-2**70, 2**70)])
+    if kind == 1:
+        return _rand_rational(rng)
+    parts = [_rand_rational(rng) if rng.random() < 0.8 else Fraction(0) for _ in range(2)]
+    return GaussianRational(*parts)
+
+
+def _pair(x):
+    """The reference value of an operand: a (re, im) pair of Fractions."""
+    if isinstance(x, GaussianRational):
+        return x.re, x.im
+    return Fraction(x), Fraction(0)
+
+
+def _reference(op, x, y):
+    (a, b), (c, d) = _pair(x), _pair(y)
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+def _assert_normalized(g):
+    a, b, d = g._a, g._b, g._d
+    assert all(type(v) is int for v in (a, b, d))
+    assert d > 0 and math.gcd(a, b, d) == 1
+    if not a and not b:
+        assert d == 1
+
+
+def _assert_value(g, re, im):
+    assert isinstance(g, GaussianRational)
+    _assert_normalized(g)
+    assert (g.re, g.im) == (re, im)
+    assert g == GaussianRational(re, im) and hash(g) == hash(GaussianRational(re, im))
+    assert (g == re) == (im == 0)
+    if im == 0:
+        assert hash(g) == hash(re)
+        if re.denominator == 1:
+            assert g == re.numerator and hash(g) == hash(re.numerator)
+
+
+def test_gaussian_rational_matches_fraction_pairs():
+    rng = random.Random(7)
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+    for _ in range(3000):
+        x, y = _rand_operand(rng), _rand_operand(rng)
+        if not isinstance(x, GaussianRational) and not isinstance(y, GaussianRational):
+            x = GaussianRational(x) if rng.random() < 0.5 else x
+            y = y if isinstance(x, GaussianRational) else GaussianRational(y)
+        for name, op in ops.items():
+            if name == "/" and _pair(y) == (0, 0):
+                with pytest.raises(ZeroDivisionError):
+                    op(x, y)
+                continue
+            _assert_value(op(x, y), *_reference(name, x, y))
+        g = GaussianRational(*_pair(x))
+        re, im = _pair(x)
+        _assert_value(g, re, im)
+        _assert_value(-g, -re, -im)
+        _assert_value(g.conjugate(), re, -im)
+        _assert_value(g - g, Fraction(0), Fraction(0))
+        assert bool(g) == (re != 0 or im != 0)
+
+
+def test_gaussian_rational_division_by_zero():
+    zero = GaussianRational(0)
+    for x in (GaussianRational(1, 2), 3, Fraction(1, 3), zero):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+    for z in (0, Fraction(0), GaussianRational(Fraction(0), Fraction(0))):
+        with pytest.raises(ZeroDivisionError):
+            GaussianRational(1, 2) / z
+
+
+def test_gaussian_rational_hashes_like_fraction():
+    assert hash(GaussianRational(Fraction(1, 3))) == hash(Fraction(1, 3))
+    assert hash(GaussianRational(Fraction(-2**70, 3))) == hash(Fraction(-2**70, 3))
+    assert GaussianRational(Fraction(6, 3), 0) == 2 and hash(GaussianRational(Fraction(6, 3))) == hash(2)
 
 
 def test_floats_are_rejected():
