@@ -15,7 +15,9 @@ the next mutation.
 Two expression spaces are supported: differential forms (simple
 elements are wedge monomials of one manifold) and polynomials of degree
 at most one (simple elements are symbols, plus the constant coordinate
-used by AffineBasis).
+used by AffineBasis).  Each space's constant_vec reads an expression's
+terms once into the constant row {simple element: GaussianRational}
+that both echelons take; decompose keeps Poly values for components().
 """
 
 from __future__ import annotations
@@ -50,12 +52,27 @@ class _FormSpace:
     def __init__(self, manifold):
         self.manifold = manifold
 
-    def decompose(self, x):
+    def _form(self, x):
         if not isinstance(x, Form):
             x = Form.scalar(self.manifold, x)
         if x.manifold is not self.manifold:
             raise FrameMismatchError("form belongs to a different manifold")
-        return dict(x.terms)
+        return x
+
+    def decompose(self, x):
+        return dict(self._form(x).terms)
+
+    def constant_vec(self, x):
+        out = {}
+        for k, p in self._form(x).terms.items():
+            if not p.is_constant():
+                raise NonConstantCoefficientError(
+                    "basis elements must have constant coefficients on simple elements"
+                )
+            v = p.terms.get(())
+            if v:
+                out[k] = v
+        return out
 
     sort_key = staticmethod(_mono_key)
 
@@ -64,17 +81,20 @@ class _FormSpace:
 
 
 class _PolySpace:
-    def decompose(self, x):
+    def constant_vec(self, x):
         p = as_poly(x)
         out = {}
         for mono, c in p.terms.items():
             if not mono:
-                out[CONST] = Poly.constant(c)
+                out[CONST] = c
             elif len(mono) == 1 and mono[0][1] == 1:
-                out[mono[0][0]] = Poly.constant(c)
+                out[mono[0][0]] = c
             else:
                 raise NonLinearError(f"{p} is not affine in its symbols")
         return out
+
+    def decompose(self, x):
+        return {k: Poly.constant(c) for k, c in self.constant_vec(x).items()}
 
     def sort_key(self, key):
         if key is CONST:
@@ -91,19 +111,6 @@ class _PolySpace:
 
 def _as_poly_coeff(c):
     return c if isinstance(c, Poly) else Poly.constant(c)
-
-
-def _constant_vec(dec):
-    out = {}
-    for k, p in dec.items():
-        if not p.is_constant():
-            raise NonConstantCoefficientError(
-                "basis elements must have constant coefficients on simple elements"
-            )
-        v = p.constant_value()
-        if v:
-            out[k] = v
-    return out
 
 
 class Basis:
@@ -135,7 +142,7 @@ class Basis:
 
     def _append(self, x):
         """Append x when independent of the span; return its pivot, or None."""
-        red = self._echelon.reduce(_constant_vec(self._space.decompose(x)))
+        red = self._echelon.reduce(self._space.constant_vec(x))
         if not red:
             return None
         pivot = self._echelon.insert(red)
@@ -157,7 +164,7 @@ class Basis:
         ech = Echelon(lambda k: None if isinstance(k, int) else key(k))
         simple = set()
         for tag, x in enumerate(self._elements):
-            vec = _constant_vec(self._space.decompose(x))
+            vec = self._space.constant_vec(x)
             simple.update(vec)
             vec[tag] = _ONE
             ech.insert(ech.reduce(vec))

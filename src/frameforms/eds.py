@@ -13,11 +13,19 @@ the index pairs (a, j), the tableau.  Reduced polar equations contract
 ideal generators with flag vectors down to degree one, modulo the
 theta's; Cartan's test grows one basis of them along the flag and
 compares its ranks c_0..c_{n-1} with the codimension of V_n.
+
+On a linear generator the polar equations are read from the same
+tableau: contracting theta^I ∧ omega_a by the flag vectors whose set is
+I leaves ±omega_a, so each equation is sum ±c omega_a over the terms
+with one theta set, the sign the parity of the contraction order.
+cartan_test takes them from there; reduced_polar_equations contracts
+general forms with hook.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .basis import AffineBasis, FormBasis
 from .errors import (
@@ -94,6 +102,21 @@ def is_linear(bundle: FrameBundle, ideal) -> bool:
     return all(sum(g > bundle.n for g in mono) == 1 for form in ideal for mono in form.terms)
 
 
+def _tableau(bundle: FrameBundle, form: Form):
+    """The terms c theta^I ∧ omega_a of a form, as (I, a, c) with c a constant Poly.
+
+    Raises equations_for_Vn's NonLinearError for any other term.
+    """
+    n = bundle.n
+    rows = []
+    for mono, c in form.terms.items():
+        if sum(g > n for g in mono) != 1 or not c.is_constant():
+            term = Form(bundle.manifold, {mono: c})
+            raise NonLinearError(f"{term} is not linear in the connection forms")
+        rows.append((mono[:-1], mono[-1], c))
+    return rows
+
+
 def equations_for_Vn(bundle: FrameBundle, ideal) -> AffineBasis:
     """Equations cutting out the integral n-planes, as an affine equation set.
 
@@ -102,17 +125,13 @@ def equations_for_Vn(bundle: FrameBundle, ideal) -> AffineBasis:
     NonLinearError for a term without exactly one omega factor or with a
     symbolic coefficient.
     """
-    n = bundle.n
     container = AffineBasis()
     for form in ideal:
         rows = {}
-        for mono, c in form.terms.items():
-            if sum(g > n for g in mono) != 1 or not c.is_constant():
-                term = Form(bundle.manifold, {mono: c})
-                raise NonLinearError(f"{term} is not linear in the connection forms")
-            a, value = mono[-1], c.constant_value()
-            for j in range(1, n + 1):
-                merged, sign = _merge_indices(mono[:-1], (j,))
+        for theta, a, c in _tableau(bundle, form):
+            value = c.constant_value()
+            for j in range(1, bundle.n + 1):
+                merged, sign = _merge_indices(theta, (j,))
                 if sign:
                     entry = (((bundle.p[(a, j)], 1),), value if sign > 0 else -value)
                     accumulate(rows.setdefault(merged, {}), [entry])
@@ -149,6 +168,37 @@ def reduced_polar_equations(bundle: FrameBundle, form: Form, j: int, order=None)
     return [eq for jj in range(j + 1) for eq in _new_polar_equations(bundle, form, jj, order)]
 
 
+def _tableau_polar_equations(bundle: FrameBundle, form: Form, order):
+    """_new_polar_equations of a linear form at each j = 0..n-1, read from its tableau.
+
+    A theta-degree-0 form is its own equation at j = 0.  A form of
+    theta-degree k >= 1 has at step j one equation for each choice of
+    flag positions j - 1 = q_1 > q_2 > ... > q_k >= 0, in lexicographic
+    order of (q_2, ..., q_k): its terms c theta^I ∧ omega_a with theta
+    set {order[q]} give sum ±c omega_a.  The sign is that of hooking
+    theta_order[q_1], theta_order[q_2], ... out of theta^I in turn, the
+    parity of that sequence.  Raises MixedDegreeError as degree() does.
+    """
+    k = degree(form) - 1
+    steps = [[] for _ in range(bundle.n)]
+    if k == 0:
+        steps[0].append(form)
+    if k < 1:
+        return steps
+    groups = {}
+    for theta, a, c in _tableau(bundle, form):
+        groups.setdefault(theta, []).append((a, c))
+    for j in range(1, bundle.n):
+        for rest in sorted(q[::-1] for q in combinations(range(j - 1), k - 1)):
+            seq = [order[q] for q in (j - 1, *rest)]
+            terms = groups.get(tuple(sorted(seq)))
+            if terms:
+                odd = sum(t < s for s, t in combinations(seq, 2)) % 2
+                eq = {(a,): -c if odd else c for a, c in terms}
+                steps[j].append(Form(bundle.manifold, eq))
+    return steps
+
+
 @dataclass(frozen=True)
 class CartanReport:
     """Polar ranks, codimension and verdict, with the equations behind them.
@@ -169,9 +219,12 @@ def cartan_test(bundle: FrameBundle, ideal, flag_order=None) -> CartanReport:
     """Cartan's involutivity test for a linear system at one flag.
 
     Grows one polar basis along the flag, inserting at step j the
-    equations that use the j-th flag vector; c_j is its rank then and
-    the verdict is sum(c) == codim V_n.  Raises NotLinearError for
-    non-linear ideals.
+    equations that use the j-th flag vector, read from each generator's
+    tableau (see the module docstring) in the order that
+    reduced_polar_equations gives them; c_j is its rank then and the
+    verdict is sum(c) == codim V_n.  Raises NotLinearError for
+    non-linear ideals and MixedDegreeError for a generator of mixed
+    degree.
     """
     ideal = list(ideal)
     if not is_linear(bundle, ideal):
@@ -179,11 +232,12 @@ def cartan_test(bundle: FrameBundle, ideal, flag_order=None) -> CartanReport:
     order = _flag_order(bundle, flag_order)
     container = equations_for_Vn(bundle, ideal)
     codim = container.size()
+    steps = [_tableau_polar_equations(bundle, form, order) for form in ideal]
     basis = FormBasis(bundle.manifold)
     polar = []
     for j in range(bundle.n):
-        for form in ideal:
-            for eq in _new_polar_equations(bundle, form, j, order):
+        for form_steps in steps:
+            for eq in form_steps[j]:
                 basis.insert(eq)
         polar.append(basis.elements)
     c = tuple(len(eqs) for eqs in polar)

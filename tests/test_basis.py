@@ -7,6 +7,7 @@ from frameforms import (
     AffineBasis,
     FormBasis,
     FrameManifold,
+    GaussianRational,
     NonConstantCoefficientError,
     NonLinearError,
     NotInSpanError,
@@ -221,6 +222,85 @@ def test_flag_preservation_vs_oracle():
                 _dense(x, n) for x in b.elements[:k]
             ]
             assert _oracle_rank(both, n) == k
+
+
+def test_basis_ranks_match_sympy():
+    """FormBasis and AffineBasis keep exactly the rows that raise sympy's rank.
+
+    The rows are seeded random Q(i) vectors, some of them combinations of
+    earlier rows; AffineBasis is inconsistent exactly when the constant
+    column raises the rank of the symbol columns.
+    """
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(31)
+    zero = GaussianRational(0)
+
+    def scalar():
+        return GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+
+    def rows(ncols):
+        out = []
+        for _ in range(rng.randint(1, 2 * ncols)):
+            if out and rng.random() < 0.4:
+                row = [zero] * ncols
+                for earlier in rng.sample(out, rng.randint(1, len(out))):
+                    c = scalar()
+                    row = [a + c * b for a, b in zip(row, earlier)]
+            else:
+                row = [scalar() if rng.random() < 0.6 else zero for _ in range(ncols)]
+            out.append(row)
+        return out
+
+    def rank(matrix):
+        if not matrix or not matrix[0]:
+            return 0
+        entries = [
+            [sympy.Rational(str(c.re)) + sympy.I * sympy.Rational(str(c.im)) for c in r]
+            for r in matrix
+        ]
+        return sympy.Matrix(entries).rank(iszerofunc=lambda x: sympy.expand(x) == 0)
+
+    inconsistent_seen = 0
+    for _ in range(25):
+        # FormBasis over the one- and two-form monomials of a small manifold.
+        M = FrameManifold(Session(), rng.randint(2, 3))
+        monos = [(i,) for i in range(1, M.dim + 1)]
+        monos += [(i, j) for i in range(1, M.dim + 1) for j in range(i + 1, M.dim + 1)]
+        matrix = rows(len(monos))
+        ranks = [rank(matrix[:k]) for k in range(len(matrix) + 1)]
+        b = FormBasis(M)
+        kept = []
+        for k, row in enumerate(matrix):
+            w = M.zero()
+            for mono, c in zip(monos, row):
+                term = M.scalar(c)
+                for g in mono:
+                    term = term * M.e(g)
+                w = w + term
+            grows = ranks[k + 1] > ranks[k]
+            assert b.insert(w) == grows
+            if grows:
+                kept.append(w)
+        assert list(b.elements) == kept and b.size() == ranks[-1]
+
+        # AffineBasis over a few symbols; the last column is the constant.
+        syms = Session().symbols("x y z")[: rng.randint(1, 3)]
+        matrix = rows(len(syms) + 1)
+        ranks = [rank(matrix[:k]) for k in range(len(matrix) + 1)]
+        a = AffineBasis()
+        kept = []
+        for k, row in enumerate(matrix):
+            p = Poly.constant(row[-1])
+            for sym, c in zip(syms, row):
+                p = p + c * sym
+            grows = ranks[k + 1] > ranks[k]
+            assert a.insert(p) == grows
+            if grows:
+                kept.append(p)
+            assert a.inconsistent == (ranks[k + 1] > rank([r[:-1] for r in matrix[: k + 1]]))
+        assert list(a.elements) == kept and a.size() == ranks[-1]
+        inconsistent_seen += a.inconsistent
+    assert 0 < inconsistent_seen < 25
 
 
 def test_affine_insert_examples():

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import frameforms
 from frameforms.cli import EXAMPLE_NAMES, main, run_example
 
 NILPOTENT_FILE = "dim 4\nd 3 = 12\nd 4 = 13\n"
@@ -144,6 +145,14 @@ def test_eds_command_not_linear_exits_2(tmp_path):
     assert "NotLinearError" in err
 
 
+def test_eds_command_mixed_degree_exits_2(tmp_path):
+    ideal = tmp_path / "mixed.ideal"
+    ideal.write_text("d: 1+12\n")
+    rc, out, err = _run(["eds", "--dim", "2", "--ideal-file", str(ideal)])
+    assert rc == 2 and out == ""
+    assert err == "frameforms: MixedDegreeError: form has mixed degrees [2, 3]\n"
+
+
 def test_eds_command_input_errors(tmp_path):
     rc, _, err = _run(["eds", "--dim", "7", "--ideal-file", str(tmp_path / "missing")])
     assert rc == 1
@@ -193,9 +202,12 @@ def test_dform_command(tmp_path):
 
 def test_cli_deterministic_across_processes():
     """Fresh interpreters with different hash seeds produce identical bytes."""
+    # The child imports the same frameforms, whether or not PYTHONPATH names it.
+    src = os.path.dirname(os.path.dirname(frameforms.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = set()
     for seed in ("0", "1", "424242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
         proc = subprocess.run(
             [sys.executable, "-m", "frameforms.cli", "example", "bilagrangian"],
             capture_output=True,

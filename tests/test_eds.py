@@ -12,6 +12,7 @@ from frameforms import (
     FormBasis,
     FrameIndexError,
     GaussianRational,
+    MixedDegreeError,
     NonLinearError,
     NotLinearError,
     Poly,
@@ -27,6 +28,7 @@ from frameforms import (
     substitute_form,
     wedge,
 )
+from frameforms import eds, exterior
 from frameforms.cli import G2_PHI, G2_STAR_PHI, g2_ideal
 
 # The Cayley 4-form; d of it generates the Spin(7) system on n = 8.
@@ -284,7 +286,7 @@ def test_cartan_g2():
     assert hash(report) == hash(CartanReport(report.c, 49, True))
 
 
-@pytest.mark.parametrize(
+_LOADED_SYSTEMS = pytest.mark.parametrize(
     "n, text, c",
     [
         (7, f"d: {G2_PHI}\nd: {G2_STAR_PHI}\n", (0, 0, 0, 1, 5, 15, 28)),
@@ -292,6 +294,9 @@ def test_cartan_g2():
     ],
     ids=["g2", "spin7"],
 )
+
+
+@_LOADED_SYSTEMS
 def test_cartan_test_builds_no_fraction(monkeypatch, n, text, c):
     """Q(i) arithmetic stays on integer triples: no Fraction after the ideal is loaded."""
     P = frame_bundle(Session(), n)
@@ -308,6 +313,43 @@ def test_cartan_test_builds_no_fraction(monkeypatch, n, text, c):
     monkeypatch.undo()
     assert report.c == c and report.involutive
     assert made == []
+
+
+@_LOADED_SYSTEMS
+def test_cartan_test_hooks_and_wraps_nothing(monkeypatch, n, text, c):
+    """After the ideal is loaded: no hook, and no Poly.constant wrapping.
+
+    The polar equations come from the tableau, and every basis reads its
+    constant rows straight from the terms.
+    """
+    P = frame_bundle(Session(), n)
+    ideal = load_ideal(P, text)
+    calls = []
+    real_hook, real_constant = hook, Poly.constant.__func__
+
+    def counting_hook(*args):
+        calls.append("hook")
+        return real_hook(*args)
+
+    def counting_constant(cls, value):
+        calls.append("Poly.constant")
+        return real_constant(cls, value)
+
+    monkeypatch.setattr(eds, "hook", counting_hook)
+    monkeypatch.setattr(exterior, "hook", counting_hook)
+    monkeypatch.setattr(Poly, "constant", classmethod(counting_constant))
+    report = cartan_test(P, ideal)
+    monkeypatch.undo()
+    assert report.c == c and report.involutive
+    assert calls == []
+
+
+def test_cartan_test_mixed_degree_raises():
+    """A generator of mixed degree is rejected as before the tableau path."""
+    P = frame_bundle(Session(), 2)
+    ideal = load_ideal(P, "d: 1+12\n")
+    with pytest.raises(MixedDegreeError, match=r"form has mixed degrees \[2, 3\]"):
+        cartan_test(P, ideal)
 
 
 def test_cartan_empty_ideal():
@@ -348,25 +390,48 @@ def test_bad_flag_orders_raise():
             cartan_test(P, ideal, flag_order=bad)
 
 
-@pytest.mark.parametrize("system", [_g2, _spin7], ids=["g2", "spin7"])
-def test_incremental_polar_basis_matches_per_j_rebuild(system):
-    """One basis grown along the flag gives the ranks of a fresh basis at every j."""
-    P, ideal = system()
-    for order in _seeded_flags(P.n, 3, seed=5):
-        report = cartan_test(P, ideal, order)
-        previous = [[] for _ in ideal]
-        for j in range(P.n):
-            fresh = FormBasis(P.manifold)
-            for g, form in enumerate(ideal):
-                eqs = reduced_polar_equations(P, form, j, order)
-                assert eqs == _recursive_polar_equations(P, form, j, order)
-                assert eqs[: len(previous[g])] == previous[g]
-                previous[g] = eqs
-                for eq in eqs:
-                    fresh.insert(eq)
-            assert report.c[j] == fresh.size(), (order, j)
-            if j + 1 < P.n:
-                assert report.polar[j + 1][: report.c[j]] == report.polar[j]
+def _random_systems():
+    rng = random.Random(8)
+    return [_random_linear_ideal(rng, n) for n in range(1, 6) for _ in range(8)]
+
+
+def _test_flags(n):
+    """Every permutation flag for n <= 3; the identity and three seeded ones above."""
+    if n <= 3:
+        return [list(p) for p in itertools.permutations(range(1, n + 1))]
+    return _seeded_flags(n, 3, seed=5)
+
+
+@pytest.mark.parametrize(
+    "systems",
+    [lambda: [_g2()], lambda: [_spin7()], _random_systems],
+    ids=["g2", "spin7", "random"],
+)
+def test_incremental_polar_basis_matches_per_j_rebuild(systems):
+    """One basis grown along the flag gives the ranks of a fresh basis at every j.
+
+    The equations cartan_test reads from the tableau at each j are, printed
+    and in order, those that hook the j-th flag vector first.
+    """
+    for P, ideal in systems():
+        for order in _test_flags(P.n):
+            report = cartan_test(P, ideal, order)
+            tableau = [eds._tableau_polar_equations(P, form, order) for form in ideal]
+            previous = [[] for _ in ideal]
+            for j in range(P.n):
+                fresh = FormBasis(P.manifold)
+                for g, form in enumerate(ideal):
+                    new = [str(eq) for eq in eds._new_polar_equations(P, form, j, order)]
+                    assert [str(eq) for eq in tableau[g][j]] == new, (order, j, g)
+                    eqs = reduced_polar_equations(P, form, j, order)
+                    assert eqs == _recursive_polar_equations(P, form, j, order)
+                    assert eqs[: len(previous[g])] == previous[g]
+                    previous[g] = eqs
+                    for eq in eqs:
+                        fresh.insert(eq)
+                assert report.c[j] == fresh.size(), (order, j)
+                if j + 1 < P.n:
+                    assert report.polar[j + 1][: report.c[j]] == report.polar[j]
 
 
 def test_cartan_requires_linearity():
