@@ -213,11 +213,21 @@ def _parse_flag(text, bundle):
         raise _UsageError(f"--flag must be a permutation of 1..{n}") from None
 
 
+def _read_text(path):
+    """A UTF-8 input file's text; an undecodable byte is a FileFormatError on its line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            reason = f"cannot decode byte {exc.object[exc.start]:#04x} as UTF-8 ({exc.reason})"
+            raise FileFormatError(line, reason) from None
+
+
 def _cmd_eds(args, out):
     session = Session()
     bundle = frame_bundle(session, args.dim)
-    with open(args.ideal_file, "r", encoding="utf-8") as fh:
-        ideal = load_ideal(bundle, fh.read())
+    ideal = load_ideal(bundle, _read_text(args.ideal_file))
     flag = _parse_flag(args.flag, bundle) if args.flag else None
     report = cartan_test(bundle, ideal, flag)
     if args.verbose:
@@ -232,8 +242,7 @@ def _cmd_eds(args, out):
 
 def _cmd_dform(args, out):
     session = Session()
-    with open(args.manifold_file, "r", encoding="utf-8") as fh:
-        M = load_manifold(session, fh.read())
+    M = load_manifold(session, _read_text(args.manifold_file))
     form = parse_form(M, args.form)
     out.write(print_form(M.d(form)) + "\n")
     return 0

@@ -1,13 +1,27 @@
 """Connections on a framed manifold with declaratively constrained parameters.
 
-A Connection owns a table of symbols G_ijk = <nabla_{e_i} e_j, e^k> (one
-symbol per triple in the generic case, an antisymmetric pattern in j,k
-for metric connections in an orthonormal frame).  Constraints are never
-assigned directly: declare_* methods turn nabla expressions into scalar
-equations and add them to one persistent reduced echelon form over the
-connection's own symbols.  Its pivot rows give the substitution that
-expresses each solved symbol through the free ones.  Foreign symbols
-(another connection's parameters) ride along as parameters.
+A Connection owns a table of symbols G_ijk = <nabla_{f_i} f_j, f^k> for
+a frame f^1..f^n of one-forms and its dual vectors f_1..f_n (one symbol
+per triple in the generic case, an antisymmetric pattern in j,k for
+metric connections in an orthonormal frame).  Everything else is read
+off the matrix of connection one-forms omega_jk = sum_i G_ijk f^i
+(Kobayashi-Nomizu, Foundations I, ch. III):
+
+- covariant derivatives evaluate omega_jk(X) = sum_i G_ijk X^i, only
+  at the entries they use, and act with it: nabla_X f_j = sum_k
+  omega_jk(X) f_k on vectors, nabla_X f^k = -sum_j omega_jk(X) f^j on
+  one-forms, extended to every form by the Leibniz loop that d uses
+  too, and (1/2) sum_{j<k} omega_jk(X) g_j g_k on spinors;
+- torsion and curvature are Cartan's structure equations,
+  Theta^k = df^k + sum_j omega_jk ∧ f^j and
+  Omega_jk = d omega_jk + sum_l omega_jl ∧ omega_lk.
+
+Constraints are never assigned directly: declare_* methods turn nabla
+expressions into scalar equations and add them to one persistent
+reduced echelon form over the connection's own symbols.  Its pivot rows
+give the substitution that expresses each solved symbol through the
+free ones.  Foreign symbols (another connection's parameters) ride
+along as parameters.
 
 Scalar equations are split into real and imaginary parts before
 solving: the symbolic parameters stand for real-valued functions, and
@@ -16,18 +30,20 @@ parallel-spinor conditions cut out the real solution set.
 
 RiemannianManifold is the frame-generic mode: a manifold without a
 d-table whose d operator, Lie bracket, and spinor module all come from
-its built-in metric (Levi-Civita style) connection.
+its built-in metric (Levi-Civita style) connection; its d is the
+torsion-free structure equation de^k = -sum_j omega_jk ∧ e^j.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .basis import FormBasis
-from .errors import DegreeError, InconsistentError, UnsupportedKindError
-from .exterior import Form, pairing, wedge
+from .errors import DegreeError, UnsupportedKindError
+from .exterior import Form, _leibniz, pairing, wedge
 from .manifold import FrameManifold
-from .scalar import Echelon, Poly, Session, as_poly
+from .scalar import Echelon, Poly, Session, accumulate, as_poly
 from .spinors import Spinor, build_clifford_table, clifford_mul
 
 __all__ = ["Connection", "RiemannianManifold"]
@@ -41,10 +57,7 @@ class Connection:
         self.prefix = prefix
         self.antisymmetric = antisymmetric
         n = manifold.dim
-        if frame is None:
-            frame = manifold.generators()
-        else:
-            frame = list(frame)
+        frame = manifold.generators() if frame is None else list(frame)
         basis = FormBasis(manifold)
         for f in frame:
             if not f.is_homogeneous(1):
@@ -53,23 +66,13 @@ class Connection:
         if len(basis) != n:
             raise ValueError(f"frame spans only {len(basis)} of {n} dimensions")
         self.frame = basis
-        session = manifold.session
-        self._gamma = {}
-        self._symbols = []
-        if antisymmetric:
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    for k in range(j + 1, n + 1):
-                        s = session.symbol(f"{prefix}{i}{j}{k}")
-                        self._gamma[(i, j, k)] = s
-                        self._symbols.append(s)
-        else:
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    for k in range(1, n + 1):
-                        s = session.symbol(f"{prefix}{i}{j}{k}")
-                        self._gamma[(i, j, k)] = s
-                        self._symbols.append(s)
+        self._gamma = {
+            (i, j, k): manifold.session.symbol(f"{prefix}{i}{j}{k}")
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+            for k in range(j + 1 if antisymmetric else 1, n + 1)
+        }
+        self._symbols = list(self._gamma.values())
         self._own = set(self._symbols)
         # Only the linear monomials of the own symbols may pivot.
         position = {((s, 1),): s.index for s in self._symbols}
@@ -80,20 +83,17 @@ class Connection:
     def torsion_free(cls, manifold, frame=None, prefix="Gamma"):
         """A generic connection constrained to have zero torsion.
 
-        Solves the structure equations sum_i e^i ∧ nabla_{e_i} e^j = de^j
+        Solves the structure equations df^k + sum_j omega_jk ∧ f^j = 0
         for the connection symbols; the leftover symbols stay free.
         """
         conn = cls(manifold, frame, prefix)
-        eqs = []
-        for theta in conn.torsion():
-            eqs.extend(c for _, c in theta.coefficients())
-        conn._declare(eqs)
+        conn.declare_zero(conn.torsion())
         return conn
 
     # -- symbol bookkeeping -------------------------------------------------
 
     def gamma(self, i, j, k) -> Poly:
-        """The (substituted) symbol <nabla_{e_i} e_j, e^k>."""
+        """The (substituted) symbol <nabla_{f_i} f_j, f^k>."""
         sign = 1
         if self.antisymmetric:
             if j == k:
@@ -111,16 +111,16 @@ class Connection:
         return [s for s in self._symbols if s not in self._subs]
 
     def connection_form(self, j, k) -> Form:
-        """The one-form omega_jk = sum_i Gamma_ijk e^i."""
-        out = Form.zero(self.manifold)
-        for i in range(1, self.manifold.dim + 1):
-            g = self.gamma(i, j, k)
-            if g:
-                out = out + self.frame[i - 1] * g
-        return out
+        """The one-form omega_jk = sum_i Gamma_ijk f^i."""
+        out = {}
+        for i, f in enumerate(self.frame, 1):
+            accumulate(out, (f * self.gamma(i, j, k)).terms.items())
+        return Form(self.manifold, out)
 
-    def _duals(self):
-        return self.frame.dual_basis()
+    def _connection_matrix(self):
+        """All the omega_jk, as a 0-based n x n list of rows."""
+        n = self.manifold.dim
+        return [[self.connection_form(j, k) for k in range(1, n + 1)] for j in range(1, n + 1)]
 
     def _vector_components(self, X: Form):
         """Components of a vector (degree-1 form) along the frame vectors."""
@@ -128,84 +128,66 @@ class Connection:
             raise DegreeError("vector arguments must be degree-1 forms")
         return [pairing(X, f) for f in self.frame]
 
+    def _omega_at(self, X: Form):
+        """omega(X) as a function (j, k) -> omega_jk(X) = sum_i Gamma_ijk X^i.
+
+        An entry is computed when first asked for, so each covariant
+        derivative reads only the symbols of the entries it uses.
+        """
+        support = [(i, x) for i, x in enumerate(self._vector_components(X), 1) if x]
+
+        @functools.cache
+        def entry(j, k):
+            return sum((self.gamma(i, j, k) * x for i, x in support), Poly.zero())
+
+        return entry
+
     # -- covariant derivatives ----------------------------------------------
 
     def nabla_vector(self, X: Form, T: Form) -> Form:
-        """nabla_X T for vectors: nabla_{e_i} e_j = sum_k Gamma_ijk e_k."""
-        xi = self._vector_components(X)
-        tau = self._vector_components(T)
-        duals = self._duals()
-        n = self.manifold.dim
+        """nabla_X T = sum_k (sum_j T^j omega_jk(X)) f_k, over the rows j with T^j != 0."""
+        omega = self._omega_at(X)
+        tau = [(j, t) for j, t in enumerate(self._vector_components(T), 1) if t]
         out = Form.zero(self.manifold)
-        for i in range(n):
-            if not xi[i]:
-                continue
-            for j in range(n):
-                if not tau[j]:
-                    continue
-                coeff = xi[i] * tau[j]
-                for k in range(n):
-                    g = self.gamma(i + 1, j + 1, k + 1)
-                    if g:
-                        out = out + duals[k] * (coeff * g)
-        return out
-
-    def _nabla_generator_form(self, i, g):
-        """nabla along the i-th frame vector of the generator one-form e^g."""
-        mu = self.frame.components(self.manifold.e(g))
-        out = Form.zero(self.manifold)
-        for k in range(self.manifold.dim):
-            if not mu[k]:
-                continue
-            for j in range(self.manifold.dim):
-                gam = self.gamma(i + 1, j + 1, k + 1)
-                if gam:
-                    out = out - self.frame[j] * (mu[k] * gam)
+        for k, f in enumerate(self.frame.dual_basis(), 1):
+            c = sum((t * omega(j, k) for j, t in tau), Poly.zero())
+            if c:
+                out = out + f * c
         return out
 
     def nabla_form(self, X: Form, w: Form) -> Form:
-        """nabla_X of a form, as a derivation over the wedge product."""
-        xi = self._vector_components(X)
-        one = Poly.constant(1)
-        out = Form.zero(self.manifold)
-        for i, x_comp in enumerate(xi):
-            if not x_comp:
-                continue
-            ngen = {}
-            for mono, c in w.terms.items():
-                for pos, g in enumerate(mono):
-                    rep = ngen.get(g)
-                    if rep is None:
-                        rep = self._nabla_generator_form(i, g)
-                        ngen[g] = rep
-                    if not rep:
-                        continue
-                    prefix = Form(self.manifold, {mono[:pos]: one})
-                    suffix = Form(self.manifold, {mono[pos + 1 :]: one})
-                    term = wedge(wedge(prefix, rep), suffix)
-                    out = out + term * (c * x_comp)
-        return out
+        """nabla_X w: nabla_X f^k = -sum_j omega_jk(X) f^j, extended as an even derivation."""
+        omega = self._omega_at(X)
+
+        def image(g):
+            # Only the columns k of e^g's nonzero frame components are read.
+            out = Form.zero(self.manifold)
+            for k, mu in enumerate(self.frame.components(self.manifold.e(g)), 1):
+                if mu:
+                    for j, f in enumerate(self.frame, 1):
+                        c = omega(j, k)
+                        if c:
+                            out = out - f * (mu * c)
+            return out
+
+        return _leibniz(w, image, odd=False)
 
     def nabla_spinor(self, X: Form, psi: Spinor) -> Spinor:
         """Spinor covariant derivative (metric connections only).
 
-        (1/4) sum_{j,k} Gamma_ijk g_j g_k psi collapses to
+        (1/4) sum_{j,k} omega_jk(X) g_j g_k psi collapses to
         (1/2) sum_{j<k} by the antisymmetry of both factors.
         """
         table = self._clifford()
-        xi = self._vector_components(X)
+        omega = self._omega_at(X)
         n = self.manifold.dim
         out = Spinor.zero(table.spinor_dim)
-        for i in range(n):
-            if not xi[i]:
-                continue
-            for j in range(1, n + 1):
-                for k in range(j + 1, n + 1):
-                    g = self.gamma(i + 1, j, k)
-                    if not g:
-                        continue
+        for j in range(1, n + 1):
+            for k in range(j + 1, n + 1):
+                c = omega(j, k)
+                if c:
                     acted = table.apply(j, table.apply(k, psi))
-                    out = out + acted * (g * xi[i] * Fraction(1, 2))
+                    out = out + acted * (c * Fraction(1, 2))
         return out
 
     def _clifford(self):
@@ -231,43 +213,30 @@ class Connection:
             part.linear_split(self._own)
         ech = self._echelon.copy()
         for part in parts:
-            red = ech.reduce(part.terms)
-            if red and ech.insert(red) is None:
-                raise InconsistentError(f"equation reduces to {Poly(red)} = 0")
+            ech.impose(part.terms)
         if len(ech.rows) == len(self._echelon.rows):
             return
         self._echelon = ech
         self._subs = ech.solved()
 
-    @staticmethod
-    def _form_equations(delta: Form):
-        return [c for _, c in delta.coefficients()]
-
     def declare_nabla_vector(self, X, T, value):
-        value = value if isinstance(value, Form) else Form.scalar(self.manifold, value)
-        delta = self.nabla_vector(X, T) - value
-        self._declare(self._form_equations(delta))
+        self.declare_zero([self.nabla_vector(X, T) - value])
 
     def declare_nabla_form(self, X, w, value):
-        value = value if isinstance(value, Form) else Form.scalar(self.manifold, value)
-        delta = self.nabla_form(X, w) - value
-        self._declare(self._form_equations(delta))
+        self.declare_zero([self.nabla_form(X, w) - value])
 
     def declare_nabla_spinor(self, X, psi, value):
         if not isinstance(value, Spinor):
             if value != 0:
                 raise TypeError("spinor declaration needs a Spinor or 0 value")
             value = Spinor.zero(psi.dim)
-        delta = self.nabla_spinor(X, psi) - value
-        self._declare([c for _, c in delta.coefficients()])
+        self.declare_zero([self.nabla_spinor(X, psi) - value])
 
     def declare_zero(self, exprs):
         """Force a family of expressions to vanish identically."""
         polys = []
         for x in exprs:
-            if isinstance(x, Form):
-                polys.extend(c for _, c in x.coefficients())
-            elif isinstance(x, Spinor):
+            if isinstance(x, (Form, Spinor)):
                 polys.extend(c for _, c in x.coefficients())
             else:
                 polys.append(as_poly(x))
@@ -276,45 +245,36 @@ class Connection:
     # -- torsion and curvature -------------------------------------------------
 
     def torsion(self):
-        """The frame-indexed torsion 2-forms de^j − sum_i e^i ∧ nabla_{e_i} e^j.
+        """Cartan's first structure equation: Theta^k = df^k + sum_j omega_jk ∧ f^j.
 
         Zero exactly when the structure equations hold; the orientation
         matches the classical tensor nabla_X Y − nabla_Y X − [X,Y] read
         through the evaluation convention of lie_bracket.
         """
-        duals = self._duals()
-        out = []
-        for j in range(self.manifold.dim):
-            theta = self.manifold.d(self.frame[j])
-            for i in range(self.manifold.dim):
-                theta = theta - wedge(self.frame[i], self.nabla_form(duals[i], self.frame[j]))
-            out.append(theta)
-        return out
+        omega = self._connection_matrix()
+        return [
+            sum((wedge(omega[j][k], fj) for j, fj in enumerate(self.frame)), self.manifold.d(fk))
+            for k, fk in enumerate(self.frame)
+        ]
 
     def curvature(self):
-        """Curvature 2-forms Omega_jk = d(omega_jk) + sum_l omega_jl ∧ omega_lk."""
-        n = self.manifold.dim
-        omega = [[self.connection_form(j, k) for k in range(1, n + 1)] for j in range(1, n + 1)]
-        out = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                w = self.manifold.d(omega[j][k])
-                for l in range(n):
-                    w = w + wedge(omega[j][l], omega[l][k])
-                row.append(w)
-            out.append(row)
-        return out
+        """Second structure equation: Omega_jk = d omega_jk + sum_l omega_jl ∧ omega_lk."""
+        omega = self._connection_matrix()
+        return [
+            [sum((wedge(a, omega[l][k]) for l, a in enumerate(row)), self.manifold.d(w))
+             for k, w in enumerate(row)]
+            for row in omega
+        ]
 
 
 class RiemannianManifold(FrameManifold):
     """A generic framed Riemannian manifold whose d comes from its connection.
 
-    There is no d-table: de^j is computed as sum_i e^i ∧ nabla_{e_i} e^j
-    from the built-in metric connection, whose symbols are antisymmetric
-    in the last two indices (orthonormal frame).  The Lie bracket is
-    nabla_X Y − nabla_Y X, and spinors are available through the
-    manifold's Clifford table.
+    There is no d-table: de^k = -sum_j omega_jk ∧ e^j is the torsion-free
+    structure equation of the built-in metric connection, whose symbols
+    are antisymmetric in the last two indices (orthonormal frame).  The
+    Lie bracket is nabla_X Y − nabla_Y X, and spinors are available
+    through the manifold's Clifford table.
     """
 
     def __init__(self, session: Session, dim: int, prefix="Gamma"):
@@ -322,14 +282,10 @@ class RiemannianManifold(FrameManifold):
         self.clifford = build_clifford_table(dim)
         self.connection = Connection(self, prefix=prefix, antisymmetric=True)
 
-    def _d_generator(self, i):
-        conn = self.connection
+    def _d_generator(self, k):
         out = Form.zero(self)
-        for a in range(1, self.dim + 1):
-            for j in range(1, self.dim + 1):
-                g = conn.gamma(a, j, i)
-                if g:
-                    out = out - wedge(self.e(a), self.e(j)) * g
+        for j in range(1, self.dim + 1):
+            out = out - wedge(self.connection.connection_form(j, k), self.e(j))
         return out
 
     def declare_d(self, gen, value):

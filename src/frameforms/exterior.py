@@ -19,7 +19,7 @@ from .errors import (
     FrameMismatchError,
     MixedDegreeError,
 )
-from .scalar import GaussianRational, Poly, Symbol, accumulate, as_poly
+from .scalar import GaussianRational, I, Poly, Symbol, accumulate, as_poly
 
 __all__ = [
     "Form",
@@ -218,6 +218,31 @@ def hook(v: Form, w: Form) -> Form:
     return Form(v.manifold, accumulate({}, pairs))
 
 
+def _leibniz(w: Form, image, odd: bool) -> Form:
+    """Extend image(g), the form generator g goes to, to w as a derivation.
+
+    _merge_indices merges the image of the generator at position pos
+    with the rest of the monomial as if it stood in front, which costs
+    (-1)^(pos*q) for an image monomial of degree q; an odd derivation
+    (d) picks up a further (-1)^pos, an even one (nabla) none.
+    """
+    images = {}
+    out = {}
+    for mono, c in w.terms.items():
+        for pos, g in enumerate(mono):
+            if g not in images:
+                images[g] = image(g)
+            rest = mono[:pos] + mono[pos + 1 :]
+            for m, b in images[g].terms.items():
+                merged, sign = _merge_indices(m, rest)
+                if not sign:
+                    continue
+                if pos * (len(m) + odd) % 2:
+                    sign = -sign
+                accumulate(out, [(merged, b * c if sign > 0 else -(b * c))])
+    return Form(w.manifold, out)
+
+
 def pairing(a: Form, b: Form) -> Poly:
     """Canonical bilinear pairing; monomials form an orthonormal set."""
     if b.manifold is not a.manifold:
@@ -339,11 +364,12 @@ class _Scanner:
 
 
 def parse_form(frame, text: str) -> Form:
-    """Parse a form string like "567-512" or "3/2*123-42" over a frame.
+    """Parse a form string like "567-512" or "3/2*123-(1+i)*42" over a frame.
 
     Grammar: form := '0' | ['-'] term (('+'|'-') term)*;
     term := [coeff '*'] (['e'] digits | 'e[' [integer (',' integer)*] ']');
-    coeff := integer ['/' integer];
+    coeff := scalar | '(' ['-'] scalar (('+'|'-') scalar)* ')';
+    scalar := 'i' | number ['*' 'i'];  number := integer ['/' integer];
     digits := one or more of '1'..'9', each a frame index.
     '0' is the zero form and the empty list 'e[]' the scalar monomial 1.
     The optional 'e' and the bracket list, which print_form writes for
@@ -383,29 +409,54 @@ def _parse_int(sc):
     return int(sc.text[start : sc.pos]), start
 
 
-def _parse_term(frame, sc, sign):
-    coeff = Fraction(sign)
+def _parse_scalar(sc):
+    if sc.peek() == "i":
+        sc.take()
+        return I
+    value, _ = _parse_int(sc)
+    if sc.peek() == "/":
+        sc.take()
+        den, _ = _parse_int(sc)
+        if den == 0:
+            sc.error("zero denominator")
+        value = Fraction(value, den)
+    if sc.text.startswith("*i", sc.pos):
+        sc.pos += 2
+        return value * I
+    return value
+
+
+def _parse_coeff(sc):
+    """A term's coefficient and its '*', or 1 if the term starts with its monomial."""
     start = sc.pos
-    if not (sc.peek().isdigit() or sc.peek() == "e"):
+    if sc.peek() == "e":
+        return 1
+    if sc.peek() == "(":
+        sc.take()
+        value, op = GaussianRational(0), sc.take() if sc.peek() == "-" else "+"
+        while op in ("+", "-"):
+            term = _parse_scalar(sc)
+            value = value + term if op == "+" else value - term
+            op = sc.take()
+        if op != ")":
+            sc.error("expected '+', '-' or ')' in a coefficient")
+    else:
+        value = _parse_scalar(sc)
+    if sc.peek() == "*":
+        sc.take()
+        return value
+    if not sc.text[start : sc.pos].isdigit():
+        sc.error("expected '*' after coefficient")
+    # The integer was the digit string of the monomial itself.
+    sc.pos = start
+    return 1
+
+
+def _parse_term(frame, sc, sign):
+    ch = sc.peek()
+    if not (ch.isdigit() or ch in ("e", "i", "(")):
         sc.error("expected a term")
-    if sc.peek().isdigit():
-        value, num_start = _parse_int(sc)
-        if sc.peek() == "/":
-            sc.take()
-            den, _ = _parse_int(sc)
-            if den == 0:
-                sc.error("zero denominator")
-            coeff *= Fraction(value, den)
-            if sc.peek() != "*":
-                sc.error("expected '*' after coefficient")
-            sc.take()
-        elif sc.peek() == "*":
-            sc.take()
-            coeff *= value
-        else:
-            # The integer was the digit string of the monomial itself.
-            sc.pos = num_start
-    mono = Form.scalar(frame, coeff)
+    mono = Form.scalar(frame, sign * _parse_coeff(sc))
     if sc.peek() == "e":
         sc.take()
         if sc.peek() == "[":

@@ -21,8 +21,8 @@ from .errors import (
     MissingDeclarationError,
     RedeclarationError,
 )
-from .exterior import Form, hook, parse_form, wedge
-from .scalar import Poly, Session, accumulate
+from .exterior import Form, _leibniz, hook, parse_form
+from .scalar import Session
 
 __all__ = ["FrameManifold", "load_manifold"]
 
@@ -88,20 +88,9 @@ class FrameManifold:
             raise MissingDeclarationError(f"d(e{i}) has not been declared") from None
 
     def d(self, w) -> Form:
-        """Exterior derivative via the d-table, Leibniz on monomials."""
+        """Exterior derivative: the d-table on generators, extended as an odd derivation."""
         w = w if isinstance(w, Form) else Form.scalar(self, w)
-        out = {}
-        one = Poly.constant(1)
-        for mono, c in w.terms.items():
-            for pos, g in enumerate(mono):
-                dg = self._d_generator(g)
-                if not dg:
-                    continue
-                prefix = Form(self, {mono[:pos]: one})
-                suffix = Form(self, {mono[pos + 1 :]: one})
-                term = wedge(wedge(prefix, dg), suffix)
-                accumulate(out, (term * (c if pos % 2 == 0 else -c)).terms.items())
-        return Form(self, out)
+        return _leibniz(w, self._d_generator, odd=True)
 
     def lie_bracket(self, X: Form, Y: Form) -> Form:
         """Constant-coefficient Lie bracket: <[X,Y], e^k> = −(de^k)(X,Y)."""

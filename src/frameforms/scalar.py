@@ -583,6 +583,16 @@ class Echelon:
         self.rows[pivot] = row
         return pivot
 
+    def impose(self, vec):
+        """Reduce vec and store it as a new row, unless it reduces to zero.
+
+        Raises InconsistentError, storing nothing, when what is left has
+        no key that may pivot: the equation vec = 0 contradicts the rows.
+        """
+        red = self.reduce(vec)
+        if red and self.insert(red) is None:
+            raise InconsistentError(f"equation reduces to {Poly(red)} = 0")
+
     def solved(self) -> dict:
         """For rows keyed by monomials: each pivot symbol's value, minus its row's rest."""
         return {p[0][0]: Poly({m: -c for m, c in row.items() if m != p}) for p, row in self.rows.items()}
@@ -618,9 +628,7 @@ def linear_solve(equations, unknowns) -> LinearSolution:
     position = {((u, 1),): u.index for u in unknown_set}
     ech = Echelon(position.get)
     for p in polys:
-        red = ech.reduce(p.terms)
-        if red and ech.insert(red) is None:
-            raise InconsistentError(f"equation reduces to {Poly(red)} = 0")
+        ech.impose(p.terms)
     assignments = ech.solved()
     free = frozenset(u for u in unknown_set if u not in assignments)
     return LinearSolution(assignments, free)

@@ -200,6 +200,26 @@ def test_dform_command(tmp_path):
     assert rc == 1 and "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("eds", b"\xff\xfe d: 123\n", "line 1: cannot decode byte 0xff as UTF-8 (invalid"),
+        ("dform", b"dim 4\nd 3 = 12\nd 4 = 1\xe93\n", "line 3: cannot decode byte 0xe9"),
+    ],
+    ids=["eds", "dform"],
+)
+def test_non_utf8_input_file_is_an_input_error(tmp_path, command, content, message):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    if command == "eds":
+        args = ["eds", "--dim", "3", "--ideal-file", str(path)]
+    else:
+        args = ["dform", "--manifold-file", str(path), "4"]
+    rc, out, err = _run(args)
+    assert rc == 1 and out == ""
+    assert err.startswith(f"frameforms: input error: {message}")
+
+
 def test_cli_deterministic_across_processes():
     """Fresh interpreters with different hash seeds produce identical bytes."""
     # The child imports the same frameforms, whether or not PYTHONPATH names it.

@@ -440,3 +440,113 @@ def test_hook_projection_shape_of_bilagrangian():
         sub = form.substitute_scalars(rules)
         for g in dead:
             assert sub.coefficient((g,)) == 0
+
+
+def iwasawa6(session):
+    M = FrameManifold(session, 6)
+    for i in (1, 2, 3, 4):
+        M.declare_d(i, 0)
+    M.declare_d(5, M.e(1) * M.e(3) + M.e(4) * M.e(2))
+    M.declare_d(6, M.e(1) * M.e(4) + M.e(2) * M.e(3))
+    return M
+
+
+def _non_simple_frame(M):
+    """A frame of M whose elements mix generators, so its dual frame does too."""
+    n = M.dim
+    return [M.e(i) + M.e(i % n + 1) * Fraction(i, 2) for i in range(1, n)] + [M.e(n) - M.e(1)]
+
+
+def _rand_vector(rng, M):
+    return sum((M.e(g) * rng.randint(-2, 2) for g in range(1, M.dim + 1)), M.zero())
+
+
+def _rand_form(rng, M, symbol):
+    """Up to three terms of degrees 0..3 with coefficients a*symbol + b."""
+    out = M.zero()
+    for _ in range(rng.randint(1, 3)):
+        term = M.scalar(symbol * rng.randint(-2, 2) + Fraction(rng.randint(-3, 3), 2))
+        for g in rng.sample(range(1, M.dim + 1), rng.randint(0, 3)):
+            term = term * M.e(g)
+        out = out + term
+    return out
+
+
+def test_nabla_form_leibniz_on_non_simple_frame():
+    """nabla_X(a∧b) = nabla_X a∧b + a∧nabla_X b: nabla_X is an even derivation."""
+    rng = random.Random(61)
+    s = Session()
+    M = nilpotent4(s)
+    c = Connection(M, frame=_non_simple_frame(M))
+    c.declare_nabla_vector(M.e(1), M.e(2), M.e(3))
+    x = s.symbol("x")
+    nonzero = 0
+    for _ in range(40):
+        X = _rand_vector(rng, M)
+        a, b = _rand_form(rng, M, x), _rand_form(rng, M, x)
+        lhs = c.nabla_form(X, wedge(a, b))
+        assert lhs == wedge(c.nabla_form(X, a), b) + wedge(a, c.nabla_form(X, b))
+        nonzero += bool(lhs)
+    assert nonzero >= 20
+
+
+def test_nabla_coframe_reads_minus_gamma_on_non_simple_frame():
+    """<nabla_X f^k, f_j> = -sum_i X^i Gamma_ijk, with X^i = f^i(X)."""
+    rng = random.Random(62)
+    M = iwasawa6(Session())
+    frame = _non_simple_frame(M)
+    c = Connection(M, frame=frame)
+    duals = c.frame.dual_basis()
+    for _ in range(3):
+        X = _rand_vector(rng, M)
+        xi = [pairing(X, f) for f in frame]
+        for k in range(6):
+            nabla = c.nabla_form(X, frame[k])
+            for j in range(6):
+                terms = (xi[i] * c.gamma(i + 1, j + 1, k + 1) for i in range(6))
+                assert pairing(nabla, duals[j]) == -sum(terms, Poly.zero())
+
+
+def _reference_torsion(conn):
+    """de^j - sum_i f^i ∧ nabla_{f_i} f^j, through nabla_form and the dual frame."""
+    M = conn.manifold
+    duals = conn.frame.dual_basis()
+    out = []
+    for fj in conn.frame:
+        theta = M.d(fj)
+        for fi, dual in zip(conn.frame, duals):
+            theta = theta - wedge(fi, conn.nabla_form(dual, fj))
+        out.append(theta)
+    return out
+
+
+def _torsion_cases():
+    s = Session()
+    nil, iwa = nilpotent4(s), iwasawa6(s)
+    yield "generic-non-simple-nilpotent", Connection(nil, frame=_non_simple_frame(nil), prefix="A")
+    yield "generic-non-simple-iwasawa", Connection(iwa, frame=_non_simple_frame(iwa), prefix="B")
+    declared = Connection(nil, frame=_non_simple_frame(nil), prefix="C")
+    declared.declare_nabla_vector(nil.e(1), nil.e(2), nil.e(3) - nil.e(4))
+    declared.declare_nabla_form(nil.e(2), nil.e(1) * nil.e(3), 0)
+    yield "declared-non-simple", declared
+    _, h, k, _ = almost_complex_torsion(s)
+    yield "almost-complex-h", h
+    yield "almost-complex-k", k
+    R = RiemannianManifold(s, 4, prefix="R")
+    yield "riemannian", R.connection
+    for i in range(1, 5):
+        R.declare_nabla_spinor(R.e(i), R.u(0), 0)
+    yield "riemannian-parallel-spinor", R.connection
+    yield "metric-on-riemannian", Connection(R, prefix="S", antisymmetric=True)
+    B, _, _ = bilagrangian_brackets(s)
+    yield "bilagrangian", B.connection
+
+
+def test_torsion_matches_nabla_form_reference():
+    """torsion() is Cartan's de^j + sum_k omega_kj ∧ e^k; compare the nabla route."""
+    nonzero = 0
+    for name, conn in _torsion_cases():
+        torsion = conn.torsion()
+        assert torsion == _reference_torsion(conn), name
+        nonzero += any(torsion)
+    assert nonzero >= 5

@@ -9,6 +9,8 @@ from frameforms import (
     FormParseError,
     FrameIndexError,
     FrameManifold,
+    GaussianRational,
+    I,
     MixedDegreeError,
     Poly,
     Session,
@@ -28,11 +30,13 @@ def _manifold(n=5):
     return FrameManifold(Session(), n)
 
 
-def _rand_form(rng, M, deg, nterms=3, rational=True):
+def _rand_form(rng, M, deg, nterms=3, rational=True, gaussian=False):
     out = M.zero()
     for _ in range(nterms):
         mono = rng.sample(range(1, M.dim + 1), deg)
         c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if gaussian:
+            c = GaussianRational(c, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
         term = M.scalar(c)
         for g in mono:
             term = term * M.e(g)
@@ -40,10 +44,10 @@ def _rand_form(rng, M, deg, nterms=3, rational=True):
     return out
 
 
-def _rand_mixed_form(rng, M):
+def _rand_mixed_form(rng, M, gaussian=False):
     """Zero, scalar, homogeneous or mixed-degree, possibly after cancellation."""
-    a = _rand_form(rng, M, rng.randint(0, 3), rng.randint(0, 4))
-    return a + _rand_form(rng, M, rng.randint(0, 3), rng.randint(0, 4))
+    a = _rand_form(rng, M, rng.randint(0, 3), rng.randint(0, 4), gaussian=gaussian)
+    return a + _rand_form(rng, M, rng.randint(0, 3), rng.randint(0, 4), gaussian=gaussian)
 
 
 def test_wedge_examples():
@@ -313,3 +317,30 @@ def test_parse_print_roundtrip_randomized():
     for _ in range(1000):
         w = _rand_mixed_form(rng, M)
         assert parse_form(M, print_form(w)) == w
+    # Gaussian-rational coefficients: i, -i, 2*i, 3/4*i, (1+2*i), (-1/2-3/4*i), ...
+    imaginary = 0
+    for _ in range(1000):
+        w = _rand_mixed_form(rng, M, gaussian=True)
+        assert parse_form(M, print_form(w)) == w
+        imaginary += "i" in print_form(w)
+    assert imaginary > 500
+
+
+def test_parse_gaussian_coefficients():
+    M = _manifold(4)
+    e1, e3 = M.e(1), M.e(3)
+    cases = {
+        "i*e1": I * e1,
+        "-i*e1": -I * e1,
+        "2*i*e1": 2 * I * e1,
+        "3/4*i*e1": Fraction(3, 4) * I * e1,
+        "-3/4*i*e1": Fraction(-3, 4) * I * e1,
+        "(1+2*i)*e1+i*e3": (1 + 2 * I) * e1 + I * e3,
+        "e1-(-1/2-3/4*i)*e3": e1 - (Fraction(-1, 2) - Fraction(3, 4) * I) * e3,
+        "(1-i)*e[]+12": M.scalar(1 - I) + e1 * M.e(2),
+    }
+    for text, expected in cases.items():
+        assert parse_form(M, text) == expected, text
+    for text in ("i", "i*", "(1+i)", "(1+i)e1", "(1+i*e1", "()*e1", "2*ie1"):
+        with pytest.raises(FormParseError):
+            parse_form(M, text)

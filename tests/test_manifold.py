@@ -7,13 +7,16 @@ from frameforms import (
     DegreeError,
     DimensionError,
     FileFormatError,
+    Form,
     FrameManifold,
     MissingDeclarationError,
     RedeclarationError,
+    RiemannianManifold,
     Session,
     load_manifold,
     parse_form,
     print_form,
+    wedge,
 )
 
 
@@ -124,6 +127,49 @@ def test_d_squared_zero(builder):
     for _ in range(100):
         w = _rand_form(rng, M, rng.randint(1, 3), 3)
         assert M.d(M.d(w)) == 0
+
+
+def _rand_symbolic_form(rng, M, symbols):
+    """Up to four terms of degrees 0..3 with coefficients a*x + b, x a symbol."""
+    out = M.zero()
+    for _ in range(rng.randint(1, 4)):
+        c = rng.choice(symbols) * Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+        term = M.scalar(c + rng.randint(-2, 2))
+        for g in rng.sample(range(1, M.dim + 1), rng.randint(0, 3)):
+            term = term * M.e(g)
+        out = out + term
+    return out
+
+
+def _homogeneous_parts(w):
+    """The homogeneous components of w, as (degree, form) pairs."""
+    parts = {}
+    for mono, c in w.terms.items():
+        parts.setdefault(len(mono), {})[mono] = c
+    return [(p, Form(w.manifold, terms)) for p, terms in parts.items()]
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [nilpotent4, iwasawa6, lambda session: RiemannianManifold(session, 4)],
+    ids=["nilpotent4", "iwasawa6", "riemannian4"],
+)
+def test_d_leibniz_on_mixed_degree_forms(builder):
+    """d(a∧b) = da∧b + (-1)^p a∧db, on each degree-p part of a mixed-degree a."""
+    rng = random.Random(5)
+    M = builder(Session())
+    symbols = M.session.symbols("x y")
+    nonzero = 0
+    for _ in range(60):
+        a = _rand_symbolic_form(rng, M, symbols)
+        b = _rand_symbolic_form(rng, M, symbols)
+        rhs = wedge(M.d(a), b)
+        for p, ap in _homogeneous_parts(a):
+            rhs = rhs + wedge(ap, M.d(b)) * (-1) ** p
+        lhs = M.d(wedge(a, b))
+        assert lhs == rhs
+        nonzero += bool(lhs)
+    assert nonzero >= 15
 
 
 @pytest.mark.parametrize("builder", [nilpotent4, iwasawa6])

@@ -14,6 +14,7 @@ from frameforms import (
     Session,
     linear_solve,
 )
+from frameforms.scalar import Echelon
 
 
 def test_gaussian_rational_arithmetic():
@@ -347,6 +348,23 @@ def test_linear_solve_inconsistent():
     # a reduced equation that is a nonzero parameter-only polynomial
     with pytest.raises(InconsistentError):
         linear_solve([x + a, x], [x])
+
+
+def test_echelon_impose_raises_and_stores_nothing_on_contradiction():
+    s = Session()
+    x, y, a = s.symbols("x y a")
+    position = {((u, 1),): u.index for u in (x, y)}
+    ech = Echelon(position.get)
+    ech.impose((x + y - 1).terms)
+    ech.impose((2 * x + 2 * y - 2).terms)  # reduces to zero: no new row
+    assert len(ech.rows) == 1
+    before = {p: dict(row) for p, row in ech.rows.items()}
+    for contradiction in (x + y, x + y - 1 + a):
+        with pytest.raises(InconsistentError, match="equation reduces to"):
+            ech.impose(contradiction.terms)
+        assert ech.rows == before
+    ech.impose((x - y).terms)
+    assert ech.solved() == {x: Poly.constant(Fraction(1, 2)), y: Poly.constant(Fraction(1, 2))}
 
 
 def test_linear_solve_no_assigned_symbol_in_rhs():
