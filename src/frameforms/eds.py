@@ -24,6 +24,7 @@ general forms with hook.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -36,9 +37,9 @@ from .errors import (
     NonLinearError,
     NotLinearError,
 )
-from .exterior import Form, _merge_indices, _mono_key, degree, hook, parse_form
+from .exterior import Form, _mono_key, degree, hook, parse_form
 from .manifold import FrameManifold
-from .scalar import Poly, Session, accumulate
+from .scalar import Poly, Session
 
 __all__ = [
     "FrameBundle",
@@ -121,20 +122,27 @@ def equations_for_Vn(bundle: FrameBundle, ideal) -> AffineBasis:
     """Equations cutting out the integral n-planes, as an affine equation set.
 
     Each generator's tableau rows (see the module docstring) are inserted
-    in monomial order; the size is the codimension of V_n.  Raises
-    NonLinearError for a term without exactly one omega factor or with a
-    symbolic coefficient.
+    in monomial order; the size is the codimension of V_n.  The sign of
+    theta^I ∧ theta^j = ±theta^(I+j) is -1 to the number of indices of I
+    above j.  A term c theta^I ∧ omega_a is the only one that gives the
+    row of I+j its p_aj entry, so entries are stored, never summed.
+    Raises NonLinearError for a term without exactly one omega factor or
+    with a symbolic coefficient.
     """
     container = AffineBasis()
+    p = bundle.p
     for form in ideal:
         rows = {}
         for theta, a, c in _tableau(bundle, form):
             value = c.constant_value()
+            signed = (value, -value)
+            k = len(theta)
             for j in range(1, bundle.n + 1):
-                merged, sign = _merge_indices(theta, (j,))
-                if sign:
-                    entry = (((bundle.p[(a, j)], 1),), value if sign > 0 else -value)
-                    accumulate(rows.setdefault(merged, {}), [entry])
+                pos = bisect_left(theta, j)
+                if pos < k and theta[pos] == j:
+                    continue
+                merged = theta[:pos] + (j,) + theta[pos:]
+                rows.setdefault(merged, {})[((p[(a, j)], 1),)] = signed[(k - pos) % 2]
         for merged in sorted(rows, key=_mono_key):
             container.insert(Poly(rows[merged]))
     return container

@@ -19,7 +19,7 @@ from .errors import (
     FrameMismatchError,
     MixedDegreeError,
 )
-from .scalar import GaussianRational, I, Poly, Symbol, accumulate, as_poly
+from .scalar import GaussianRational, I, Poly, Symbol, _scaled_str, accumulate, as_poly
 
 __all__ = [
     "Form",
@@ -314,15 +314,7 @@ def _mono_print(mono):
 
 def _coeff_print(c: Poly, mono_str: str) -> str:
     if c.is_constant():
-        v = c.constant_value()
-        if v == 1:
-            return mono_str
-        if v == -1:
-            return "-" + mono_str
-        s = str(v)
-        if v.re and v.im:
-            s = f"({s})"
-        return f"{s}*{mono_str}"
+        return _scaled_str(c.constant_value(), mono_str)
     if len(c.terms) == 1:
         return f"{c}*{mono_str}"
     return f"({c})*{mono_str}"

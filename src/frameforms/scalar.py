@@ -10,10 +10,10 @@ never stored).
 
 Symbols are created through a Session, which assigns a strictly
 increasing creation index from one process-wide counter; the index is
-the identity of the symbol and the total order used everywhere
-canonical ordering is needed, so symbols of different sessions never
-collide.  A session and every object created in it are confined to one
-thread at a time.
+the total order used everywhere canonical ordering is needed.  A symbol
+equals only itself and hashes by identity (copying returns it), so
+symbols of different sessions never collide.  A session and every
+object created in it are confined to one thread at a time.
 
 accumulate is the one sparse-sum step: polynomials, forms, spinors and
 echelon rows all add coefficients into their term dicts through it.
@@ -151,12 +151,14 @@ class GaussianRational:
         return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
 
     def __str__(self):
-        if not self._b:
-            return str(self.re)
-        im = _imag_str(self.im)
-        if not self._a:
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _ratio_str(a, d)
+        im = _ratio_str(b, d)
+        im = "i" if im == "1" else "-i" if im == "-1" else f"{im}*i"
+        if not a:
             return im
-        return f"{self.re}+{im}" if self._b > 0 else f"{self.re}{im}"
+        return f"{_ratio_str(a, d)}{'+' if b > 0 else ''}{im}"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -187,12 +189,31 @@ def _coerce(x):
     return None
 
 
-def _imag_str(im):
-    if im == 1:
-        return "i"
-    if im == -1:
-        return "-i"
-    return f"{im}*i"
+def _unit(c: GaussianRational) -> int:
+    """1 or -1 when c is that integer, else 0."""
+    if c._b or c._d != 1:
+        return 0
+    a = c._a
+    return a if a == 1 or a == -1 else 0
+
+
+def _ratio_str(n, d):
+    """The int ratio n/d, d > 0, in lowest terms as a Fraction prints it."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
+def _scaled_str(c, mono):
+    """The product c*mono of a nonzero GaussianRational and a monomial's text.
+
+    A coefficient of 1 or -1 is left out and one with both parts is
+    parenthesized, so every printed term reads back as one term.
+    """
+    unit = _unit(c)
+    if unit:
+        return mono if unit == 1 else "-" + mono
+    cs = str(c)
+    return f"({cs})*{mono}" if c._a and c._b else f"{cs}*{mono}"
 
 
 I = GaussianRational(0, 1)
@@ -202,7 +223,10 @@ _ONE = GaussianRational(1)
 
 
 class Symbol:
-    """A named atom identified by its per-session creation index."""
+    """A named atom; it equals only itself and is ordered by creation index.
+
+    Create symbols with Session.symbol.
+    """
 
     __slots__ = ("name", "index")
 
@@ -210,13 +234,13 @@ class Symbol:
         self.name = name
         self.index = index
 
-    def __eq__(self, other):
-        if isinstance(other, Symbol):
-            return self.index == other.index
-        return NotImplemented
+    # Equality and hashing are by identity, which keeps monomial-key
+    # lookups in C; so a copy must be the symbol itself.
+    def __copy__(self):
+        return self
 
-    def __hash__(self):
-        return hash(self.index)
+    def __deepcopy__(self, memo):
+        return self
 
     def __lt__(self, other):
         return self.index < other.index
@@ -396,7 +420,8 @@ class Poly:
     __hash__ = None
 
     def is_constant(self):
-        return not self.terms or set(self.terms) == {()}
+        t = self.terms
+        return not t or (len(t) == 1 and () in t)
 
     def constant_value(self) -> GaussianRational:
         if not self.is_constant():
@@ -475,18 +500,7 @@ class Poly:
             return "0"
         parts = []
         for m, c in self._sorted_terms():
-            mono = _mono_str(m)
-            if not mono:
-                t = str(c)
-            elif c == _ONE:
-                t = mono
-            elif c == -_ONE:
-                t = "-" + mono
-            else:
-                cs = str(c)
-                if c._a and c._b:
-                    cs = f"({cs})"
-                t = f"{cs}*{mono}"
+            t = _scaled_str(c, _mono_str(m)) if m else str(c)
             if parts and not t.startswith("-"):
                 parts.append("+")
             parts.append(t)
@@ -552,9 +566,15 @@ class Echelon:
         return Echelon(self.order, {p: dict(row) for p, row in self.rows.items()})
 
     def _subtract(self, v, c, row):
-        """v -= c * row, in place."""
-        c = -c
-        accumulate(v, ((k, c * r) for k, r in row.items()))
+        """v -= c * row, in place; a unit c adds or subtracts row as it is."""
+        unit = _unit(c)
+        if unit == -1:
+            accumulate(v, row.items())
+        elif unit == 1:
+            accumulate(v, ((k, -r) for k, r in row.items()))
+        else:
+            c = -c
+            accumulate(v, ((k, c * r) for k, r in row.items()))
         self.ops += len(row)
 
     def reduce(self, vec) -> dict:
@@ -568,14 +588,22 @@ class Echelon:
     def insert(self, red):
         """Store a reduced vector as a new row and return its pivot.
 
-        Returns None, storing nothing, when no key of `red` may pivot.
+        The echelon takes `red` over: a row whose pivot coefficient is
+        one is stored as that very dict.  Returns None, storing nothing,
+        when no key of `red` may pivot.
         """
         order = self.order
         pivot = min((k for k in red if order(k) is not None), key=order, default=None)
         if pivot is None:
             return None
-        inv = _ONE / red[pivot]
-        row = {k: c * inv for k, c in red.items()}
+        unit = _unit(red[pivot])
+        if unit == 1:
+            row = red
+        elif unit == -1:
+            row = {k: -c for k, c in red.items()}
+        else:
+            inv = _ONE / red[pivot]
+            row = {k: c * inv for k, c in red.items()}
         for other in self.rows.values():
             c = other.get(pivot)
             if c:

@@ -220,22 +220,32 @@ def test_non_utf8_input_file_is_an_input_error(tmp_path, command, content, messa
     assert err.startswith(f"frameforms: input error: {message}")
 
 
-def test_cli_deterministic_across_processes():
-    """Fresh interpreters with different hash seeds produce identical bytes."""
+def test_cli_deterministic_across_processes(tmp_path):
+    """Fresh interpreters with different hash seeds produce identical bytes.
+
+    Symbols hash by identity, so output that followed the iteration order
+    of a set of symbols would differ from one process to the next.
+    """
+    ideal = tmp_path / "g2.ideal"
+    ideal.write_text(G2_IDEAL_FILE)
+    commands = [["example", name] for name in EXAMPLE_NAMES]
+    commands.append(["eds", "--dim", "7", "--ideal-file", str(ideal), "--verbose"])
     # The child imports the same frameforms, whether or not PYTHONPATH names it.
     src = os.path.dirname(os.path.dirname(frameforms.__file__))
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    outputs = set()
-    for seed in ("0", "1", "424242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
-        proc = subprocess.run(
-            [sys.executable, "-m", "frameforms.cli", "example", "bilagrangian"],
-            capture_output=True,
-            env=env,
-            check=True,
-        )
-        outputs.add(proc.stdout)
-    assert len(outputs) == 1
+    for args in commands:
+        outputs = set()
+        for seed in ("0", "1", "424242"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
+            proc = subprocess.run(
+                [sys.executable, "-m", "frameforms.cli", *args],
+                capture_output=True,
+                env=env,
+                check=True,
+            )
+            outputs.add((proc.stdout.decode(), proc.stderr.decode()))
+        assert len(outputs) == 1, args
+        assert outputs == {_run(args)[1:]}, args
 
 
 def test_cli_outputs_byte_identical(tmp_path):

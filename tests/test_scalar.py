@@ -1,3 +1,4 @@
+import copy
 import math
 import operator
 import random
@@ -14,7 +15,7 @@ from frameforms import (
     Session,
     linear_solve,
 )
-from frameforms.scalar import Echelon
+from frameforms.scalar import Echelon, Symbol, _make
 
 
 def test_gaussian_rational_arithmetic():
@@ -118,6 +119,36 @@ def test_gaussian_rational_matches_fraction_pairs():
         assert bool(g) == (re != 0 or im != 0)
 
 
+def _fraction_str(g):
+    """A GaussianRational's text, built from Fraction parts."""
+    re, im = Fraction(g._a, g._d), Fraction(g._b, g._d)
+    if not im:
+        return str(re)
+    ims = "i" if im == 1 else "-i" if im == -1 else f"{im}*i"
+    if not re:
+        return ims
+    return f"{re}+{ims}" if im > 0 else f"{re}{ims}"
+
+
+def test_gaussian_rational_str_matches_fraction_parts():
+    rng = random.Random(31)
+
+    def part(bound):
+        return 0 if rng.random() < 0.2 else rng.randint(-bound, bound)
+
+    for _ in range(3000):
+        big = rng.random() < 0.7
+        d = rng.randint(1, 2**40 if big else 6)
+        # A shared factor makes gcd(a, d) > 1 while gcd(a, b, d) = 1.
+        f = rng.choice([1, 1, 2, 3, d])
+        a = f * part(2**70 if big else 6)
+        b = part(2**70 if big else 6) * rng.choice([1, 1, d])
+        g = _make(a, b, d)
+        assert str(g) == _fraction_str(g), (a, b, d)
+    for g in (I, -I, 2 * I, I / 2, -I / 3, GaussianRational(0), GaussianRational(-1, 1)):
+        assert str(g) == _fraction_str(g)
+
+
 def test_gaussian_rational_division_by_zero():
     zero = GaussianRational(0)
     for x in (GaussianRational(1, 2), 3, Fraction(1, 3), zero):
@@ -155,6 +186,22 @@ def test_symbol_identity_and_order():
     assert x1 < x2
     assert x1 == x1
     assert x1.index < x2.index
+
+
+def test_symbol_equals_only_itself_and_copies_to_itself():
+    s = Session()
+    x, y = s.symbols("x y")
+    # Another symbol with the same name and index is still another symbol.
+    twin = Symbol(x.name, x.index)
+    assert x == x and x != twin and x != y
+    assert len({x, twin, y}) == 3
+    assert copy.copy(x) is x and copy.deepcopy(x) is x
+    p = (x + 2 * y) * (x - I)
+    q = copy.deepcopy(p)
+    assert q is not p and q.terms is not p.terms
+    assert q == p
+    assert {s for m in q.terms for s, _ in m} == {x, y}
+    assert all(s is x or s is y for m in q.terms for s, _ in m)
 
 
 def test_symbols_of_different_sessions_are_distinct():
@@ -402,6 +449,68 @@ def test_linear_solve_roundtrip_randomized():
         sol = linear_solve(eqs, unknowns)
         for eq in eqs:
             assert sol.apply(eq) == 0, f"trial {trial}"
+
+
+def test_linear_solve_matches_sympy_linsolve():
+    """Assignments and free unknowns agree with sympy over Q(i).
+
+    Coefficients are drawn from units and non-units, so pivots and
+    multipliers of 1, -1, i and -i occur; some systems are
+    underdetermined and some inconsistent.
+    """
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(41)
+    units = [GaussianRational(1), GaussianRational(-1), I, -I]
+    others = [GaussianRational(2), GaussianRational(Fraction(-1, 2)), 1 + I, GaussianRational(Fraction(2, 3), -3)]
+
+    def coeff():
+        r = rng.random()
+        return GaussianRational(0) if r < 0.3 else rng.choice(units if r < 0.75 else others)
+
+    def to_sympy(c):
+        return sympy.Rational(c._a, c._d) + sympy.I * sympy.Rational(c._b, c._d)
+
+    def poly_to_sympy(p, gens):
+        return sympy.Add(*(
+            to_sympy(c) * sympy.Mul(*(gens[sym] ** e for sym, e in m)) for m, c in p.terms.items()
+        ))
+
+    seen_inconsistent = seen_free = 0
+    for trial in range(120):
+        s = Session()
+        unknowns = [s.symbol(f"u{i}") for i in range(rng.randint(1, 4))]
+        params = [s.symbol(f"a{i}") for i in range(rng.randint(0, 1))]
+        gens = {x: sympy.Symbol(x.name) for x in unknowns + params}
+        eqs = []
+        for _ in range(rng.randint(1, len(unknowns) + 1)):
+            eq = Poly.constant(coeff())
+            for x in unknowns:
+                eq = eq + coeff() * x
+            for x in params:
+                eq = eq + rng.choice([0, 0, 1, -2]) * x
+            eqs.append(eq)
+        if rng.random() < 0.25:
+            # A combination of the equations, shifted by a nonzero constant.
+            eq = Poly.constant(rng.choice(units + others))
+            for e in eqs:
+                eq = eq + coeff() * e
+            eqs.append(eq)
+        expected = sympy.linsolve([poly_to_sympy(e, gens) for e in eqs], [gens[x] for x in unknowns])
+        if expected == sympy.EmptySet:
+            with pytest.raises(InconsistentError):
+                linear_solve(eqs, unknowns)
+            seen_inconsistent += 1
+            continue
+        (values,) = expected
+        sol = linear_solve(eqs, unknowns)
+        seen_free += bool(sol.free)
+        for x, value in zip(unknowns, values):
+            if value == gens[x]:
+                assert x in sol.free and x not in sol.assignments, f"trial {trial}"
+            else:
+                ours = poly_to_sympy(sol.assignments[x], gens)
+                assert sympy.expand(ours - value) == 0, f"trial {trial}: {x}"
+    assert seen_inconsistent >= 5 and seen_free >= 5
 
 
 def test_real_imag_split():
