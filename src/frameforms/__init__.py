@@ -34,6 +34,7 @@ from .errors import (
     NonLinearError,
     NotInSpanError,
     NotLinearError,
+    NotNilpotentError,
     RedeclarationError,
     UnsupportedKindError,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "NonLinearError",
     "NotInSpanError",
     "NotLinearError",
+    "NotNilpotentError",
     "Poly",
     "RedeclarationError",
     "RiemannianManifold",

@@ -29,7 +29,7 @@ from .errors import (
     NotInSpanError,
 )
 from .exterior import Form, _mono_key
-from .scalar import Echelon, GaussianRational, Poly, as_poly
+from .scalar import Echelon, GaussianRational, Poly, accumulate, as_poly
 
 __all__ = ["Basis", "FormBasis", "SymbolBasis", "AffineBasis", "CONST"]
 
@@ -77,7 +77,7 @@ class _FormSpace:
     sort_key = staticmethod(_mono_key)
 
     def build(self, pairs):
-        return Form._make(self.manifold, {k: _as_poly_coeff(c) for k, c in pairs})
+        return Form(self.manifold, {k: Poly({(): c}) for k, c in pairs})
 
 
 class _PolySpace:
@@ -102,15 +102,7 @@ class _PolySpace:
         return (0, key.index)
 
     def build(self, pairs):
-        out = Poly.zero()
-        for k, c in pairs:
-            c = _as_poly_coeff(c)
-            out = out + (c if k is CONST else c * Poly.from_symbol(k))
-        return out
-
-
-def _as_poly_coeff(c):
-    return c if isinstance(c, Poly) else Poly.constant(c)
+        return Poly({() if k is CONST else ((k, 1),): c for k, c in pairs})
 
 
 class Basis:
@@ -183,6 +175,7 @@ class Basis:
             for k, c in inverse[alpha].items():
                 if k < m:
                     pairs[k].append((alpha, c))
+        # Each list holds distinct simple elements with nonzero constants.
         duals = [self._space.build(p) for p in pairs]
         self._cache = (inverse, m, duals)
         self.setup_ops += ech.ops
@@ -192,7 +185,7 @@ class Basis:
     def components(self, x):
         """Exact coordinates of x in the stored basis (lazy setup)."""
         inverse, m, _ = self._setup()
-        comps = [Poly.zero()] * len(inverse)
+        comps = [{} for _ in inverse]
         for key, p in self._space.decompose(x).items():
             if not p:
                 continue
@@ -200,10 +193,10 @@ class Basis:
             if row is None:
                 raise NotInSpanError(f"{x} pairs with a simple element outside the basis span")
             for k, c in row.items():
-                comps[k] = comps[k] + p * c
+                accumulate(comps[k], ((mono, a * c) for mono, a in p.terms.items()))
         if any(comps[m:]):
             raise NotInSpanError(f"{x} is not in the span of the basis")
-        return comps[:m]
+        return [Poly(t) for t in comps[:m]]
 
     def dual_basis(self):
         """The dual sequence x^1..x^m with pairing(x^i, x_j) = delta_ij."""

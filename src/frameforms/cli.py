@@ -3,8 +3,8 @@
 Exit codes: 0 when the computation ran (whatever the verdict), 1 for
 input errors (bad flags, unreadable or malformed files, unparseable
 forms), 2 for mathematical errors (non-linear systems, inconsistent
-declarations, missing d-table entries).  Output is plain ASCII, one
-fact per line, byte-identical across runs.
+declarations, missing d-table entries, a d-table with d(d e^i) != 0).
+Output is plain ASCII, one fact per line, byte-identical across runs.
 """
 
 from __future__ import annotations

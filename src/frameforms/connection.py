@@ -37,16 +37,17 @@ torsion-free structure equation de^k = -sum_j omega_jk ∧ e^j.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 from .basis import FormBasis
 from .errors import DegreeError, UnsupportedKindError
 from .exterior import Form, _leibniz, pairing, wedge
 from .manifold import FrameManifold
-from .scalar import Echelon, Poly, Session, accumulate, as_poly
+from .scalar import Echelon, GaussianRational, Poly, Session, accumulate, as_poly
 from .spinors import Spinor, build_clifford_table, clifford_mul
 
 __all__ = ["Connection", "RiemannianManifold"]
+
+_HALF = GaussianRational(1) / 2
 
 
 class Connection:
@@ -148,12 +149,12 @@ class Connection:
         """nabla_X T = sum_k (sum_j T^j omega_jk(X)) f_k, over the rows j with T^j != 0."""
         omega = self._omega_at(X)
         tau = [(j, t) for j, t in enumerate(self._vector_components(T), 1) if t]
-        out = Form.zero(self.manifold)
+        out = {}
         for k, f in enumerate(self.frame.dual_basis(), 1):
             c = sum((t * omega(j, k) for j, t in tau), Poly.zero())
             if c:
-                out = out + f * c
-        return out
+                accumulate(out, ((m, b * c) for m, b in f.terms.items()))
+        return Form(self.manifold, out)
 
     def nabla_form(self, X: Form, w: Form) -> Form:
         """nabla_X w: nabla_X f^k = -sum_j omega_jk(X) f^j, extended as an even derivation."""
@@ -161,14 +162,15 @@ class Connection:
 
         def image(g):
             # Only the columns k of e^g's nonzero frame components are read.
-            out = Form.zero(self.manifold)
+            out = {}
             for k, mu in enumerate(self.frame.components(self.manifold.e(g)), 1):
                 if mu:
                     for j, f in enumerate(self.frame, 1):
                         c = omega(j, k)
                         if c:
-                            out = out - f * (mu * c)
-            return out
+                            c = -(mu * c)
+                            accumulate(out, ((m, b * c) for m, b in f.terms.items()))
+            return Form(self.manifold, out)
 
         return _leibniz(w, image, odd=False)
 
@@ -181,14 +183,15 @@ class Connection:
         table = self._clifford()
         omega = self._omega_at(X)
         n = self.manifold.dim
-        out = Spinor.zero(table.spinor_dim)
+        out = {}
         for j in range(1, n + 1):
             for k in range(j + 1, n + 1):
                 c = omega(j, k)
                 if c:
+                    c = c * _HALF
                     acted = table.apply(j, table.apply(k, psi))
-                    out = out + acted * (c * Fraction(1, 2))
-        return out
+                    accumulate(out, ((u, a * c) for u, a in acted.terms.items()))
+        return Spinor(table.spinor_dim, out)
 
     def _clifford(self):
         if not self.antisymmetric:
@@ -283,10 +286,11 @@ class RiemannianManifold(FrameManifold):
         self.connection = Connection(self, prefix=prefix, antisymmetric=True)
 
     def _d_generator(self, k):
-        out = Form.zero(self)
+        # -omega_jk ∧ e^j = e^j ∧ omega_jk, as both are one-forms.
+        out = {}
         for j in range(1, self.dim + 1):
-            out = out - wedge(self.connection.connection_form(j, k), self.e(j))
-        return out
+            accumulate(out, wedge(self.e(j), self.connection.connection_form(j, k)).terms.items())
+        return Form(self, out)
 
     def declare_d(self, gen, value):
         """Impose a d-value as constraints on the connection symbols."""

@@ -62,11 +62,11 @@ class FrameBundle:
         self.session = session
         self.n = n
         self.manifold = FrameManifold(session, n * (n + 1))
+        one = Poly.constant(1)
         for i in range(1, n + 1):
-            x = self.manifold.zero()
-            for j in range(1, n + 1):
-                x = x + self.manifold.e(j) * self.manifold.e(i * n + j)
-            self.manifold.declare_d(i, x)
+            # d theta^i = sum_j theta^j ∧ omega_ij, one term per j.
+            dtheta = {(j, i * n + j): one for j in range(1, n + 1)}
+            self.manifold.declare_d(i, Form(self.manifold, dtheta))
         self.p = {}
         for i in range(n + 1, n * (n + 1) + 1):
             for j in range(1, n + 1):

@@ -66,6 +66,10 @@ class RedeclarationError(EngineError):
     """declare_d was called twice for the same generator."""
 
 
+class NotNilpotentError(EngineError):
+    """A loaded d-table gives d(d e^i) != 0 for some generator."""
+
+
 class MissingDeclarationError(EngineError):
     """d was requested for a generator with no d-table entry."""
 

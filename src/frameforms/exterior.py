@@ -19,7 +19,7 @@ from .errors import (
     FrameMismatchError,
     MixedDegreeError,
 )
-from .scalar import GaussianRational, I, Poly, Symbol, _scaled_str, accumulate, as_poly
+from .scalar import GaussianRational, I, Poly, _scaled_str, _SparseVector, accumulate, as_poly
 
 __all__ = [
     "Form",
@@ -69,7 +69,7 @@ def _mono_key(mono):
     return (len(mono), mono)
 
 
-class Form:
+class Form(_SparseVector):
     """A graded exterior-algebra element over one manifold's frame."""
 
     __slots__ = ("manifold", "terms")
@@ -77,10 +77,6 @@ class Form:
     def __init__(self, manifold, terms=None):
         self.manifold = manifold
         self.terms = terms or {}
-
-    @staticmethod
-    def _make(manifold, raw):
-        return Form(manifold, {m: c for m, c in raw.items() if c})
 
     @classmethod
     def zero(cls, manifold):
@@ -102,57 +98,27 @@ class Form:
             if x.manifold is not self.manifold:
                 raise FrameMismatchError("forms belong to different manifolds")
             return x
-        if isinstance(x, (int, Fraction, GaussianRational, Poly, Symbol)):
-            return Form.scalar(self.manifold, x)
-        return None
+        p = Poly._coerce(x)
+        return None if p is None else Form.scalar(self.manifold, p)
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Form(self.manifold, accumulate(dict(self.terms), o.terms.items()))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __neg__(self):
-        return Form(self.manifold, {m: -c for m, c in self.terms.items()})
+    def _like(self, terms):
+        return Form(self.manifold, terms)
 
     def __mul__(self, other):
         """Wedge with another form; scalars multiply coefficients."""
         if isinstance(other, Form):
             return wedge(self, other)
         p = as_poly(other)
-        if not p:
-            return Form.zero(self.manifold)
-        return Form._make(self.manifold, {m: c * p for m, c in self.terms.items()})
+        return self._scale(p) if p else Form.zero(self.manifold)
 
-    def __rmul__(self, other):
-        # Scalars commute past forms; Form*Form never reaches here.
-        return self.__mul__(other)
-
-    def __bool__(self):
-        return bool(self.terms)
+    # Scalars commute past forms; Form*Form never reaches __rmul__.
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, Form):
             return self.manifold is other.manifold and self.terms == other.terms
-        if isinstance(other, (int, Fraction, GaussianRational, Poly, Symbol)):
-            p = as_poly(other)
-            if not p:
-                return not self.terms
-            return self.terms == {(): p}
-        return NotImplemented
-
-    __hash__ = None
+        o = self._coerce(other)
+        return NotImplemented if o is None else self.terms == o.terms
 
     def degree(self):
         return degree(self)
@@ -173,9 +139,8 @@ class Form:
         """Apply a symbol substitution to every coefficient polynomial."""
         if not rules:
             return self
-        return Form._make(
-            self.manifold, {m: c.substitute(rules) for m, c in self.terms.items()}
-        )
+        out = {m: c.substitute(rules) for m, c in self.terms.items()}
+        return self._like({m: c for m, c in out.items() if c})
 
     def __str__(self):
         return print_form(self)
@@ -373,16 +338,16 @@ def parse_form(frame, text: str) -> Form:
         sc.error("empty form string")
     if sc.text == "0":
         return Form.zero(frame)
-    out = Form.zero(frame)
+    out = {}
     sign = 1
     if sc.peek() == "-":
         sc.take()
         sign = -1
     while True:
-        out = out + _parse_term(frame, sc, sign)
+        accumulate(out, _parse_term(frame, sc, sign).terms.items())
         ch = sc.peek()
         if not ch:
-            return out
+            return Form(frame, out)
         if ch == "+":
             sign = 1
         elif ch == "-":

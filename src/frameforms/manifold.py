@@ -19,9 +19,10 @@ from .errors import (
     FormParseError,
     FrameIndexError,
     MissingDeclarationError,
+    NotNilpotentError,
     RedeclarationError,
 )
-from .exterior import Form, _leibniz, hook, parse_form
+from .exterior import Form, _leibniz, hook, parse_form, print_form
 from .scalar import Session
 
 __all__ = ["FrameManifold", "load_manifold"]
@@ -94,15 +95,15 @@ class FrameManifold:
 
     def lie_bracket(self, X: Form, Y: Form) -> Form:
         """Constant-coefficient Lie bracket: <[X,Y], e^k> = −(de^k)(X,Y)."""
-        out = Form.zero(self)
+        out = {}
         for k in range(1, self.dim + 1):
             dk = self._d_generator(k)
             if not dk:
                 continue
             val = hook(Y, hook(X, dk)).scalar_part()
             if val:
-                out = out + self.e(k) * (-val)
-        return out
+                out[(k,)] = -val
+        return Form(self, out)
 
     def lie_derivative(self, X: Form, w) -> Form:
         """Cartan formula: L_X ω = X ⌟ dω + d(X ⌟ ω)."""
@@ -122,7 +123,8 @@ def load_manifold(session: Session, text: str) -> FrameManifold:
 
     Lines: ``dim <n>`` once, then ``d <i> = <form-string>`` entries in
     the parse_form grammar; omitted generators get d = 0.  '#' starts a
-    comment.
+    comment.  Raises NotNilpotentError, naming the first generator, when
+    d(d e^i) is not zero.
     """
     manifold = None
     entries = []
@@ -157,4 +159,8 @@ def load_manifold(session: Session, text: str) -> FrameManifold:
     for i in range(1, manifold.dim + 1):
         if i not in manifold.d_table:
             manifold.declare_d(i, manifold.zero())
+    for i in range(1, manifold.dim + 1):
+        dd = manifold.d(manifold.d_table[i])
+        if dd:
+            raise NotNilpotentError(f"d(d(e{i})) = {print_form(dd)} is not zero")
     return manifold

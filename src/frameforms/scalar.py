@@ -17,6 +17,10 @@ object created in it are confined to one thread at a time.
 
 accumulate is the one sparse-sum step: polynomials, forms, spinors and
 echelon rows all add coefficients into their term dicts through it.
+_SparseVector, the base of Poly, Form and Spinor, holds their shared
+vector-space operators (sum, difference, negation, truth, scaling) over
+that dict, so each subclass gives only its coercion, its product, its
+equality and its printing.
 Echelon is the one exact elimination kernel: linear_solve, the bases
 and the connection declarations all reduce through it.
 """
@@ -327,7 +331,51 @@ def _mono_mul(m1, m2):
     return tuple(out)
 
 
-class Poly:
+class _SparseVector:
+    """Vector-space operators over a sparse `terms` dict with no zero values.
+
+    A subclass gives `_coerce(x)`, the operand as a vector like self, or
+    None for a type it does not take (raising for a vector of another
+    frame or dimension), and `_like(terms)`, a vector like self with
+    those terms.  Sums and differences fill one copy of self's dict
+    through accumulate.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._like(accumulate(dict(self.terms), o.terms.items()))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._like(accumulate(dict(self.terms), ((k, -c) for k, c in o.terms.items())))
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return -self + o
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def _scale(self, p):
+        """self times a nonzero scalar p; polynomials over Q(i) have no zero divisors."""
+        return self._like({k: c * p for k, c in self.terms.items()})
+
+
+class Poly(_SparseVector):
     """A multivariate polynomial over GaussianRational in canonical form."""
 
     __slots__ = ("terms",)
@@ -359,38 +407,19 @@ class Poly:
             return Poly.constant(x)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Poly(accumulate(dict(self.terms), o.terms.items()))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
+    def _like(self, terms):
+        return Poly(terms)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         st, ot = self.terms, o.terms
+        # A constant factor scales the other side's coefficients.
         if len(st) == 1 and () in st:
-            st, ot = ot, st
-        # A constant factor scales the other side's coefficients; Q(i) has
-        # no zero divisors, so no product vanishes.
+            return o._scale(st[()])
         if len(ot) == 1 and () in ot:
-            c = ot[()]
-            return Poly({m: c1 * c for m, c1 in st.items()})
+            return self._scale(ot[()])
         pairs = (
             (_mono_mul(m1, m2), c1 * c2)
             for m1, c1 in st.items()
@@ -408,16 +437,11 @@ class Poly:
             out = out * self
         return out
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.terms == o.terms
-
-    __hash__ = None
 
     def is_constant(self):
         t = self.terms
@@ -484,9 +508,9 @@ class Poly:
                 raise NonLinearError(
                     f"unknown {hit[0][0]} carries a parametric coefficient in {_mono_str(m)}"
                 )
-            s = hit[0][0]
-            coeffs[s] = coeffs.get(s, _ZERO) + c
-        return {s: c for s, c in coeffs.items() if c}, Poly(rest)
+            # The term is the monomial ((s, 1),) itself, so each unknown has one.
+            coeffs[hit[0][0]] = c
+        return coeffs, Poly(rest)
 
     def _sorted_terms(self):
         def key(item):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .errors import DegreeError, DimensionError
 from .exterior import Form, _print_terms
-from .scalar import GaussianRational, Poly, accumulate, as_poly
+from .scalar import GaussianRational, Poly, _SparseVector, accumulate, as_poly
 
 __all__ = ["CliffordTable", "build_clifford_table", "Spinor", "clifford_mul"]
 
@@ -92,7 +92,7 @@ def build_clifford_table(n: int) -> CliffordTable:
     return CliffordTable(n, gammas)
 
 
-class Spinor:
+class Spinor(_SparseVector):
     """A Poly-weighted combination of the basis spinors u_0..u_{2^m-1}."""
 
     __slots__ = ("dim", "terms")
@@ -111,34 +111,21 @@ class Spinor:
     def zero(cls, dim):
         return cls(dim, {})
 
-    def _check(self, other):
+    def _coerce(self, other):
+        if not isinstance(other, Spinor):
+            return None
         if self.dim != other.dim:
             raise DimensionError("spinors from different representations")
+        return other
 
-    def __add__(self, other):
-        if not isinstance(other, Spinor):
-            return NotImplemented
-        self._check(other)
-        return Spinor(self.dim, accumulate(dict(self.terms), other.terms.items()))
-
-    def __sub__(self, other):
-        if not isinstance(other, Spinor):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return Spinor(self.dim, {k: -c for k, c in self.terms.items()})
+    def _like(self, terms):
+        return Spinor(self.dim, terms)
 
     def __mul__(self, other):
         p = as_poly(other)
-        if not p:
-            return Spinor.zero(self.dim)
-        return Spinor(self.dim, {k: c * p for k, c in self.terms.items()})
+        return self._scale(p) if p else Spinor.zero(self.dim)
 
     __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __eq__(self, other):
         if isinstance(other, Spinor):
@@ -147,14 +134,12 @@ class Spinor:
             return not self.terms
         return NotImplemented
 
-    __hash__ = None
-
     def coefficients(self):
         return [(k, self.terms[k]) for k in sorted(self.terms)]
 
     def substitute_scalars(self, rules):
         out = {k: c.substitute(rules) for k, c in self.terms.items()}
-        return Spinor(self.dim, {k: c for k, c in out.items() if c})
+        return self._like({k: c for k, c in out.items() if c})
 
     def __str__(self):
         return _print_terms((self.terms[k], f"u{k}") for k in sorted(self.terms))
@@ -167,9 +152,9 @@ def clifford_mul(table: CliffordTable, v: Form, psi: Spinor) -> Spinor:
     """Clifford action of a degree-1 form (as a frame vector) on a spinor."""
     if v and not v.is_homogeneous(1):
         raise DegreeError("clifford_mul expects a degree-1 vector argument")
-    out = Spinor.zero(table.spinor_dim)
+    out = {}
     for (g,), c in v.terms.items():
         if g > table.n:
             raise DimensionError(f"frame index {g} outside the Clifford table (n={table.n})")
-        out = out + table.apply(g, psi) * c
-    return out
+        accumulate(out, ((k, a * c) for k, a in table.apply(g, psi).terms.items()))
+    return Spinor(table.spinor_dim, out)

@@ -200,6 +200,14 @@ def test_dform_command(tmp_path):
     assert rc == 1 and "parse error" in err
 
 
+def test_dform_rejects_d_squared_nonzero(tmp_path):
+    mfd = tmp_path / "bad.mfd"
+    mfd.write_text("dim 4\nd 4 = 12\nd 1 = 34\n")
+    rc, out, err = _run(["dform", "--manifold-file", str(mfd), "4"])
+    assert (rc, out) == (2, "")
+    assert err == "frameforms: NotNilpotentError: d(d(e1)) = -e123 is not zero\n"
+
+
 @pytest.mark.parametrize(
     "command, content, message",
     [

@@ -391,6 +391,25 @@ def test_parallel_spinor_leaves_stabilizer(n, free):
         assert len(M.connection.free_parameters()) == free, f"u({k})"
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_declare_nabla_spinor_builds_no_fraction(monkeypatch, n):
+    """The 1/2 of the spinor derivative is one Q(i) constant, not a Fraction per term."""
+    M = RiemannianManifold(Session(), n)
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    for i in range(1, n + 1):
+        M.declare_nabla_spinor(M.e(i), M.u(1), 0)
+    monkeypatch.undo()
+    assert made == []
+    assert M.connection.free_parameters()
+
+
 def test_su2_converse_impose_d():
     s = Session()
     M = RiemannianManifold(s, 4)

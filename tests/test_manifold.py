@@ -10,6 +10,7 @@ from frameforms import (
     Form,
     FrameManifold,
     MissingDeclarationError,
+    NotNilpotentError,
     RedeclarationError,
     RiemannianManifold,
     Session,
@@ -216,6 +217,33 @@ def test_load_manifold():
     assert M.d(M.e(5)) == M.e(1) * M.e(3) + M.e(4) * M.e(2)
     assert M.d(M.e(1)) == 0  # omitted indices default to zero
     assert M.d(M.e(4) * M.e(5)) == -parse_form(M, "134")
+
+
+NILPOTENT_FILE = "dim 4\nd 3 = 12\nd 4 = 13\n"
+
+
+@pytest.mark.parametrize("text", [NILPOTENT_FILE, IWASAWA_FILE], ids=["nilpotent", "iwasawa"])
+def test_load_manifold_accepts_nilpotent_d(text):
+    M = load_manifold(Session(), text)
+    assert all(not M.d(M.d(e)) for e in M.generators())
+
+
+def test_load_manifold_rejects_d_squared_nonzero():
+    """de4 = e12, de1 = e34: d(de1) = -e3∧de4 = -e123, the first generator that fails."""
+    with pytest.raises(NotNilpotentError, match=r"^d\(d\(e1\)\) = -e123 is not zero$"):
+        load_manifold(Session(), "dim 4\nd 4 = 12\nd 1 = 34\n")
+    # d(de1) = d(e23) = 0 and d(de4) = d(e15) = e235.
+    with pytest.raises(NotNilpotentError, match=r"^d\(d\(e4\)\) = e235 is not zero$"):
+        load_manifold(Session(), "dim 5\nd 4 = 15\nd 1 = 23\n")
+
+
+def test_declare_d_leaves_d_squared_unchecked():
+    """Only loaded files are checked: declare_d takes a d-table with d∘d != 0."""
+    M = FrameManifold(Session(), 4)
+    M.declare_d(4, M.e(1) * M.e(2))
+    M.declare_d(1, M.e(3) * M.e(4))
+    M.declare_d(3, 0)
+    assert M.d(M.d(M.e(1))) == -parse_form(M, "123")
 
 
 def test_load_manifold_errors():
