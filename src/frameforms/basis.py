@@ -3,14 +3,21 @@
 A Basis stores the expressions it retains verbatim, in insertion order;
 dependence is decided against a separately maintained reduced-echelon
 shadow, so the flag span{x1..xk} of the first k retained inputs is
-never disturbed.  The first call to components() or dual_basis() sets
-up the simple-element set S and a second echelon whose row k is element
-k plus a unit tag column k; it extends the retained elements to a basis
-of span S with the unit vectors of S that are independent of the
-current span, in simple-element order.  Once every simple element is a
-pivot, the tag part of row alpha is row alpha of the inverse of the
-pairing matrix (a_j_alpha).  It and the dual basis stay cached until
-the next mutation.
+never disturbed.
+
+Duals and components come from a second, tagged echelon whose row k is
+element k plus a unit tag column k.  It pivots on each row's largest
+simple element and is kept across mutations: the basis is append-only,
+so the first query after inserts only adds the rows of the elements
+appended since the last set-up.  Let S be the set of simple elements of
+the elements.  The pivots are S minus the greedy completion that extends
+the elements to a basis of span S by unit vectors in simple-element
+order, because that completion skips alpha exactly when some vector of
+the span has alpha as its largest simple element.  With T[p] the tag
+part of pivot row p, the dual x^k is sum_p T[p][k] e_p (the one dual
+that vanishes on the completion) and the components of x are
+sum_p x[p] T[p]; x lies in the span when the rows it pairs with also
+cancel it on the non-pivot columns.
 
 Two expression spaces are supported: differential forms (simple
 elements are wedge monomials of one manifold) and polynomials of degree
@@ -105,6 +112,18 @@ class _PolySpace:
         return Poly({() if k is CONST else ((k, 1),): c for k, c in pairs})
 
 
+class _Last:
+    """Sort key that reverses another: the least _Last wraps the largest key."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def __lt__(self, other):
+        return other.key < self.key
+
+
 class Basis:
     """Ordered independent generating set over one expression space."""
 
@@ -112,9 +131,17 @@ class Basis:
         self._space = space
         self._elements = []
         self._echelon = Echelon(space.sort_key)
-        self._cache = None
+        # Made by the first query: the bases of Cartan's test never query.
+        self._tagged = None
+        self._simple = set()
+        self._set_up = False
+        self._duals = None
         self.setup_count = 0
-        self.setup_ops = 0
+
+    @property
+    def setup_ops(self):
+        """Multiply-subtract steps spent by every set-up so far."""
+        return 0 if self._tagged is None else self._tagged.ops
 
     @property
     def elements(self):
@@ -139,7 +166,7 @@ class Basis:
             return None
         pivot = self._echelon.insert(red)
         self._elements.append(x)
-        self._cache = None
+        self._set_up = False
         return pivot
 
     def insert(self, x) -> bool:
@@ -149,60 +176,61 @@ class Basis:
     # -- lazy dual/component machinery ------------------------------------
 
     def _setup(self):
-        if self._cache is not None:
-            return self._cache
-        key = self._space.sort_key
-        # Integer keys are the tag columns: they never pivot.
-        ech = Echelon(lambda k: None if isinstance(k, int) else key(k))
-        simple = set()
-        for tag, x in enumerate(self._elements):
-            vec = self._space.constant_vec(x)
-            simple.update(vec)
+        """Extend the tagged echelon by the elements appended since the last set-up."""
+        if self._set_up:
+            return
+        ech = self._tagged
+        if ech is None:
+            key = self._space.sort_key
+            # Integer keys are the tag columns: they never pivot.
+            ech = self._tagged = Echelon(lambda k: None if isinstance(k, int) else _Last(key(k)))
+        # Each element set up so far holds one row: the elements are independent.
+        for tag in range(len(ech.rows), len(self._elements)):
+            vec = self._space.constant_vec(self._elements[tag])
+            self._simple.update(vec)
             vec[tag] = _ONE
             ech.insert(ech.reduce(vec))
-        simple = sorted(simple, key=key)
-        for alpha in simple:
-            if len(ech.rows) == len(simple):
-                break
-            ech.insert(ech.reduce({alpha: _ONE, len(ech.rows): _ONE}))
-        inverse = {
-            alpha: {k: c for k, c in ech.rows[alpha].items() if isinstance(k, int)}
-            for alpha in simple
-        }
-        m = len(self._elements)
-        pairs = [[] for _ in range(m)]
-        for alpha in simple:
-            for k, c in inverse[alpha].items():
-                if k < m:
-                    pairs[k].append((alpha, c))
-        # Each list holds distinct simple elements with nonzero constants.
-        duals = [self._space.build(p) for p in pairs]
-        self._cache = (inverse, m, duals)
-        self.setup_ops += ech.ops
+        self._duals = None
+        self._set_up = True
         self.setup_count += 1
-        return self._cache
 
     def components(self, x):
         """Exact coordinates of x in the stored basis (lazy setup)."""
-        inverse, m, _ = self._setup()
-        comps = [{} for _ in inverse]
+        self._setup()
+        rows = self._tagged.rows
+        comps = [{} for _ in self._elements]
+        # x minus the combination of the rows it pairs with, on the non-pivot columns.
+        rest = {}
         for key, p in self._space.decompose(x).items():
-            if not p:
-                continue
-            row = inverse.get(key)
-            if row is None:
+            if key not in self._simple:
                 raise NotInSpanError(f"{x} pairs with a simple element outside the basis span")
+            row = rows.get(key)
+            if row is None:
+                accumulate(rest, (((key, mono), a) for mono, a in p.terms.items()))
+                continue
             for k, c in row.items():
-                accumulate(comps[k], ((mono, a * c) for mono, a in p.terms.items()))
-        if any(comps[m:]):
+                if isinstance(k, int):
+                    accumulate(comps[k], ((mono, a * c) for mono, a in p.terms.items()))
+                elif k != key:
+                    accumulate(rest, (((k, mono), -a * c) for mono, a in p.terms.items()))
+        if rest:
             raise NotInSpanError(f"{x} is not in the span of the basis")
-        return [Poly(t) for t in comps[:m]]
+        return [Poly(t) for t in comps]
 
     def dual_basis(self):
         """The dual sequence x^1..x^m with pairing(x^i, x_j) = delta_ij."""
         if not self._elements:
             raise ValueError("dual_basis of an empty basis")
-        return list(self._setup()[2])
+        self._setup()
+        if self._duals is None:
+            pairs = [[] for _ in self._elements]
+            for p, row in self._tagged.rows.items():
+                for k, c in row.items():
+                    if isinstance(k, int):
+                        pairs[k].append((p, c))
+            # Each list holds distinct pivots with nonzero constants.
+            self._duals = [self._space.build(q) for q in pairs]
+        return list(self._duals)
 
 
 class FormBasis(Basis):

@@ -17,6 +17,8 @@ from frameforms import (
     pairing,
     parse_form,
 )
+from frameforms.basis import CONST
+from frameforms.scalar import Echelon, accumulate
 
 
 def iwasawa6(session):
@@ -391,3 +393,204 @@ def test_setup_cost_growth_is_polynomial():
         ops.append(b.setup_ops)
     assert ops[1] <= 12 * ops[0]
     assert ops[2] <= 12 * ops[1]
+
+
+def test_setup_after_one_insert_extends_the_echelon():
+    """A query after one more insert pays for one new row, not a rebuild."""
+    rng = random.Random(13)
+    M = FrameManifold(Session(), 25)
+
+    def dense():
+        w = M.zero()
+        for g in range(1, 26):
+            w = w + M.e(g) * rng.choice((-3, -2, -1, 1, 2, 3))
+        return w
+
+    b = FormBasis(M)
+    while b.size() < 24:
+        b.insert(dense())
+    b.dual_basis()
+    first = b.setup_ops
+    while not b.insert(dense()):
+        pass
+    b.dual_basis()
+    second = b.setup_ops - first
+    assert b.setup_count == 2
+    assert 0 < 4 * second < first
+
+
+def test_empty_basis_queries():
+    M = FrameManifold(Session(), 2)
+    b = FormBasis(M)
+    assert b.components(M.zero()) == []
+    with pytest.raises(NotInSpanError, match="outside the basis span"):
+        b.components(M.e(1))
+
+
+def test_rejected_insert_keeps_the_epoch():
+    M = FrameManifold(Session(), 3)
+    b = FormBasis(M)
+    b.insert(M.e(1) + M.e(2))
+    b.insert(M.e(3))
+    b.dual_basis()
+    count, ops = b.setup_count, b.setup_ops
+    assert not b.insert(2 * M.e(3) - M.e(1) - M.e(2))
+    assert b.components(M.e(1) + M.e(2) + M.e(3)) == [1, 1]
+    assert (b.setup_count, b.setup_ops) == (count, ops)
+
+
+# --- the from-scratch set-up as the reference ----------------------------------
+
+_ONE = GaussianRational(1)
+_ZERO = GaussianRational(0)
+
+
+def _reference_setup(basis):
+    """Duals and inverse pairing rows, rebuilt from nothing.
+
+    Row k of a tagged echelon is element k plus a unit tag column k,
+    pivoting on each row's least simple element.  The elements are
+    extended to a basis of span S by the unit vectors of S that are
+    independent of the span so far, in simple-element order; the tag part
+    of row alpha is then row alpha of the inverse of the pairing matrix.
+    """
+    space = basis._space
+    key = space.sort_key
+    ech = Echelon(lambda k: None if isinstance(k, int) else key(k))
+    simple = set()
+    for tag, x in enumerate(basis.elements):
+        vec = space.constant_vec(x)
+        simple.update(vec)
+        vec[tag] = _ONE
+        ech.insert(ech.reduce(vec))
+    simple = sorted(simple, key=key)
+    for alpha in simple:
+        if len(ech.rows) == len(simple):
+            break
+        ech.insert(ech.reduce({alpha: _ONE, len(ech.rows): _ONE}))
+    inverse = {
+        alpha: {k: c for k, c in ech.rows[alpha].items() if isinstance(k, int)}
+        for alpha in simple
+    }
+    m = len(basis.elements)
+    pairs = [[] for _ in range(m)]
+    for alpha in simple:
+        for k, c in inverse[alpha].items():
+            if k < m:
+                pairs[k].append((alpha, c))
+    return inverse, m, [space.build(p) for p in pairs]
+
+
+def _reference_components(basis, x):
+    inverse, m, _ = _reference_setup(basis)
+    comps = [{} for _ in inverse]
+    for key, p in basis._space.decompose(x).items():
+        if not p:
+            continue
+        row = inverse.get(key)
+        if row is None:
+            raise NotInSpanError(f"{x} pairs with a simple element outside the basis span")
+        for k, c in row.items():
+            accumulate(comps[k], ((mono, a * c) for mono, a in p.terms.items()))
+    if any(comps[m:]):
+        raise NotInSpanError(f"{x} is not in the span of the basis")
+    return [Poly(t) for t in comps[:m]]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NotInSpanError as e:
+        return str(e)
+
+
+def _gaussian(rng):
+    """A Q(i) scalar with fractional real and imaginary parts, possibly zero."""
+    return GaussianRational(
+        Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+    )
+
+
+def _seeded_bases(rng):
+    """(basis, keys its elements draw on, extra keys, a symbolic coefficient or None)."""
+    s = Session()
+    M = FrameManifold(s, 4)
+    monos = [()] + [(i,) for i in range(1, 5)] + [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+    rng.shuffle(monos)
+    g = Poly.from_symbol(s.symbol("g"))
+    yield FormBasis(M), monos[:7], monos[7:], g
+    syms = Session().symbols("a b c d e f")
+    yield SymbolBasis(), syms[:5], syms[5:], None
+    yield AffineBasis(), syms[:4] + [CONST], syms[4:], None
+
+
+def _draw(rng, basis, keys, kept):
+    """An expression over keys, or a combination of kept elements (then dependent)."""
+    if kept and rng.random() < 0.3:
+        out = basis._space.build([])
+        for x in rng.sample(kept, rng.randint(1, len(kept))):
+            out = out + x * _gaussian(rng)
+        return out
+    pairs = [(k, _gaussian(rng)) for k in keys if rng.random() < 0.6]
+    return basis._space.build([(k, c) for k, c in pairs if c])
+
+
+def test_incremental_setup_matches_from_scratch_reference():
+    """Seeded epochs of inserts and queries give the reference's duals, components and errors."""
+    rng = random.Random(47)
+    for trial in range(12):
+        for basis, keys, extra, sym in _seeded_bases(rng):
+            for epoch in range(rng.randint(2, 6)):
+                for _ in range(rng.randint(1, 3)):
+                    basis.insert(_draw(rng, basis, keys, basis.elements))
+                elements = basis.elements
+                if elements:
+                    assert basis.dual_basis() == _reference_setup(basis)[2], (trial, epoch)
+                queries = [_draw(rng, basis, keys + extra, elements) for _ in range(3)]
+                queries.append(_draw(rng, basis, keys, elements))
+                if sym is not None and elements:
+                    combo = basis._space.build([])
+                    for x in elements:
+                        combo = combo + x * (sym * _gaussian(rng) + _gaussian(rng))
+                    queries.append(combo)
+                    queries.append(combo + _draw(rng, basis, keys, ()) * sym)
+                for x in queries:
+                    expected = _outcome(_reference_components, basis, x)
+                    assert _outcome(basis.components, x) == expected, (trial, epoch, str(x))
+
+
+def test_components_match_sympy_solve():
+    """components(x) is the unique solution of sum c_k x_k = x over Q(i), or raises when none exists."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(53)
+
+    def exact(c):
+        return sympy.Rational(str(c.re)) + sympy.I * sympy.Rational(str(c.im))
+
+    solved = unsolvable = 0
+    for _ in range(8):
+        for basis, keys, extra, _ in _seeded_bases(rng):
+            for _ in range(rng.randint(1, len(keys))):
+                basis.insert(_draw(rng, basis, keys, basis.elements))
+            kept = basis.elements
+            if not kept:
+                continue
+            vecs = [basis._space.constant_vec(x) for x in kept]
+            matrix = sympy.Matrix([[exact(v.get(k, _ZERO)) for k in keys + extra] for v in vecs]).T
+            for _ in range(4):
+                x = _draw(rng, basis, keys + extra if rng.random() < 0.3 else keys, kept)
+                vec = basis._space.constant_vec(x)
+                target = sympy.Matrix([exact(vec.get(k, _ZERO)) for k in keys + extra])
+                solutions = sympy.linsolve((matrix, target))
+                if not solutions:
+                    with pytest.raises(NotInSpanError):
+                        basis.components(x)
+                    unsolvable += 1
+                    continue
+                (solution,) = solutions
+                comps = basis.components(x)
+                assert len(comps) == len(solution)
+                for c, expected in zip(comps, solution):
+                    assert sympy.expand(exact(c.constant_value()) - expected) == 0
+                solved += 1
+    assert solved and unsolvable
