@@ -134,7 +134,6 @@ class Basis:
         # Made by the first query: the bases of Cartan's test never query.
         self._tagged = None
         self._simple = set()
-        self._set_up = False
         self._duals = None
         self.setup_count = 0
 
@@ -166,7 +165,6 @@ class Basis:
             return None
         pivot = self._echelon.insert(red)
         self._elements.append(x)
-        self._set_up = False
         return pivot
 
     def insert(self, x) -> bool:
@@ -177,21 +175,20 @@ class Basis:
 
     def _setup(self):
         """Extend the tagged echelon by the elements appended since the last set-up."""
-        if self._set_up:
-            return
         ech = self._tagged
         if ech is None:
             key = self._space.sort_key
             # Integer keys are the tag columns: they never pivot.
             ech = self._tagged = Echelon(lambda k: None if isinstance(k, int) else _Last(key(k)))
-        # Each element set up so far holds one row: the elements are independent.
+        elif len(ech.rows) == len(self._elements):
+            # Set up already: each element set up holds one row, as the elements are independent.
+            return
         for tag in range(len(ech.rows), len(self._elements)):
             vec = self._space.constant_vec(self._elements[tag])
             self._simple.update(vec)
             vec[tag] = _ONE
             ech.insert(ech.reduce(vec))
         self._duals = None
-        self._set_up = True
         self.setup_count += 1
 
     def components(self, x):

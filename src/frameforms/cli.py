@@ -228,7 +228,7 @@ def _cmd_eds(args, out):
     session = Session()
     bundle = frame_bundle(session, args.dim)
     ideal = load_ideal(bundle, _read_text(args.ideal_file))
-    flag = _parse_flag(args.flag, bundle) if args.flag else None
+    flag = None if args.flag is None else _parse_flag(args.flag, bundle)
     report = cartan_test(bundle, ideal, flag)
     if args.verbose:
         for eq in report.vn_equations:

@@ -75,9 +75,7 @@ class Connection:
         }
         self._symbols = list(self._gamma.values())
         self._own = set(self._symbols)
-        # Only the linear monomials of the own symbols may pivot.
-        position = {((s, 1),): s.index for s in self._symbols}
-        self._echelon = Echelon(position.get)
+        self._echelon = Echelon.over(self._symbols)
         self._subs = {}
 
     @classmethod
@@ -206,17 +204,12 @@ class Connection:
     def _declare(self, polys):
         """Add the real and imaginary parts of polys to the echelon.
 
-        Every part is checked for linearity before any is reduced, and
-        the rows are added to a copy that replaces the echelon only once
-        every part proved consistent, so a failed declaration leaves the
-        connection unchanged.
+        The rows are added to a copy that replaces the echelon only once
+        every part proved linear and consistent, so a failed declaration
+        leaves the connection unchanged.
         """
-        parts = [part for p in polys for part in p.real_imag() if part]
-        for part in parts:
-            part.linear_split(self._own)
         ech = self._echelon.copy()
-        for part in parts:
-            ech.impose(part.terms)
+        ech.impose_linear([part for p in polys for part in p.real_imag() if part], self._own)
         if len(ech.rows) == len(self._echelon.rows):
             return
         self._echelon = ech

@@ -38,7 +38,7 @@ from .errors import (
     NotLinearError,
 )
 from .exterior import Form, _mono_key, degree, hook, parse_form
-from .manifold import FrameManifold
+from .manifold import FrameManifold, _content_lines
 from .scalar import Poly, Session
 
 __all__ = [
@@ -104,18 +104,18 @@ def is_linear(bundle: FrameBundle, ideal) -> bool:
 
 
 def _tableau(bundle: FrameBundle, form: Form):
-    """The terms c theta^I ∧ omega_a of a form, as (I, a, c) with c a constant Poly.
+    """The terms c theta^I ∧ omega_a of a form, as {I: [(a, c)]} with c in Q(i).
 
     Raises equations_for_Vn's NonLinearError for any other term.
     """
     n = bundle.n
-    rows = []
+    groups = {}
     for mono, c in form.terms.items():
         if sum(g > n for g in mono) != 1 or not c.is_constant():
             term = Form(bundle.manifold, {mono: c})
             raise NonLinearError(f"{term} is not linear in the connection forms")
-        rows.append((mono[:-1], mono[-1], c))
-    return rows
+        groups.setdefault(mono[:-1], []).append((mono[-1], c.terms[()]))
+    return groups
 
 
 def equations_for_Vn(bundle: FrameBundle, ideal) -> AffineBasis:
@@ -130,19 +130,20 @@ def equations_for_Vn(bundle: FrameBundle, ideal) -> AffineBasis:
     with a symbolic coefficient.
     """
     container = AffineBasis()
-    p = bundle.p
+    n, p = bundle.n, bundle.p
     for form in ideal:
         rows = {}
-        for theta, a, c in _tableau(bundle, form):
-            value = c.constant_value()
-            signed = (value, -value)
+        for theta, terms in _tableau(bundle, form).items():
+            signed = [(a, (c, -c)) for a, c in terms]
             k = len(theta)
-            for j in range(1, bundle.n + 1):
+            for j in range(1, n + 1):
                 pos = bisect_left(theta, j)
                 if pos < k and theta[pos] == j:
                     continue
-                merged = theta[:pos] + (j,) + theta[pos:]
-                rows.setdefault(merged, {})[((p[(a, j)], 1),)] = signed[(k - pos) % 2]
+                row = rows.setdefault(theta[:pos] + (j,) + theta[pos:], {})
+                parity = (k - pos) % 2
+                for a, s in signed:
+                    row[((p[(a, j)], 1),)] = s[parity]
         for merged in sorted(rows, key=_mono_key):
             container.insert(Poly(rows[merged]))
     return container
@@ -193,16 +194,14 @@ def _tableau_polar_equations(bundle: FrameBundle, form: Form, order):
         steps[0].append(form)
     if k < 1:
         return steps
-    groups = {}
-    for theta, a, c in _tableau(bundle, form):
-        groups.setdefault(theta, []).append((a, c))
+    groups = _tableau(bundle, form)
     for j in range(1, bundle.n):
         for rest in sorted(q[::-1] for q in combinations(range(j - 1), k - 1)):
             seq = [order[q] for q in (j - 1, *rest)]
             terms = groups.get(tuple(sorted(seq)))
             if terms:
                 odd = sum(t < s for s, t in combinations(seq, 2)) % 2
-                eq = {(a,): -c if odd else c for a, c in terms}
+                eq = {(a,): Poly({(): -c if odd else c}) for a, c in terms}
                 steps[j].append(Form(bundle.manifold, eq))
     return steps
 
@@ -259,10 +258,7 @@ def load_ideal(bundle: FrameBundle, text: str):
     indices.  '#' starts a comment.
     """
     forms = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         if line.startswith("d:"):
             body, differentiate = line[2:].strip(), True
         else:

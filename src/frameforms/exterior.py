@@ -19,7 +19,9 @@ from .errors import (
     FrameMismatchError,
     MixedDegreeError,
 )
-from .scalar import GaussianRational, I, Poly, _scaled_str, _SparseVector, accumulate, as_poly
+from .scalar import (
+    GaussianRational, I, Poly, _scaled_str, _signed_sum, _SparseVector, accumulate, as_poly,
+)
 
 __all__ = [
     "Form",
@@ -69,6 +71,13 @@ def _mono_key(mono):
     return (len(mono), mono)
 
 
+def _generator_index(manifold, i):
+    """i, checked to be a generator index 1..dim of the manifold."""
+    if not 1 <= i <= manifold.dim:
+        raise FrameIndexError(f"generator index {i} outside 1..{manifold.dim}")
+    return i
+
+
 class Form(_SparseVector):
     """A graded exterior-algebra element over one manifold's frame."""
 
@@ -89,9 +98,7 @@ class Form(_SparseVector):
 
     @classmethod
     def generator(cls, manifold, i):
-        if not 1 <= i <= manifold.dim:
-            raise FrameIndexError(f"generator index {i} outside 1..{manifold.dim}")
-        return cls(manifold, {(i,): Poly.constant(1)})
+        return cls(manifold, {(_generator_index(manifold, i),): Poly.constant(1)})
 
     def _coerce(self, x):
         if isinstance(x, Form):
@@ -246,8 +253,7 @@ def substitute_form(w: Form, rules: dict) -> Form:
     M = w.manifold
     repl = {}
     for g, f in rules.items():
-        if not 1 <= g <= M.dim:
-            raise FrameIndexError(f"generator index {g} outside 1..{M.dim}")
+        _generator_index(M, g)
         f = f if isinstance(f, Form) else Form.scalar(M, f)
         if f.manifold is not M:
             raise FrameMismatchError("replacement form from a different manifold")
@@ -287,13 +293,7 @@ def _coeff_print(c: Poly, mono_str: str) -> str:
 
 def _print_terms(terms) -> str:
     """Join (coefficient, monomial string) pairs into a signed sum; "0" if none."""
-    parts = []
-    for c, mono_str in terms:
-        t = _coeff_print(c, mono_str)
-        if parts and not t.startswith("-"):
-            parts.append("+")
-        parts.append(t)
-    return "".join(parts) or "0"
+    return _signed_sum(_coeff_print(c, mono_str) for c, mono_str in terms)
 
 
 def print_form(w: Form) -> str:

@@ -22,7 +22,7 @@ from .errors import (
     NotNilpotentError,
     RedeclarationError,
 )
-from .exterior import Form, _leibniz, hook, parse_form, print_form
+from .exterior import Form, _generator_index, _leibniz, hook, parse_form, print_form
 from .scalar import Session
 
 __all__ = ["FrameManifold", "load_manifold"]
@@ -67,10 +67,7 @@ class FrameManifold:
             if len(mono) != 1 or c != 1:
                 raise FrameIndexError("expected a single generator")
             return mono[0]
-        i = int(gen)
-        if not 1 <= i <= self.dim:
-            raise FrameIndexError(f"generator index {i} outside 1..{self.dim}")
-        return i
+        return _generator_index(self, int(gen))
 
     def declare_d(self, gen, value):
         """Record d(e^i) = value, a 2-form or zero."""
@@ -114,6 +111,14 @@ class FrameManifold:
         return f"<{type(self).__name__} dim={self.dim}>"
 
 
+def _content_lines(text):
+    """(number from 1, text) of each input-file line left non-blank once its '#' comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 _DIM_RE = re.compile(r"^dim\s+(\d+)$")
 _D_RE = re.compile(r"^d\s+(\d+)\s*=\s*(\S+)$")
 
@@ -128,10 +133,7 @@ def load_manifold(session: Session, text: str) -> FrameManifold:
     """
     manifold = None
     entries = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         m = _DIM_RE.match(line)
         if m:
             if manifold is not None:

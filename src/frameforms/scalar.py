@@ -22,7 +22,11 @@ vector-space operators (sum, difference, negation, truth, scaling) over
 that dict, so each subclass gives only its coercion, its product, its
 equality and its printing.
 Echelon is the one exact elimination kernel: linear_solve, the bases
-and the connection declarations all reduce through it.
+and the connection declarations all reduce through it.  Echelon.over
+and Echelon.impose_linear are the one affine-row step: the unknowns'
+linear monomials are the only pivots, and every equation is checked to
+give each unknown a constant coefficient before any is imposed.
+_signed_sum is the one joiner of printed terms into a sum.
 """
 
 from __future__ import annotations
@@ -489,29 +493,6 @@ class Poly(_SparseVector):
                 im[m] = _make(c._b, 0, c._d)
         return Poly(re), Poly(im)
 
-    def linear_split(self, unknowns):
-        """Split into (coefficients on unknowns, unknown-free rest).
-
-        Requires the polynomial to be affine in the unknowns with
-        constant coefficients; raises NonLinearError otherwise.
-        """
-        coeffs = {}
-        rest = {}
-        for m, c in self.terms.items():
-            hit = [(s, e) for s, e in m if s in unknowns]
-            if not hit:
-                rest[m] = c
-                continue
-            if len(hit) > 1 or hit[0][1] > 1:
-                raise NonLinearError(f"term {_mono_str(m)} is not linear in the unknowns")
-            if len(m) > 1:
-                raise NonLinearError(
-                    f"unknown {hit[0][0]} carries a parametric coefficient in {_mono_str(m)}"
-                )
-            # The term is the monomial ((s, 1),) itself, so each unknown has one.
-            coeffs[hit[0][0]] = c
-        return coeffs, Poly(rest)
-
     def _sorted_terms(self):
         def key(item):
             m, _ = item
@@ -520,15 +501,8 @@ class Poly(_SparseVector):
         return sorted(self.terms.items(), key=key)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self._sorted_terms():
-            t = _scaled_str(c, _mono_str(m)) if m else str(c)
-            if parts and not t.startswith("-"):
-                parts.append("+")
-            parts.append(t)
-        return "".join(parts)
+        terms = self._sorted_terms()
+        return _signed_sum(_scaled_str(c, _mono_str(m)) if m else str(c) for m, c in terms)
 
     def __repr__(self):
         return f"Poly({self})"
@@ -536,6 +510,16 @@ class Poly(_SparseVector):
 
 def _mono_str(m):
     return "*".join(s.name if e == 1 else f"{s.name}^{e}" for s, e in m)
+
+
+def _signed_sum(texts) -> str:
+    """Join term texts into a sum, "+" before each that does not start with "-"; "0" if none."""
+    parts = []
+    for t in texts:
+        if parts and not t.startswith("-"):
+            parts.append("+")
+        parts.append(t)
+    return "".join(parts) or "0"
 
 
 def _as_gaussian(x) -> GaussianRational:
@@ -585,6 +569,12 @@ class Echelon:
         self.order = order
         self.rows = {} if rows is None else rows
         self.ops = 0
+
+    @classmethod
+    def over(cls, unknowns) -> "Echelon":
+        """An empty echelon whose pivots are the unknowns' linear monomials, by creation index."""
+        position = {((u, 1),): u.index for u in unknowns}
+        return cls(position.get)
 
     def copy(self) -> "Echelon":
         return Echelon(self.order, {p: dict(row) for p, row in self.rows.items()})
@@ -645,6 +635,28 @@ class Echelon:
         if red and self.insert(red) is None:
             raise InconsistentError(f"equation reduces to {Poly(red)} = 0")
 
+    def impose_linear(self, polys, unknowns):
+        """Impose each Poly = 0 on an echelon made by `over(unknowns)`.
+
+        Every term holding an unknown must be that unknown alone, to the
+        first power, so the unknowns carry constant coefficients and
+        other symbols appear only in the unknown-free part.  Every poly
+        is checked before any is imposed: NonLinearError imposes nothing.
+        """
+        for p in polys:
+            for m in p.terms:
+                hit = [(s, e) for s, e in m if s in unknowns]
+                if not hit:
+                    continue
+                if len(hit) > 1 or hit[0][1] > 1:
+                    raise NonLinearError(f"term {_mono_str(m)} is not linear in the unknowns")
+                if len(m) > 1:
+                    raise NonLinearError(
+                        f"unknown {hit[0][0]} carries a parametric coefficient in {_mono_str(m)}"
+                    )
+        for p in polys:
+            self.impose(p.terms)
+
     def solved(self) -> dict:
         """For rows keyed by monomials: each pivot symbol's value, minus its row's rest."""
         return {p[0][0]: Poly({m: -c for m, c in row.items() if m != p}) for p, row in self.rows.items()}
@@ -674,13 +686,8 @@ def linear_solve(equations, unknowns) -> LinearSolution:
     parameter-only polynomial raises InconsistentError.
     """
     unknown_set = set(unknowns)
-    polys = [as_poly(eq) for eq in equations]
-    for p in polys:
-        p.linear_split(unknown_set)
-    position = {((u, 1),): u.index for u in unknown_set}
-    ech = Echelon(position.get)
-    for p in polys:
-        ech.impose(p.terms)
+    ech = Echelon.over(unknown_set)
+    ech.impose_linear([as_poly(eq) for eq in equations], unknown_set)
     assignments = ech.solved()
     free = frozenset(u for u in unknown_set if u not in assignments)
     return LinearSolution(assignments, free)

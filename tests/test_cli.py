@@ -177,8 +177,9 @@ def test_eds_command_input_errors(tmp_path):
         ("a,b", "--flag must be a comma-separated permutation of 1..7"),
         ("1,2", "--flag must be a permutation of 1..7"),
         ("1,1,3,4,5,6,7", "--flag must be a permutation of 1..7"),
+        ("", "--flag must be a comma-separated permutation of 1..7"),
     ],
-    ids=["not-integers", "too-short", "repeated"],
+    ids=["not-integers", "too-short", "repeated", "empty"],
 )
 def test_eds_command_bad_flag(tmp_path, flag, message):
     ideal = tmp_path / "g2.ideal"

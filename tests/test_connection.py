@@ -297,6 +297,19 @@ def test_failed_declaration_leaves_connection_unchanged():
     assert c._subs[g1] == 1
 
 
+def test_declare_zero_nonlinear_error_texts():
+    s = Session()
+    a = s.symbol("a")
+    c = Connection(torus(s), prefix="G")
+    g1, g2 = c.free_parameters()[:2]
+    with pytest.raises(NonLinearError) as exc:
+        c.declare_zero([g1 * g2])
+    assert str(exc.value) == "term G111*G112 is not linear in the unknowns"
+    with pytest.raises(NonLinearError) as exc:
+        c.declare_zero([a * g1 + 1])
+    assert str(exc.value) == "unknown G111 carries a parametric coefficient in a*G111"
+
+
 def test_almost_complex_torsion_reference_values():
     s = Session()
     M, h, k, torsion = almost_complex_torsion(s)

@@ -24,6 +24,7 @@ from frameforms import (
     hook,
     is_linear,
     load_ideal,
+    load_manifold,
     reduced_polar_equations,
     substitute_form,
     wedge,
@@ -464,6 +465,24 @@ def test_load_ideal_errors():
     assert err is not None and err.line == 2
     with pytest.raises(FileFormatError):
         load_ideal(P, "d: 1x\n")
+
+
+def test_loaders_read_lines_alike():
+    """Both file loaders cut comments, skip blank lines and number lines alike."""
+
+    def text(first, second, last):
+        lines = ["", "# a comment", f"{first}  # trailing", "   ", second, last]
+        return "\r\n".join(lines) + "\r\n"
+
+    M = load_manifold(Session(), text("dim 4", "d 3 = 12", ""))
+    assert M.dim == 4 and str(M.d(M.e(3))) == "e12"
+    P = frame_bundle(Session(), 2)
+    assert load_ideal(P, text("d: 12", "1", "")) == [P.d(P.theta(1) * P.theta(2)), P.theta(1)]
+    with pytest.raises(FileFormatError) as bad_manifold:
+        load_manifold(Session(), text("dim 4", "d 3 = 12", "d 4 13"))
+    with pytest.raises(FileFormatError) as bad_ideal:
+        load_ideal(P, text("d: 12", "1", "1x"))
+    assert bad_manifold.value.line == bad_ideal.value.line == 6
 
 
 def test_vn_equations_affine_property():

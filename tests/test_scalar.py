@@ -387,6 +387,17 @@ def test_linear_solve_nonlinear_errors():
         linear_solve([x, x - 1, x * x], [x])
 
 
+def test_linear_solve_nonlinear_error_texts():
+    s = Session()
+    a, x, y = s.symbols("a x y")
+    with pytest.raises(NonLinearError) as exc:
+        linear_solve([x * y], [x, y])
+    assert str(exc.value) == "term x*y is not linear in the unknowns"
+    with pytest.raises(NonLinearError) as exc:
+        linear_solve([a * x + 1], [x])
+    assert str(exc.value) == "unknown x carries a parametric coefficient in a*x"
+
+
 def test_linear_solve_inconsistent():
     s = Session()
     x, a = s.symbols("x a")
