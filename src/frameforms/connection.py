@@ -8,20 +8,32 @@ off the matrix of connection one-forms omega_jk = sum_i G_ijk f^i
 (Kobayashi-Nomizu, Foundations I, ch. III):
 
 - covariant derivatives evaluate omega_jk(X) = sum_i G_ijk X^i, only
-  at the entries they use, and act with it: nabla_X f_j = sum_k
-  omega_jk(X) f_k on vectors, nabla_X f^k = -sum_j omega_jk(X) f^j on
-  one-forms, extended to every form by the Leibniz loop that d uses
-  too, and (1/2) sum_{j<k} omega_jk(X) g_j g_k on spinors;
+  at the entries they use, and act with it: nabla_X T = sum_k
+  (sum_{i,j} X^i T^j G_ijk) f_k on vectors, nabla_X f^k = -sum_j
+  omega_jk(X) f^j on one-forms, extended to every form by the Leibniz
+  loop that d uses too, and (1/2) sum_{j<k} omega_jk(X) g_j g_k on
+  spinors;
 - torsion and curvature are Cartan's structure equations,
-  Theta^k = df^k + sum_j omega_jk ∧ f^j and
+  Theta^k = df^k + sum_{i,j} G_ijk f^i ∧ f^j and
   Omega_jk = d omega_jk + sum_l omega_jl ∧ omega_lk.
+
+Each of these results is one flat sum.  Every Q(i) product goes
+through accumulate into one dict per result, keyed by the output's
+basis element (a frame monomial or a spinor index) and then by symbol
+monomial, and the term dicts become Poly coefficients once at the end;
+no intermediate Poly or Form is built.  The constant factors come from
+tables built once per connection, on first use: the frame's terms, the
+dual frame's terms (from the cached dual_basis), the products
+f^i ∧ f^j that torsion and a RiemannianManifold's d share, and for
+spinors the signed permutations (1/2) g_j g_k.
 
 Constraints are never assigned directly: declare_* methods turn nabla
 expressions into scalar equations and add them to one persistent
 reduced echelon form over the connection's own symbols.  Its pivot rows
 give the substitution that expresses each solved symbol through the
-free ones.  Foreign symbols (another connection's parameters) ride
-along as parameters.
+free ones; a declaration refreshes only the rows it changed, its new
+pivots and the old rows that held one of them.  Foreign symbols
+(another connection's parameters) ride along as parameters.
 
 Scalar equations are split into real and imaginary parts before
 solving: the symbolic parameters stand for real-valued functions, and
@@ -31,7 +43,7 @@ parallel-spinor conditions cut out the real solution set.
 RiemannianManifold is the frame-generic mode: a manifold without a
 d-table whose d operator, Lie bracket, and spinor module all come from
 its built-in metric (Levi-Civita style) connection; its d is the
-torsion-free structure equation de^k = -sum_j omega_jk ∧ e^j.
+torsion-free structure equation de^k = -sum_{i,j} G_ijk e^i ∧ e^j.
 """
 
 from __future__ import annotations
@@ -39,15 +51,48 @@ from __future__ import annotations
 import functools
 
 from .basis import FormBasis
-from .errors import DegreeError, UnsupportedKindError
-from .exterior import Form, _leibniz, pairing, wedge
+from .errors import DegreeError, FrameIndexError, FrameMismatchError, UnsupportedKindError
+from .exterior import Form, _leibniz, wedge
 from .manifold import FrameManifold
-from .scalar import Echelon, GaussianRational, Poly, Session, accumulate, as_poly
+from .scalar import _ONE, Echelon, Poly, Session, _mono_mul, _unit, accumulate, as_poly
 from .spinors import Spinor, build_clifford_table, clifford_mul
 
 __all__ = ["Connection", "RiemannianManifold"]
 
-_HALF = GaussianRational(1) / 2
+_HALF = _ONE / 2
+
+
+def _times(terms, c, mono=()):
+    """The terms of c·mono·Poly(terms), as (monomial, coefficient) pairs.
+
+    c is a nonzero GaussianRational; a unit c costs no multiplication.
+    """
+    if mono:
+        return ((_mono_mul(mono, m), a * c) for m, a in terms.items())
+    unit = _unit(c)
+    if unit == 1:
+        return terms.items()
+    if unit == -1:
+        return ((m, -a) for m, a in terms.items())
+    return ((m, a * c) for m, a in terms.items())
+
+
+def _add(out, key, terms, c, mono=()):
+    """Add c·mono·Poly(terms) to the term dict of `key` in the flat sum out."""
+    t = out.get(key)
+    if t is None:
+        t = out[key] = {}
+    accumulate(t, _times(terms, c, mono))
+
+
+def _constant_terms(form):
+    """The (monomial, GaussianRational) terms of a form with constant coefficients."""
+    return [(m, p.terms[()]) for m, p in form.terms.items()]
+
+
+def _polys(out):
+    """A flat sum's term dicts as Poly coefficients, dropping the keys that cancelled."""
+    return {key: Poly(t) for key, t in out.items() if t}
 
 
 class Connection:
@@ -89,21 +134,69 @@ class Connection:
         conn.declare_zero(conn.torsion())
         return conn
 
+    # -- constant tables ------------------------------------------------------
+
+    @functools.cached_property
+    def _frame_terms(self):
+        """Row k-1: the (monomial, constant) terms of f^k."""
+        return [_constant_terms(f) for f in self.frame]
+
+    @functools.cached_property
+    def _dual_terms(self):
+        """Row k-1: the (monomial, constant) terms of the dual vector f_k."""
+        return [_constant_terms(f) for f in self.frame.dual_basis()]
+
+    @functools.cached_property
+    def _coframe_columns(self):
+        """Generator g -> [(k, mu)] with e^g = sum_k mu f^k; mu = <e^g, f_k> is read off the duals."""
+        out = {}
+        for k, dual in enumerate(self._dual_terms, 1):
+            for (g,), mu in dual:
+                out.setdefault(g, []).append((k, mu))
+        return out
+
+    @functools.cached_property
+    def _wedges(self):
+        """[(i, j, terms of f^i ∧ f^j)] for i < j; f^j ∧ f^i is its negative."""
+        frame = list(self.frame)
+        return [
+            (i, j, _constant_terms(wedge(frame[i - 1], frame[j - 1])))
+            for i in range(1, len(frame) + 1)
+            for j in range(i + 1, len(frame) + 1)
+        ]
+
+    @functools.cached_property
+    def _spin_pairs(self):
+        """[(j, k, g_j g_k as the (row, phase) of each column)] for j < k."""
+        table = self._clifford()
+        n = self.manifold.dim
+        return [(j, k, table.product(j, k)) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+
     # -- symbol bookkeeping -------------------------------------------------
 
-    def gamma(self, i, j, k) -> Poly:
-        """The (substituted) symbol <nabla_{f_i} f_j, f^k>."""
+    def _check_indices(self, *idx):
+        """Raise FrameIndexError unless every index lies in 1..n."""
+        n = self.manifold.dim
+        if not all(1 <= x <= n for x in idx):
+            raise FrameIndexError(f"connection index {idx} outside 1..{n}")
+
+    def _terms(self, i, j, k):
+        """(terms, sign) with Gamma_ijk = sign * Poly(terms); empty terms for a zero entry."""
         sign = 1
         if self.antisymmetric:
             if j == k:
-                return Poly.zero()
+                return {}, 1
             if j > k:
                 j, k, sign = k, j, -1
         s = self._gamma[(i, j, k)]
         value = self._subs.get(s)
-        if value is None:
-            value = Poly.from_symbol(s)
-        return value if sign > 0 else -value
+        return ({((s, 1),): _ONE} if value is None else value.terms), sign
+
+    def gamma(self, i, j, k) -> Poly:
+        """The (substituted) symbol <nabla_{f_i} f_j, f^k>."""
+        self._check_indices(i, j, k)
+        terms, sign = self._terms(i, j, k)
+        return Poly(terms) if sign > 0 else -Poly(terms)
 
     def free_parameters(self):
         """The connection's own symbols not yet fixed by declarations."""
@@ -111,85 +204,124 @@ class Connection:
 
     def connection_form(self, j, k) -> Form:
         """The one-form omega_jk = sum_i Gamma_ijk f^i."""
+        self._check_indices(j, k)
         out = {}
-        for i, f in enumerate(self.frame, 1):
-            accumulate(out, (f * self.gamma(i, j, k)).terms.items())
-        return Form(self.manifold, out)
+        for i, f in enumerate(self._frame_terms, 1):
+            terms, sign = self._terms(i, j, k)
+            if terms:
+                for m, a in f:
+                    _add(out, m, terms, a if sign > 0 else -a)
+        return Form(self.manifold, _polys(out))
 
     def _connection_matrix(self):
         """All the omega_jk, as a 0-based n x n list of rows."""
         n = self.manifold.dim
         return [[self.connection_form(j, k) for k in range(1, n + 1)] for j in range(1, n + 1)]
 
-    def _vector_components(self, X: Form):
-        """Components of a vector (degree-1 form) along the frame vectors."""
+    def _form(self, x) -> Form:
+        """x as a form of the manifold; a scalar is a degree-0 form."""
+        if not isinstance(x, Form):
+            return Form.scalar(self.manifold, x)
+        if x.manifold is not self.manifold:
+            raise FrameMismatchError("forms belong to different manifolds")
+        return x
+
+    def _components(self, X):
+        """[(i, terms of X^i)] for the nonzero components X^i = <X, f^i> of a vector."""
+        X = self._form(X)
         if X and not X.is_homogeneous(1):
             raise DegreeError("vector arguments must be degree-1 forms")
-        return [pairing(X, f) for f in self.frame]
+        xt = X.terms
+        out = []
+        for i, f in enumerate(self._frame_terms, 1):
+            acc = {}
+            for m, b in f:
+                p = xt.get(m)
+                if p is not None:
+                    accumulate(acc, _times(p.terms, b))
+            if acc:
+                out.append((i, acc))
+        return out
 
-    def _omega_at(self, X: Form):
-        """omega(X) as a function (j, k) -> omega_jk(X) = sum_i Gamma_ijk X^i.
+    def _omega_at(self, X):
+        """omega(X) as a function (j, k) -> the terms of omega_jk(X) = sum_i Gamma_ijk X^i.
 
         An entry is computed when first asked for, so each covariant
         derivative reads only the symbols of the entries it uses.
         """
-        support = [(i, x) for i, x in enumerate(self._vector_components(X), 1) if x]
+        support = self._components(X)
 
         @functools.cache
         def entry(j, k):
-            return sum((self.gamma(i, j, k) * x for i, x in support), Poly.zero())
+            out = {}
+            for i, x in support:
+                terms, sign = self._terms(i, j, k)
+                if terms:
+                    for xm, xc in x.items():
+                        accumulate(out, _times(terms, xc if sign > 0 else -xc, xm))
+            return out
 
         return entry
 
     # -- covariant derivatives ----------------------------------------------
 
-    def nabla_vector(self, X: Form, T: Form) -> Form:
-        """nabla_X T = sum_k (sum_j T^j omega_jk(X)) f_k, over the rows j with T^j != 0."""
-        omega = self._omega_at(X)
-        tau = [(j, t) for j, t in enumerate(self._vector_components(T), 1) if t]
+    def nabla_vector(self, X, T) -> Form:
+        """nabla_X T = sum_k (sum_{i,j} X^i T^j Gamma_ijk) f_k, over the nonzero X^i and T^j."""
+        xs = self._components(X)
+        ts = self._components(T)
+        duals = self._dual_terms
         out = {}
-        for k, f in enumerate(self.frame.dual_basis(), 1):
-            c = sum((t * omega(j, k) for j, t in tau), Poly.zero())
-            if c:
-                accumulate(out, ((m, b * c) for m, b in f.terms.items()))
-        return Form(self.manifold, out)
+        for i, x in xs:
+            for j, t in ts:
+                xt = accumulate({}, (
+                    (_mono_mul(xm, tm), xc * tc) for xm, xc in x.items() for tm, tc in t.items()
+                ))
+                for k, dual in enumerate(duals, 1):
+                    terms, sign = self._terms(i, j, k)
+                    if terms:
+                        for m, b in dual:
+                            for mono, c in xt.items():
+                                c = c * b
+                                _add(out, m, terms, c if sign > 0 else -c, mono)
+        return Form(self.manifold, _polys(out))
 
-    def nabla_form(self, X: Form, w: Form) -> Form:
+    def nabla_form(self, X, w) -> Form:
         """nabla_X w: nabla_X f^k = -sum_j omega_jk(X) f^j, extended as an even derivation."""
         omega = self._omega_at(X)
+        frame = self._frame_terms
+        columns = self._coframe_columns
 
         def image(g):
-            # Only the columns k of e^g's nonzero frame components are read.
+            # e^g = sum_k mu f^k, so only the columns k with mu != 0 are read.
             out = {}
-            for k, mu in enumerate(self.frame.components(self.manifold.e(g)), 1):
-                if mu:
-                    for j, f in enumerate(self.frame, 1):
-                        c = omega(j, k)
-                        if c:
-                            c = -(mu * c)
-                            accumulate(out, ((m, b * c) for m, b in f.terms.items()))
-            return Form(self.manifold, out)
+            for k, mu in columns.get(g, ()):
+                for j, f in enumerate(frame, 1):
+                    c = omega(j, k)
+                    if c:
+                        for m, a in f:
+                            _add(out, m, c, -(mu * a))
+            return Form(self.manifold, _polys(out))
 
-        return _leibniz(w, image, odd=False)
+        return _leibniz(self._form(w), image, odd=False)
 
-    def nabla_spinor(self, X: Form, psi: Spinor) -> Spinor:
+    def nabla_spinor(self, X, psi: Spinor) -> Spinor:
         """Spinor covariant derivative (metric connections only).
 
         (1/4) sum_{j,k} omega_jk(X) g_j g_k psi collapses to
         (1/2) sum_{j<k} by the antisymmetry of both factors.
         """
         table = self._clifford()
+        table.check(psi)
         omega = self._omega_at(X)
-        n = self.manifold.dim
+        half = [(u, pm, pc * _HALF) for u, p in psi.terms.items() for pm, pc in p.terms.items()]
         out = {}
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                c = omega(j, k)
-                if c:
-                    c = c * _HALF
-                    acted = table.apply(j, table.apply(k, psi))
-                    accumulate(out, ((u, a * c) for u, a in acted.terms.items()))
-        return Spinor(table.spinor_dim, out)
+        for j, k, perm in self._spin_pairs:
+            c = omega(j, k)
+            if c:
+                for u, pm, pc in half:
+                    row, phase = perm[u]
+                    _add(out, row, c, phase * pc, pm)
+        return Spinor(table.spinor_dim, _polys(out))
 
     def _clifford(self):
         if not self.antisymmetric:
@@ -206,14 +338,19 @@ class Connection:
 
         The rows are added to a copy that replaces the echelon only once
         every part proved linear and consistent, so a failed declaration
-        leaves the connection unchanged.
+        leaves the connection unchanged.  Inserting a row changes only
+        the rows that hold its pivot, so the substitution is refreshed
+        at the new pivots and at the old rows that held one of them.
         """
+        old = self._echelon.rows
         ech = self._echelon.copy()
         ech.impose_linear([part for p in polys for part in p.real_imag() if part], self._own)
-        if len(ech.rows) == len(self._echelon.rows):
+        if len(ech.rows) == len(old):
             return
+        new = {p for p in ech.rows if p not in old}
+        changed = [p for p, row in old.items() if not new.isdisjoint(row)]
         self._echelon = ech
-        self._subs = ech.solved()
+        self._subs = {**self._subs, **ech.solved(new.union(changed))}
 
     def declare_nabla_vector(self, X, T, value):
         self.declare_zero([self.nabla_vector(X, T) - value])
@@ -240,18 +377,31 @@ class Connection:
 
     # -- torsion and curvature -------------------------------------------------
 
-    def torsion(self):
-        """Cartan's first structure equation: Theta^k = df^k + sum_j omega_jk ∧ f^j.
+    def _add_wedges(self, out, k, sign):
+        """Add sign * sum_{i,j} Gamma_ijk f^i ∧ f^j to the flat sum out.
 
-        Zero exactly when the structure equations hold; the orientation
-        matches the classical tensor nabla_X Y − nabla_Y X − [X,Y] read
-        through the evaluation convention of lie_bracket.
+        By f^j ∧ f^i = -f^i ∧ f^j this is sum_{i<j} (Gamma_ijk - Gamma_jik) f^i ∧ f^j.
         """
-        omega = self._connection_matrix()
-        return [
-            sum((wedge(omega[j][k], fj) for j, fj in enumerate(self.frame)), self.manifold.d(fk))
-            for k, fk in enumerate(self.frame)
-        ]
+        for i, j, product in self._wedges:
+            for a, (terms, s) in ((sign, self._terms(i, j, k)), (-sign, self._terms(j, i, k))):
+                if terms:
+                    for m, b in product:
+                        _add(out, m, terms, b if a * s > 0 else -b)
+
+    def torsion(self):
+        """Cartan's first structure equation: Theta^k = df^k + sum_{i,j} Gamma_ijk f^i ∧ f^j.
+
+        The sum is sum_j omega_jk ∧ f^j.  Zero exactly when the structure
+        equations hold; the orientation matches the classical tensor
+        nabla_X Y − nabla_Y X − [X,Y] read through the evaluation
+        convention of lie_bracket.
+        """
+        out = []
+        for k, f in enumerate(self.frame, 1):
+            theta = {m: dict(p.terms) for m, p in self.manifold.d(f).terms.items()}
+            self._add_wedges(theta, k, 1)
+            out.append(Form(self.manifold, _polys(theta)))
+        return out
 
     def curvature(self):
         """Second structure equation: Omega_jk = d omega_jk + sum_l omega_jl ∧ omega_lk."""
@@ -279,11 +429,10 @@ class RiemannianManifold(FrameManifold):
         self.connection = Connection(self, prefix=prefix, antisymmetric=True)
 
     def _d_generator(self, k):
-        # -omega_jk ∧ e^j = e^j ∧ omega_jk, as both are one-forms.
+        # The connection's frame is e^1..e^n, so its f^i ∧ f^j are the e^i ∧ e^j.
         out = {}
-        for j in range(1, self.dim + 1):
-            accumulate(out, wedge(self.e(j), self.connection.connection_form(j, k)).terms.items())
-        return Form(self, out)
+        self.connection._add_wedges(out, k, -1)
+        return Form(self, _polys(out))
 
     def declare_d(self, gen, value):
         """Impose a d-value as constraints on the connection symbols."""

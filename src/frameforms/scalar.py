@@ -657,9 +657,16 @@ class Echelon:
         for p in polys:
             self.impose(p.terms)
 
-    def solved(self) -> dict:
-        """For rows keyed by monomials: each pivot symbol's value, minus its row's rest."""
-        return {p[0][0]: Poly({m: -c for m, c in row.items() if m != p}) for p, row in self.rows.items()}
+    def solved(self, pivots=None) -> dict:
+        """For rows keyed by monomials: each pivot symbol's value, minus its row's rest.
+
+        Only the rows of `pivots` are read when they are given.
+        """
+        rows = self.rows
+        return {
+            p[0][0]: Poly({m: -c for m, c in rows[p].items() if m != p})
+            for p in (rows if pivots is None else pivots)
+        }
 
 
 @dataclass(frozen=True)

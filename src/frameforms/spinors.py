@@ -60,11 +60,20 @@ class CliffordTable:
             rows[r][k] = v
         return tuple(map(tuple, rows))
 
-    def apply(self, i, psi: "Spinor") -> "Spinor":
+    def product(self, i, j):
+        """g_i g_j as the (row, phase) of the nonzero entry in each column."""
+        gi, gj = self._columns(i), self._columns(j)
+        return tuple((gi[r][0], v * gi[r][1]) for r, v in gj)
+
+    def check(self, psi: "Spinor"):
+        """Raise DimensionError unless psi lies in this table's spinor module."""
         if psi.dim != self.spinor_dim:
             raise DimensionError(
                 f"spinor of dimension {psi.dim} does not match the table ({self.spinor_dim})"
             )
+
+    def apply(self, i, psi: "Spinor") -> "Spinor":
+        self.check(psi)
         g = self._columns(i)
         # Distinct columns have distinct rows, so no two terms land together.
         return Spinor(self.spinor_dim, {g[k][0]: c * g[k][1] for k, c in psi.terms.items()})

@@ -5,12 +5,17 @@ import pytest
 
 from frameforms import (
     Connection,
+    DegreeError,
+    DimensionError,
+    FrameIndexError,
     FrameManifold,
+    I,
     InconsistentError,
     NonLinearError,
     Poly,
     RiemannianManifold,
     Session,
+    Spinor,
     UnsupportedKindError,
     pairing,
     parse_form,
@@ -582,3 +587,322 @@ def test_torsion_matches_nabla_form_reference():
         assert torsion == _reference_torsion(conn), name
         nonzero += any(torsion)
     assert nonzero >= 5
+
+
+# --- reference formulas ----------------------------------------------------------
+# The Poly-sum formulas that the flat accumulation in connection.py replaced,
+# kept as an oracle: every coefficient is built from Poly and Form arithmetic.
+
+def _reference_gamma(conn, i, j, k):
+    sign = 1
+    if conn.antisymmetric:
+        if j == k:
+            return Poly.zero()
+        if j > k:
+            j, k, sign = k, j, -1
+    s = conn._gamma[(i, j, k)]
+    value = conn._subs.get(s)
+    if value is None:
+        value = Poly.from_symbol(s)
+    return value if sign > 0 else -value
+
+
+def _reference_connection_form(conn, j, k):
+    terms = (f * _reference_gamma(conn, i, j, k) for i, f in enumerate(conn.frame, 1))
+    return sum(terms, conn.manifold.zero())
+
+
+def _reference_omega_at(conn, X):
+    xs = [pairing(X, f) for f in conn.frame]
+
+    def entry(j, k):
+        return sum((_reference_gamma(conn, i, j, k) * x for i, x in enumerate(xs, 1)), Poly.zero())
+
+    return entry
+
+
+def _reference_nabla_vector(conn, X, T):
+    omega = _reference_omega_at(conn, X)
+    ts = [pairing(T, f) for f in conn.frame]
+    out = conn.manifold.zero()
+    for k, f in enumerate(conn.frame.dual_basis(), 1):
+        out = out + f * sum((t * omega(j, k) for j, t in enumerate(ts, 1)), Poly.zero())
+    return out
+
+
+def _reference_derivation(M, w, image, odd):
+    """Extend g -> image(g) to w as a derivation by wedging generator by generator."""
+    out = M.zero()
+    for mono, c in w.terms.items():
+        for pos in range(len(mono)):
+            term = M.scalar(c)
+            for q, g in enumerate(mono):
+                term = wedge(term, image(g) if q == pos else M.e(g))
+            out = out - term if odd and pos % 2 else out + term
+    return out
+
+
+def _reference_nabla_form(conn, X, w):
+    omega = _reference_omega_at(conn, X)
+    M = conn.manifold
+
+    def image(g):
+        out = M.zero()
+        for k, mu in enumerate(conn.frame.components(M.e(g)), 1):
+            for j, f in enumerate(conn.frame, 1):
+                out = out - f * (mu * omega(j, k))
+        return out
+
+    return _reference_derivation(M, w, image, odd=False)
+
+
+def _reference_nabla_spinor(conn, X, psi):
+    table = conn.manifold.clifford
+    omega = _reference_omega_at(conn, X)
+    n = conn.manifold.dim
+    out = Spinor.zero(table.spinor_dim)
+    for j in range(1, n + 1):
+        for k in range(j + 1, n + 1):
+            out = out + table.apply(j, table.apply(k, psi)) * (omega(j, k) * Fraction(1, 2))
+    return out
+
+
+def _reference_cartan_torsion(conn):
+    M = conn.manifold
+    frame = list(conn.frame)
+    return [
+        sum((wedge(_reference_connection_form(conn, j, k), fj) for j, fj in enumerate(frame, 1)), M.d(fk))
+        for k, fk in enumerate(frame, 1)
+    ]
+
+
+def _reference_curvature(conn):
+    n = conn.manifold.dim
+    r = range(1, n + 1)
+    omega = {(j, k): _reference_connection_form(conn, j, k) for j in r for k in r}
+    return [
+        [sum((wedge(omega[j, l], omega[l, k]) for l in r), conn.manifold.d(omega[j, k])) for k in r]
+        for j in r
+    ]
+
+
+def _reference_riemannian_d(R, w):
+    """d through de^k = sum_j e^j ∧ omega_jk, the torsion-free structure equation."""
+    conn = R.connection
+
+    def image(k):
+        terms = (wedge(R.e(j), _reference_connection_form(conn, j, k)) for j in range(1, R.dim + 1))
+        return sum(terms, R.zero())
+
+    return _reference_derivation(R, w, image, odd=True)
+
+
+def _qi_frame(M):
+    """A non-simple constant frame with fractional and imaginary coefficients."""
+    n = M.dim
+    frame = [M.e(i) + M.e(i % n + 1) * (Fraction(i, 3) + I * (i % 2)) for i in range(1, n)]
+    return frame + [M.e(n) - M.e(1) * (I / 2) + M.e(2) * Fraction(-3, 4)]
+
+
+def _rand_qi(rng, symbol):
+    """A Poly rng-drawn from a symbol part, a fractional real part and an imaginary part."""
+    real = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return symbol * rng.randint(-2, 2) + real + I * rng.randint(-1, 1)
+
+
+def _rand_symbolic_vector(rng, M, symbol):
+    return sum((M.e(g) * _rand_qi(rng, symbol) for g in rng.sample(range(1, M.dim + 1), 2)), M.zero())
+
+
+def _rand_spinor(rng, dim, symbol):
+    out = Spinor.zero(dim)
+    for u in rng.sample(range(dim), min(dim, 3)):
+        out = out + Spinor.basis(dim, u) * _rand_qi(rng, symbol)
+    return out
+
+
+def _oracle_cases(rng):
+    """(name, connection, parameter symbol) for generic, declared and metric connections."""
+    s = Session()
+    x = s.symbol("x")
+    nil, iwa = nilpotent4(s), iwasawa6(s)
+    yield "generic-qi-nilpotent", Connection(nil, frame=_qi_frame(nil), prefix="A"), x
+    # real symbols cannot cancel the imaginary part of a Q(i) frame's torsion
+    yield "torsion-free-iwasawa", Connection.torsion_free(iwa, frame=_non_simple_frame(iwa), prefix="B"), x
+    yield "generic-qi-iwasawa", Connection(iwa, frame=_qi_frame(iwa), prefix="E"), x
+    other = Connection(nil, prefix="P")
+    p1, p2 = other.free_parameters()[:2]
+    declared = Connection(nil, frame=_non_simple_frame(nil), prefix="C")
+    declared.declare_nabla_vector(nil.e(1), nil.e(2), nil.e(3) * p1 + nil.e(4))
+    declared.declare_nabla_form(nil.e(2), nil.e(1) * nil.e(3), nil.e(1) * nil.e(4) * p2)
+    yield "declared-generic-foreign", declared, p1
+    for prefix, antisymmetric in (("D", False), ("F", True)):
+        conn = Connection(nil, frame=_qi_frame(nil), prefix=prefix, antisymmetric=antisymmetric)
+        g = rng.sample(conn.free_parameters(), 5)
+        # real parameters: g2 + i*g3 = p2 sets g2 = p2 and g3 = 0
+        conn.declare_zero([g[0] - p1 * Fraction(1, 2) - 1, g[1] - g[4] * 3, g[2] + g[3] * I - p2])
+        yield f"declared-{'antisymmetric' if antisymmetric else 'generic'}-qi-foreign", conn, x
+    _, h, k, _ = almost_complex_torsion(s)
+    yield "almost-complex-k", k, x
+    for n in (4, 5):
+        R = RiemannianManifold(s, n, prefix=f"R{n}_")
+        yield f"riemannian-{n}", R.connection, x
+        for i in range(1, n + 1):
+            R.declare_nabla_spinor(R.e(i), R.u(rng.randrange(R.clifford.spinor_dim)), 0)
+        R.declare_zero([R.connection.free_parameters()[0] - p1])
+        yield f"riemannian-{n}-parallel-spinor-foreign", R.connection, x
+
+
+def test_flat_paths_match_reference_formulas():
+    """nabla, connection forms, torsion and curvature agree with the Poly-sum formulas."""
+    rng = random.Random(2024)
+    nonzero = 0
+    for name, conn, x in _oracle_cases(rng):
+        M = conn.manifold
+        n = M.dim
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                assert conn.connection_form(j, k) == _reference_connection_form(conn, j, k), name
+        for _ in range(3):
+            X, T = _rand_symbolic_vector(rng, M, x), _rand_symbolic_vector(rng, M, x)
+            got = conn.nabla_vector(X, T)
+            assert got == _reference_nabla_vector(conn, X, T), name
+            nonzero += bool(got)
+            w = _rand_form(rng, M, x) * (1 + I)
+            assert conn.nabla_form(X, w) == _reference_nabla_form(conn, X, w), name
+            if conn.antisymmetric and hasattr(M, "clifford"):
+                psi = _rand_spinor(rng, M.clifford.spinor_dim, x)
+                assert conn.nabla_spinor(X, psi) == _reference_nabla_spinor(conn, X, psi), name
+        assert conn.torsion() == _reference_cartan_torsion(conn), name
+        assert conn.curvature() == _reference_curvature(conn), name
+    assert nonzero >= 20
+
+
+def test_riemannian_d_matches_reference():
+    rng = random.Random(2025)
+    for name, conn, x in _oracle_cases(rng):
+        R = conn.manifold
+        if not isinstance(R, RiemannianManifold):
+            continue
+        for g in range(1, R.dim + 1):
+            assert R.d(R.e(g)) == _reference_riemannian_d(R, R.e(g)), name
+        for _ in range(3):
+            w = _rand_form(rng, R, x)
+            assert R.d(w) == _reference_riemannian_d(R, w), name
+
+
+# --- incremental substitution table ----------------------------------------------
+
+def test_subs_stays_the_solved_echelon_across_declarations():
+    """After every declaration, failed ones included, _subs is exactly what solved() rebuilds."""
+    rng = random.Random(404)
+    failures = {InconsistentError: 0, NonLinearError: 0}
+    for _ in range(4):
+        s = Session()
+        a = s.symbol("a")
+        M = nilpotent4(s)
+        c = Connection(M, prefix="G", antisymmetric=rng.random() < 0.5)
+        own = c.free_parameters()
+        done = []
+        for _ in range(25):
+            roll = rng.random()
+            if roll < 0.5:
+                picked = rng.sample(own, rng.randint(1, 3))
+                terms = [g * rng.choice((-2, -1, 1, Fraction(1, 2), I)) for g in picked]
+                exprs = [sum(terms, Poly.constant(rng.randint(-2, 2))) + a * rng.randint(0, 1)]
+            elif roll < 0.65 and done:
+                # a combination of earlier equations plus a nonzero constant
+                exprs = [rng.choice(done) * 2 + 1]
+            elif roll < 0.75:
+                exprs = [rng.choice(own) - 1, rng.choice(own) * rng.choice(own)]
+            else:
+                X, T = _rand_vector(rng, M), _rand_vector(rng, M)
+                exprs = [c.nabla_vector(X, T) - M.e(rng.randint(1, 4)) * rng.randint(-1, 1)]
+            try:
+                c.declare_zero(exprs)
+                done.extend(e for e in exprs if isinstance(e, Poly))
+            except (InconsistentError, NonLinearError) as exc:
+                failures[type(exc)] += 1
+            assert c._subs == c._echelon.solved()
+            assert c.free_parameters() == [g for g in own if g not in c._subs]
+    assert failures[InconsistentError] >= 3 and failures[NonLinearError] >= 3
+
+
+def test_declaration_refreshes_only_the_rows_it_changes():
+    s = Session()
+    c = Connection(torus(s), prefix="G")
+    g = c.free_parameters()
+    c.declare_zero([g[0] - g[10], g[1] + g[11] * 2 - 1, g[2] - g[12] + g[13]])
+    before = dict(c._subs)
+    # g[20] is held by no stored row, so no other value is rebuilt
+    c.declare_zero([g[20] - 3])
+    assert all(c._subs[sym] is value for sym, value in before.items())
+    assert c._subs[g[20]] == 3
+    # g[11] is held by the row of g[1] only
+    c.declare_zero([g[11] - 1])
+    assert c._subs[g[1]] == -1
+    assert c._subs[g[0]] is before[g[0]] and c._subs[g[2]] is before[g[2]]
+    assert c._subs == c._echelon.solved()
+
+
+# --- index and argument checks ----------------------------------------------------
+
+def test_gamma_rejects_an_index_outside_the_frame():
+    c = Connection(torus(Session()))
+    for bad in [(0, 1, 1), (5, 1, 1), (1, 0, 2), (1, 2, 5)]:
+        with pytest.raises(FrameIndexError):
+            c.gamma(*bad)
+
+
+def test_connection_form_rejects_an_index_outside_the_frame():
+    c = Connection(torus(Session()))
+    for bad in [(0, 5), (0, 1), (1, 5)]:
+        with pytest.raises(FrameIndexError):
+            c.connection_form(*bad)
+
+
+def test_antisymmetric_gamma_checks_indices_before_the_zero_diagonal():
+    c = RiemannianManifold(Session(), 4).connection
+    assert c.gamma(1, 2, 2) == 0
+    for bad in [(9, 2, 2), (0, 3, 3), (1, 5, 5)]:
+        with pytest.raises(FrameIndexError):
+            c.gamma(*bad)
+
+
+def test_nabla_of_a_scalar_is_zero():
+    s = Session()
+    M = nilpotent4(s)
+    c = Connection(M)
+    assert c.nabla_form(M.e(1), 3) == 0
+    assert c.nabla_form(M.e(1) + M.e(2) * 2, s.symbol("f")) == 0
+    assert c.nabla_form(M.e(1), M.scalar(Fraction(1, 2))) == 0
+    # the scalar part of a mixed form drops out too
+    w = M.e(1) * M.e(3) + 5
+    assert c.nabla_form(M.e(2), w) == c.nabla_form(M.e(2), M.e(1) * M.e(3))
+
+
+def test_nabla_along_or_of_a_zero_vector_is_zero():
+    M = RiemannianManifold(Session(), 4)
+    c = M.connection
+    assert c.nabla_vector(M.e(1), 0) == 0
+    assert c.nabla_vector(0, M.e(1)) == 0
+    assert c.nabla_vector(M.zero(), M.e(2)) == 0
+    assert c.nabla_form(0, M.e(1)) == 0
+    assert c.nabla_spinor(0, M.u(0)) == 0
+
+
+def test_nabla_of_a_nonzero_scalar_vector_is_a_degree_error():
+    M = nilpotent4(Session())
+    c = Connection(M)
+    for X, T in [(M.e(1), 3), (M.e(1), M.scalar(3)), (3, M.e(1)), (M.scalar(2), M.e(1))]:
+        with pytest.raises(DegreeError):
+            c.nabla_vector(X, T)
+    with pytest.raises(DegreeError):
+        c.nabla_form(2, M.e(1))
+
+
+def test_nabla_spinor_rejects_a_spinor_of_another_dimension():
+    M = RiemannianManifold(Session(), 6)
+    for X in (M.e(1), M.zero()):
+        with pytest.raises(DimensionError):
+            M.connection.nabla_spinor(X, Spinor.basis(4, 0))
