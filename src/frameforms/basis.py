@@ -29,14 +29,9 @@ that both echelons take; decompose keeps Poly values for components().
 
 from __future__ import annotations
 
-from .errors import (
-    FrameMismatchError,
-    NonConstantCoefficientError,
-    NonLinearError,
-    NotInSpanError,
-)
-from .exterior import Form, _mono_key
-from .scalar import Echelon, GaussianRational, Poly, accumulate, as_poly
+from .errors import NonConstantCoefficientError, NonLinearError, NotInSpanError
+from .exterior import Form, _mono_key, as_form
+from .scalar import _ONE, Echelon, Poly, accumulate, as_poly
 
 __all__ = ["Basis", "FormBasis", "SymbolBasis", "AffineBasis", "CONST"]
 
@@ -52,26 +47,17 @@ class _ConstKey:
 
 CONST = _ConstKey()
 
-_ONE = GaussianRational(1)
-
 
 class _FormSpace:
     def __init__(self, manifold):
         self.manifold = manifold
 
-    def _form(self, x):
-        if not isinstance(x, Form):
-            x = Form.scalar(self.manifold, x)
-        if x.manifold is not self.manifold:
-            raise FrameMismatchError("form belongs to a different manifold")
-        return x
-
     def decompose(self, x):
-        return dict(self._form(x).terms)
+        return dict(as_form(self.manifold, x).terms)
 
     def constant_vec(self, x):
         out = {}
-        for k, p in self._form(x).terms.items():
+        for k, p in as_form(self.manifold, x).terms.items():
             if not p.is_constant():
                 raise NonConstantCoefficientError(
                     "basis elements must have constant coefficients on simple elements"

@@ -8,11 +8,10 @@ off the matrix of connection one-forms omega_jk = sum_i G_ijk f^i
 (Kobayashi-Nomizu, Foundations I, ch. III):
 
 - covariant derivatives evaluate omega_jk(X) = sum_i G_ijk X^i, only
-  at the entries they use, and act with it: nabla_X T = sum_k
-  (sum_{i,j} X^i T^j G_ijk) f_k on vectors, nabla_X f^k = -sum_j
-  omega_jk(X) f^j on one-forms, extended to every form by the Leibniz
-  loop that d uses too, and (1/2) sum_{j<k} omega_jk(X) g_j g_k on
-  spinors;
+  at the entries they use, and act with it: nabla_X T = sum_{j,k}
+  T^j omega_jk(X) f_k on vectors, nabla_X f^k = -sum_j omega_jk(X) f^j
+  on one-forms, extended to every form by the Leibniz loop that d uses
+  too, and (1/2) sum_{j<k} omega_jk(X) g_j g_k on spinors;
 - torsion and curvature are Cartan's structure equations,
   Theta^k = df^k + sum_{i,j} G_ijk f^i ∧ f^j and
   Omega_jk = d omega_jk + sum_l omega_jl ∧ omega_lk.
@@ -51,10 +50,10 @@ from __future__ import annotations
 import functools
 
 from .basis import FormBasis
-from .errors import DegreeError, FrameIndexError, FrameMismatchError, UnsupportedKindError
-from .exterior import Form, _leibniz, wedge
+from .errors import DegreeError, FrameIndexError, UnsupportedKindError
+from .exterior import Form, _leibniz, as_form, wedge
 from .manifold import FrameManifold
-from .scalar import _ONE, Echelon, Poly, Session, _mono_mul, _unit, accumulate, as_poly
+from .scalar import _ONE, Echelon, Poly, Session, _mono_mul, _scaled, accumulate, as_poly
 from .spinors import Spinor, build_clifford_table, clifford_mul
 
 __all__ = ["Connection", "RiemannianManifold"]
@@ -63,18 +62,10 @@ _HALF = _ONE / 2
 
 
 def _times(terms, c, mono=()):
-    """The terms of c·mono·Poly(terms), as (monomial, coefficient) pairs.
-
-    c is a nonzero GaussianRational; a unit c costs no multiplication.
-    """
+    """The (monomial, coefficient) pairs of c·mono·Poly(terms), c a nonzero GaussianRational."""
     if mono:
         return ((_mono_mul(mono, m), a * c) for m, a in terms.items())
-    unit = _unit(c)
-    if unit == 1:
-        return terms.items()
-    if unit == -1:
-        return ((m, -a) for m, a in terms.items())
-    return ((m, a * c) for m, a in terms.items())
+    return _scaled(terms.items(), c)
 
 
 def _add(out, key, terms, c, mono=()):
@@ -213,22 +204,9 @@ class Connection:
                     _add(out, m, terms, a if sign > 0 else -a)
         return Form(self.manifold, _polys(out))
 
-    def _connection_matrix(self):
-        """All the omega_jk, as a 0-based n x n list of rows."""
-        n = self.manifold.dim
-        return [[self.connection_form(j, k) for k in range(1, n + 1)] for j in range(1, n + 1)]
-
-    def _form(self, x) -> Form:
-        """x as a form of the manifold; a scalar is a degree-0 form."""
-        if not isinstance(x, Form):
-            return Form.scalar(self.manifold, x)
-        if x.manifold is not self.manifold:
-            raise FrameMismatchError("forms belong to different manifolds")
-        return x
-
     def _components(self, X):
         """[(i, terms of X^i)] for the nonzero components X^i = <X, f^i> of a vector."""
-        X = self._form(X)
+        X = as_form(self.manifold, X)
         if X and not X.is_homogeneous(1):
             raise DegreeError("vector arguments must be degree-1 forms")
         xt = X.terms
@@ -266,23 +244,16 @@ class Connection:
     # -- covariant derivatives ----------------------------------------------
 
     def nabla_vector(self, X, T) -> Form:
-        """nabla_X T = sum_k (sum_{i,j} X^i T^j Gamma_ijk) f_k, over the nonzero X^i and T^j."""
-        xs = self._components(X)
-        ts = self._components(T)
-        duals = self._dual_terms
+        """nabla_X T = sum_{j,k} T^j omega_jk(X) f_k, over the nonzero T^j."""
+        omega = self._omega_at(X)
         out = {}
-        for i, x in xs:
-            for j, t in ts:
-                xt = accumulate({}, (
-                    (_mono_mul(xm, tm), xc * tc) for xm, xc in x.items() for tm, tc in t.items()
-                ))
-                for k, dual in enumerate(duals, 1):
-                    terms, sign = self._terms(i, j, k)
-                    if terms:
-                        for m, b in dual:
-                            for mono, c in xt.items():
-                                c = c * b
-                                _add(out, m, terms, c if sign > 0 else -c, mono)
+        for j, t in self._components(T):
+            for k, dual in enumerate(self._dual_terms, 1):
+                c = omega(j, k)
+                if c:
+                    for m, b in dual:
+                        for tm, tc in t.items():
+                            _add(out, m, c, tc * b, tm)
         return Form(self.manifold, _polys(out))
 
     def nabla_form(self, X, w) -> Form:
@@ -302,7 +273,7 @@ class Connection:
                             _add(out, m, c, -(mu * a))
             return Form(self.manifold, _polys(out))
 
-        return _leibniz(self._form(w), image, odd=False)
+        return _leibniz(as_form(self.manifold, w), image, odd=False)
 
     def nabla_spinor(self, X, psi: Spinor) -> Spinor:
         """Spinor covariant derivative (metric connections only).
@@ -405,7 +376,8 @@ class Connection:
 
     def curvature(self):
         """Second structure equation: Omega_jk = d omega_jk + sum_l omega_jl ∧ omega_lk."""
-        omega = self._connection_matrix()
+        n = self.manifold.dim
+        omega = [[self.connection_form(j, k) for k in range(1, n + 1)] for j in range(1, n + 1)]
         return [
             [sum((wedge(a, omega[l][k]) for l, a in enumerate(row)), self.manifold.d(w))
              for k, w in enumerate(row)]
@@ -439,8 +411,7 @@ class RiemannianManifold(FrameManifold):
         self.impose_d(self.e(self._gen_index(gen)), value)
 
     def impose_d(self, w, value):
-        value = value if isinstance(value, Form) else Form.scalar(self, value)
-        delta = self.d(w) - value
+        delta = self.d(w) - as_form(self, value)
         self.connection.declare_zero([delta])
 
     def declare_zero(self, exprs):

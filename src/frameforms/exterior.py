@@ -101,12 +101,8 @@ class Form(_SparseVector):
         return cls(manifold, {(_generator_index(manifold, i),): Poly.constant(1)})
 
     def _coerce(self, x):
-        if isinstance(x, Form):
-            if x.manifold is not self.manifold:
-                raise FrameMismatchError("forms belong to different manifolds")
-            return x
-        p = Poly._coerce(x)
-        return None if p is None else Form.scalar(self.manifold, p)
+        x = x if isinstance(x, Form) else Poly._coerce(x)
+        return None if x is None else as_form(self.manifold, x)
 
     def _like(self, terms):
         return Form(self.manifold, terms)
@@ -154,6 +150,18 @@ class Form(_SparseVector):
 
     def __repr__(self):
         return f"Form({print_form(self)})"
+
+
+def as_form(manifold, x) -> Form:
+    """x as a form of the manifold: its own form as it is, a scalar as a degree-0 form.
+
+    A form of another manifold raises FrameMismatchError, a non-scalar TypeError.
+    """
+    if not isinstance(x, Form):
+        return Form.scalar(manifold, x)
+    if x.manifold is not manifold:
+        raise FrameMismatchError("forms belong to different manifolds")
+    return x
 
 
 def wedge(a: Form, b: Form) -> Form:
@@ -254,9 +262,7 @@ def substitute_form(w: Form, rules: dict) -> Form:
     repl = {}
     for g, f in rules.items():
         _generator_index(M, g)
-        f = f if isinstance(f, Form) else Form.scalar(M, f)
-        if f.manifold is not M:
-            raise FrameMismatchError("replacement form from a different manifold")
+        f = as_form(M, f)
         if any(len(m) > 1 for m in f.terms):
             raise DegreeError(f"replacement for e{g} must have degree <= 1")
         repl[g] = f

@@ -22,7 +22,7 @@ from .errors import (
     NotNilpotentError,
     RedeclarationError,
 )
-from .exterior import Form, _generator_index, _leibniz, hook, parse_form, print_form
+from .exterior import Form, _generator_index, _leibniz, as_form, hook, parse_form, print_form
 from .scalar import Session
 
 __all__ = ["FrameManifold", "load_manifold"]
@@ -72,7 +72,7 @@ class FrameManifold:
     def declare_d(self, gen, value):
         """Record d(e^i) = value, a 2-form or zero."""
         i = self._gen_index(gen)
-        w = value if isinstance(value, Form) else Form.scalar(self, value)
+        w = as_form(self, value)
         if i in self.d_table:
             raise RedeclarationError(f"d(e{i}) already declared")
         if w and not w.is_homogeneous(2):
@@ -87,8 +87,7 @@ class FrameManifold:
 
     def d(self, w) -> Form:
         """Exterior derivative: the d-table on generators, extended as an odd derivation."""
-        w = w if isinstance(w, Form) else Form.scalar(self, w)
-        return _leibniz(w, self._d_generator, odd=True)
+        return _leibniz(as_form(self, w), self._d_generator, odd=True)
 
     def lie_bracket(self, X: Form, Y: Form) -> Form:
         """Constant-coefficient Lie bracket: <[X,Y], e^k> = −(de^k)(X,Y)."""
@@ -104,7 +103,7 @@ class FrameManifold:
 
     def lie_derivative(self, X: Form, w) -> Form:
         """Cartan formula: L_X ω = X ⌟ dω + d(X ⌟ ω)."""
-        w = w if isinstance(w, Form) else Form.scalar(self, w)
+        w = as_form(self, w)
         return hook(X, self.d(w)) + self.d(hook(X, w))
 
     def __repr__(self):

@@ -17,6 +17,8 @@ object created in it are confined to one thread at a time.
 
 accumulate is the one sparse-sum step: polynomials, forms, spinors and
 echelon rows all add coefficients into their term dicts through it.
+_scaled is the one step that scales such pairs by a Q(i) constant, and
+a constant of 1 or -1 costs no multiplication.
 _SparseVector, the base of Poly, Form and Spinor, holds their shared
 vector-space operators (sum, difference, negation, truth, scaling) over
 that dict, so each subclass gives only its coercion, its product, its
@@ -394,7 +396,7 @@ class Poly(_SparseVector):
 
     @classmethod
     def constant(cls, c) -> "Poly":
-        c = _as_gaussian(c)
+        c = c if isinstance(c, GaussianRational) else GaussianRational(c)
         return cls({(): c} if c else {})
 
     @classmethod
@@ -419,11 +421,13 @@ class Poly(_SparseVector):
         if o is None:
             return NotImplemented
         st, ot = self.terms, o.terms
-        # A constant factor scales the other side's coefficients.
-        if len(st) == 1 and () in st:
-            return o._scale(st[()])
+        # A constant factor, put first, scales the other side; exactly 1 returns it as it is.
         if len(ot) == 1 and () in ot:
-            return self._scale(ot[()])
+            o, st, ot = self, ot, st
+        if len(st) == 1 and () in st:
+            pairs = ot.items()
+            scaled = _scaled(pairs, st[()])
+            return o if scaled is pairs else Poly(dict(scaled))
         pairs = (
             (_mono_mul(m1, m2), c1 * c2)
             for m1, c1 in st.items()
@@ -477,7 +481,7 @@ class Poly(_SparseVector):
             term = Poly.constant(c)
             for s, e in m:
                 rep = rules.get(s)
-                base = rep if rep is not None else Poly.from_symbol(s)
+                base = as_poly(rep) if rep is not None else Poly.from_symbol(s)
                 term = term * base**e
             accumulate(out, term.terms.items())
         return Poly(out)
@@ -522,12 +526,6 @@ def _signed_sum(texts) -> str:
     return "".join(parts) or "0"
 
 
-def _as_gaussian(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    return GaussianRational(x)
-
-
 def accumulate(out: dict, pairs) -> dict:
     """Add each (key, coefficient) pair into the sparse dict out, in place.
 
@@ -542,6 +540,16 @@ def accumulate(out: dict, pairs) -> dict:
         else:
             out.pop(k, None)
     return out
+
+
+def _scaled(items, c):
+    """The (key, value * c) pairs of items; c = 1 returns items itself and c = -1 only negates."""
+    unit = _unit(c)
+    if unit == 1:
+        return items
+    if unit == -1:
+        return ((k, -v) for k, v in items)
+    return ((k, v * c) for k, v in items)
 
 
 def as_poly(x) -> Poly:
@@ -580,15 +588,8 @@ class Echelon:
         return Echelon(self.order, {p: dict(row) for p, row in self.rows.items()})
 
     def _subtract(self, v, c, row):
-        """v -= c * row, in place; a unit c adds or subtracts row as it is."""
-        unit = _unit(c)
-        if unit == -1:
-            accumulate(v, row.items())
-        elif unit == 1:
-            accumulate(v, ((k, -r) for k, r in row.items()))
-        else:
-            c = -c
-            accumulate(v, ((k, c * r) for k, r in row.items()))
+        """v -= c * row, in place."""
+        accumulate(v, _scaled(row.items(), -c))
         self.ops += len(row)
 
     def reduce(self, vec) -> dict:
@@ -610,14 +611,10 @@ class Echelon:
         pivot = min((k for k in red if order(k) is not None), key=order, default=None)
         if pivot is None:
             return None
-        unit = _unit(red[pivot])
-        if unit == 1:
-            row = red
-        elif unit == -1:
-            row = {k: -c for k, c in red.items()}
-        else:
-            inv = _ONE / red[pivot]
-            row = {k: c * inv for k, c in red.items()}
+        lead = red[pivot]
+        pairs = red.items()
+        scaled = _scaled(pairs, lead if _unit(lead) else _ONE / lead)  # 1/c is c for c = ±1
+        row = red if scaled is pairs else dict(scaled)
         for other in self.rows.values():
             c = other.get(pivot)
             if c:

@@ -19,16 +19,12 @@ from __future__ import annotations
 
 from .errors import DegreeError, DimensionError
 from .exterior import Form, _print_terms
-from .scalar import GaussianRational, Poly, _SparseVector, accumulate, as_poly
+from .scalar import _ONE, _ZERO, I, Poly, _SparseVector, accumulate, as_poly
 
 __all__ = ["CliffordTable", "build_clifford_table", "Spinor", "clifford_mul"]
 
-_ZERO = GaussianRational(0)
-_ONE = GaussianRational(1)
-_I = GaussianRational(0, 1)
-
 # 2x2 blocks of the doubling step, as the (row, phase) of each column.
-_P_A = ((1, _I), (0, _I))  # i*sigma1
+_P_A = ((1, I), (0, I))  # i*sigma1
 _P_B = ((1, -_ONE), (0, _ONE))  # i*sigma2
 _PAD = ((0, _ONE), (1, -_ONE))  # sigma3
 
@@ -94,7 +90,7 @@ def build_clifford_table(n: int) -> CliffordTable:
         dim *= 2
     if n % 2:
         # g_1 ... g_2m, times i when m is even so that it squares to -1.
-        prod = tuple((k, _I if m % 2 == 0 else _ONE) for k in range(dim))
+        prod = tuple((k, I if m % 2 == 0 else _ONE) for k in range(dim))
         for g in gammas:
             prod = tuple((prod[r][0], prod[r][1] * v) for r, v in g)
         gammas.append(prod)

@@ -277,18 +277,38 @@ def test_parse_accepts_e_prefix():
 
 
 def test_cross_manifold_operations_rejected():
-    from frameforms import FrameMismatchError
+    from frameforms import Connection, FormBasis, FrameMismatchError, RiemannianManifold
 
-    A = _manifold(3)
-    B = _manifold(3)
-    with pytest.raises(FrameMismatchError):
-        wedge(A.e(1), B.e(2))
-    with pytest.raises(FrameMismatchError):
-        pairing(A.e(1), B.e(1))
-    with pytest.raises(FrameMismatchError):
-        hook(A.e(1), B.e(1) * B.e(2))
-    with pytest.raises(FrameMismatchError):
-        A.e(1) + B.e(1)
+    A = _manifold(4)
+    B = _manifold(4)
+    A.declare_d(1, 0)
+    A.declare_d(2, 0)
+    A.declare_d(3, A.e(1) * A.e(2))
+    R = RiemannianManifold(Session(), 4)
+    conn = Connection(A)
+    basis = FormBasis(A)
+    basis.insert(A.e(1))
+    d_table = dict(A.d_table)
+    rejected = [
+        lambda: wedge(A.e(1), B.e(2)),
+        lambda: pairing(A.e(1), B.e(1)),
+        lambda: hook(A.e(1), B.e(1) * B.e(2)),
+        lambda: A.e(1) + B.e(1),
+        # Every caller of exterior.as_form.
+        lambda: substitute_form(A.e(1) * A.e(2), {1: B.e(3)}),
+        lambda: A.d(B.e(3)),
+        lambda: A.declare_d(4, B.e(1) * B.e(2)),
+        lambda: A.lie_derivative(A.e(1), B.e(3)),
+        lambda: R.impose_d(R.e(1), B.e(1) * B.e(2)),
+        lambda: conn.nabla_vector(B.e(1), A.e(2)),
+        lambda: conn.nabla_form(A.e(1), B.e(2)),
+        lambda: basis.insert(B.e(1)),
+        lambda: basis.components(B.e(1)),
+    ]
+    for op in rejected:
+        with pytest.raises(FrameMismatchError):
+            op()
+    assert A.d_table == d_table
 
 
 def test_parse_print_roundtrip_indices_above_nine():

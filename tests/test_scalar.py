@@ -219,6 +219,10 @@ def test_poly_ring_examples():
     assert (x + 1) * (x - 1) == x * x - 1
     assert Poly.from_symbol(p) + Poly.zero() == Poly.from_symbol(p)
     assert Fraction(1, 2) * x + Fraction(1, 2) * x == Poly.from_symbol(x)
+    # A constant factor of exactly 1 returns the other side itself.
+    q = x * x + 1
+    for product in (q * 1, 1 * q, q * Poly.constant(1), Poly.constant(1) * q):
+        assert product is q
 
 
 def test_poly_canonical_form():
@@ -248,6 +252,10 @@ def test_substitute_examples():
     assert px.substitute({}) == px
     # simultaneity: swap is not iterated
     assert (x * y).substitute({x: py, y: px}) == x * y
+    # Rule values go through as_poly: a Symbol promotes, a non-scalar is rejected.
+    assert (x * x + 1).substitute({x: y}) == y * y + 1
+    with pytest.raises(TypeError, match="cannot interpret 'y' as a scalar"):
+        (x * x + 1).substitute({x: "y"})
 
 
 def test_substitute_inverse_renaming_is_identity():
