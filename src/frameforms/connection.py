@@ -14,7 +14,7 @@ off the matrix of connection one-forms omega_jk = sum_i G_ijk f^i
   too, and (1/2) sum_{j<k} omega_jk(X) g_j g_k on spinors;
 - torsion and curvature are Cartan's structure equations,
   Theta^k = df^k + sum_{i,j} G_ijk f^i ∧ f^j and
-  Omega_jk = d omega_jk + sum_l omega_jl ∧ omega_lk.
+  Omega_jk = d omega_jk - sum_l omega_jl ∧ omega_lk.
 
 Each of these results is one flat sum.  Every Q(i) product goes
 through accumulate into one dict per result, keyed by the output's
@@ -375,11 +375,11 @@ class Connection:
         return out
 
     def curvature(self):
-        """Second structure equation: Omega_jk = d omega_jk + sum_l omega_jl ∧ omega_lk."""
+        """Second structure equation: Omega_jk = d omega_jk - sum_l omega_jl ∧ omega_lk."""
         n = self.manifold.dim
         omega = [[self.connection_form(j, k) for k in range(1, n + 1)] for j in range(1, n + 1)]
         return [
-            [sum((wedge(a, omega[l][k]) for l, a in enumerate(row)), self.manifold.d(w))
+            [sum((-wedge(a, omega[l][k]) for l, a in enumerate(row)), self.manifold.d(w))
              for k, w in enumerate(row)]
             for row in omega
         ]

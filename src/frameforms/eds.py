@@ -14,12 +14,13 @@ ideal generators with flag vectors down to degree one, modulo the
 theta's; Cartan's test grows one basis of them along the flag and
 compares its ranks c_0..c_{n-1} with the codimension of V_n.
 
-On a linear generator the polar equations are read from the same
-tableau: contracting theta^I ∧ omega_a by the flag vectors whose set is
-I leaves ±omega_a, so each equation is sum ±c omega_a over the terms
-with one theta set, the sign the parity of the contraction order.
-cartan_test takes them from there; reduced_polar_equations contracts
-general forms with hook.
+The polar equations are read from the same tableau: contracting
+theta^I ∧ omega_a by the flag vectors of I, the last in the flag first,
+leaves ±omega_a, so each theta set I gives one equation sum ±c omega_a
+at the step after the flag position of I's last vector, the sign the
+parity of I read from that vector down.  _tableau is the one check of a
+generator, and cartan_test reads V_n and every polar step from it;
+reduced_polar_equations contracts general forms with hook.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ from .errors import (
     FileFormatError,
     FormParseError,
     FrameIndexError,
+    MixedDegreeError,
     NonLinearError,
     NotLinearError,
 )
-from .exterior import Form, _mono_key, degree, hook, parse_form
+from .exterior import Form, _mono_key, as_form, degree, hook, parse_form
 from .manifold import FrameManifold, _content_lines
 from .scalar import Poly, Session
 
@@ -99,21 +101,30 @@ def frame_bundle(session: Session, n: int) -> FrameBundle:
 
 
 def is_linear(bundle: FrameBundle, ideal) -> bool:
-    """True when every monomial of every generator has exactly one omega factor."""
+    """True when every monomial of every generator has exactly one omega factor.
+
+    It checks only that count; cartan_test does not call it (see _tableau).
+    """
     return all(sum(g > bundle.n for g in mono) == 1 for form in ideal for mono in form.terms)
 
 
-def _tableau(bundle: FrameBundle, form: Form):
-    """The terms c theta^I ∧ omega_a of a form, as {I: [(a, c)]} with c in Q(i).
+def _tableau(bundle: FrameBundle, form):
+    """The terms c theta^I ∧ omega_a of a generator, as {I: [(a, c)]} with c in Q(i).
 
-    Raises equations_for_Vn's NonLinearError for any other term.
+    The one check of a generator: as_form's FrameMismatchError for a form
+    of another bundle, NotLinearError for a term without exactly one omega
+    factor and NonLinearError for one with a symbolic coefficient.
     """
+    form = as_form(bundle.manifold, form)
     n = bundle.n
     groups = {}
     for mono, c in form.terms.items():
-        if sum(g > n for g in mono) != 1 or not c.is_constant():
+        linear = sum(g > n for g in mono) == 1
+        if not linear or not c.is_constant():
             term = Form(bundle.manifold, {mono: c})
-            raise NonLinearError(f"{term} is not linear in the connection forms")
+            if not linear:
+                raise NotLinearError(f"{term} is not linear in the connection forms")
+            raise NonLinearError(f"{term} has a symbolic coefficient")
         groups.setdefault(mono[:-1], []).append((mono[-1], c.terms[()]))
     return groups
 
@@ -126,8 +137,8 @@ def equations_for_Vn(bundle: FrameBundle, ideal) -> AffineBasis:
     theta^I ∧ theta^j = ±theta^(I+j) is -1 to the number of indices of I
     above j.  A term c theta^I ∧ omega_a is the only one that gives the
     row of I+j its p_aj entry, so entries are stored, never summed.
-    Raises NonLinearError for a term without exactly one omega factor or
-    with a symbolic coefficient.
+    Raises _tableau's errors for a generator that is not a linear form
+    of the bundle.
     """
     container = AffineBasis()
     n, p = bundle.n, bundle.p
@@ -157,52 +168,41 @@ def _flag_order(bundle: FrameBundle, order):
     return order
 
 
-def _new_polar_equations(bundle: FrameBundle, form: Form, j: int, order):
-    """The reduced polar equations of `form` at j that use the j-th flag vector."""
-    if j > 0 and degree(form) > 1:
-        contracted = hook(bundle.theta(order[j - 1]), form)
-        return reduced_polar_equations(bundle, contracted, j - 1, order)
-    return [bundle.modulo_ic(form)] if j == 0 and degree(form) == 1 else []
-
-
 def reduced_polar_equations(bundle: FrameBundle, form: Form, j: int, order=None):
     """All contractions of `form` by flag vectors theta_1..theta_j, reduced.
 
-    It is the list at j - 1 followed by those that contract the j-th flag
-    vector first; a contraction is kept, modulo the theta's, at degree one.
+    The list at j - 1, then that of the contraction by the j-th flag vector
+    at j - 1; a contraction is kept, modulo the theta's, at degree one.
     """
     if not 0 <= j <= bundle.n:
         raise DimensionError(f"flag length {j} outside 0..{bundle.n}")
     order = _flag_order(bundle, order)
-    return [eq for jj in range(j + 1) for eq in _new_polar_equations(bundle, form, jj, order)]
+    if j == 0 or degree(form) < 2:
+        return [bundle.modulo_ic(form)] if degree(form) == 1 else []
+    forms = (form, hook(bundle.theta(order[j - 1]), form))
+    return [eq for w in forms for eq in reduced_polar_equations(bundle, w, j - 1, order)]
 
 
-def _tableau_polar_equations(bundle: FrameBundle, form: Form, order):
-    """_new_polar_equations of a linear form at each j = 0..n-1, read from its tableau.
+def _tableau_polar_equations(bundle: FrameBundle, form, order):
+    """The polar equations of a generator at each j = 0..n-1, read from its theta sets.
 
-    A theta-degree-0 form is its own equation at j = 0.  A form of
-    theta-degree k >= 1 has at step j one equation for each choice of
-    flag positions j - 1 = q_1 > q_2 > ... > q_k >= 0, in lexicographic
-    order of (q_2, ..., q_k): its terms c theta^I ∧ omega_a with theta
-    set {order[q]} give sum ±c omega_a.  The sign is that of hooking
-    theta_order[q_1], theta_order[q_2], ... out of theta^I in turn, the
-    parity of that sequence.  Raises MixedDegreeError as degree() does.
+    A theta set I gives sum ±c omega_a over its terms at step j = 1 + the
+    flag position of I's last vector (j = 0 for the empty set; a set that
+    holds the n-th flag vector gives none).  The sign is the parity of I
+    read from its last flag vector down, and sorting by the positions,
+    last first, gives reduced_polar_equations' order.  Raises
+    MixedDegreeError for theta sets of different sizes, as degree() does.
     """
-    k = degree(form) - 1
-    steps = [[] for _ in range(bundle.n)]
-    if k == 0:
-        steps[0].append(form)
-    if k < 1:
-        return steps
     groups = _tableau(bundle, form)
-    for j in range(1, bundle.n):
-        for rest in sorted(q[::-1] for q in combinations(range(j - 1), k - 1)):
-            seq = [order[q] for q in (j - 1, *rest)]
-            terms = groups.get(tuple(sorted(seq)))
-            if terms:
-                odd = sum(t < s for s, t in combinations(seq, 2)) % 2
-                eq = {(a,): Poly({(): -c if odd else c}) for a, c in terms}
-                steps[j].append(Form(bundle.manifold, eq))
+    if len({len(theta) for theta in groups}) > 1:
+        raise MixedDegreeError(f"form has mixed degrees {sorted({len(t) + 1 for t in groups})}")
+    steps = [[] for _ in range(bundle.n)]
+    for qs, theta in sorted((sorted(map(order.index, t), reverse=True), t) for t in groups):
+        j = qs[0] + 1 if qs else 0
+        if j < bundle.n:
+            odd = sum(order[q] < order[p] for p, q in combinations(qs, 2)) % 2
+            eq = {(a,): Poly({(): -c if odd else c}) for a, c in groups[theta]}
+            steps[j].append(Form(bundle.manifold, eq))
     return steps
 
 
@@ -225,19 +225,17 @@ class CartanReport:
 def cartan_test(bundle: FrameBundle, ideal, flag_order=None) -> CartanReport:
     """Cartan's involutivity test for a linear system at one flag.
 
-    Grows one polar basis along the flag, inserting at step j the
-    equations that use the j-th flag vector, read from each generator's
-    tableau (see the module docstring) in the order that
-    reduced_polar_equations gives them; c_j is its rank then and the
-    verdict is sum(c) == codim V_n.  Raises NotLinearError for
-    non-linear ideals and MixedDegreeError for a generator of mixed
-    degree.
+    Grows one polar basis along the flag, inserting at step j each
+    generator's equations at j, read from its tableau's theta sets (see
+    the module docstring) in reduced_polar_equations' order; c_j is its
+    rank then and the verdict is sum(c) == codim V_n.  _tableau checks
+    each generator first (FrameMismatchError, NotLinearError,
+    NonLinearError); then a bad flag raises DimensionError and a
+    generator of mixed degree MixedDegreeError.
     """
     ideal = list(ideal)
-    if not is_linear(bundle, ideal):
-        raise NotLinearError("the ideal is not linear in the connection forms")
-    order = _flag_order(bundle, flag_order)
     container = equations_for_Vn(bundle, ideal)
+    order = _flag_order(bundle, flag_order)
     codim = container.size()
     steps = [_tableau_polar_equations(bundle, form, order) for form in ideal]
     basis = FormBasis(bundle.manifold)

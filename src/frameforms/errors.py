@@ -88,7 +88,7 @@ class DimensionError(EngineError):
     """A dimension argument is out of the supported range."""
 
 
-class NotLinearError(EngineError):
-    """The exterior differential system is not linear, so Cartan's test
+class NotLinearError(NonLinearError):
+    """The NonLinearError of a whole exterior differential system: a term
 
-    (in the form implemented here) does not apply."""
+    without exactly one connection form, so Cartan's test does not apply."""

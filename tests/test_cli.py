@@ -141,8 +141,8 @@ def test_eds_command_not_linear_exits_2(tmp_path):
     ideal = tmp_path / "bad.ideal"
     ideal.write_text("12\n")
     rc, out, err = _run(["eds", "--dim", "2", "--ideal-file", str(ideal)])
-    assert rc == 2
-    assert "NotLinearError" in err
+    assert rc == 2 and out == ""
+    assert err == "frameforms: NotLinearError: e12 is not linear in the connection forms\n"
 
 
 def test_eds_command_mixed_degree_exits_2(tmp_path):

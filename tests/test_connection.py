@@ -17,6 +17,7 @@ from frameforms import (
     Session,
     Spinor,
     UnsupportedKindError,
+    hook,
     pairing,
     parse_form,
     wedge,
@@ -367,8 +368,48 @@ def test_curvature_on_torus_is_wedge_square():
         for k in range(1, 5):
             expected = M.zero()
             for l in range(1, 5):
-                expected = expected + wedge(c.connection_form(j, l), c.connection_form(l, k))
+                expected = expected - wedge(c.connection_form(j, l), c.connection_form(l, k))
             assert curv[j - 1][k - 1] == expected
+
+
+def heisenberg(session):
+    M = FrameManifold(session, 3)
+    M.declare_d(1, 0)
+    M.declare_d(2, 0)
+    M.declare_d(3, M.e(1) * M.e(2))
+    return M
+
+
+def _levi_civita(M, prefix):
+    conn = Connection(M, prefix=prefix, antisymmetric=True)
+    conn.declare_zero(conn.torsion())
+    return conn
+
+
+def test_curvature_is_the_curvature_of_nabla():
+    """Omega_zk(X, Y) is the f_k part of R(X,Y) f_z, and the first Bianchi identity holds.
+
+    R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z on frame
+    vectors, against hook(Y, hook(X, Omega_zk)); sum_j Omega_jk ∧ f^j = 0
+    for a torsion-free connection on a manifold with d² = 0.  With
+    nabla f_j = sum_k omega_jk f_k both need Omega = d omega - omega ∧ omega.
+    """
+    s = Session()
+    torsion_free = Connection.torsion_free(nilpotent4(s), prefix="T")
+    assert len(torsion_free.free_parameters()) == 40
+    for conn in (_levi_civita(heisenberg(s), "H"), _levi_civita(nilpotent4(s), "L"), torsion_free):
+        M = conn.manifold
+        r = range(1, M.dim + 1)
+        curv = conn.curvature()
+        nabla = conn.nabla_vector
+        for i, j, z in [(i, j, z) for i in r for j in r for z in r]:
+            X, Y, Z = M.e(i), M.e(j), M.e(z)
+            R = nabla(X, nabla(Y, Z)) - nabla(Y, nabla(X, Z)) - nabla(M.lie_bracket(X, Y), Z)
+            omega = (M.e(k) * hook(Y, hook(X, curv[z - 1][k - 1])).scalar_part() for k in r)
+            assert R == sum(omega, M.zero()), (conn.prefix, i, j, z)
+        for k in r:
+            bianchi = sum((wedge(curv[j - 1][k - 1], M.e(j)) for j in r), M.zero())
+            assert not bianchi, (conn.prefix, k)
 
 
 def test_riemannian_lie_bracket():
@@ -681,7 +722,7 @@ def _reference_curvature(conn):
     r = range(1, n + 1)
     omega = {(j, k): _reference_connection_form(conn, j, k) for j in r for k in r}
     return [
-        [sum((wedge(omega[j, l], omega[l, k]) for l in r), conn.manifold.d(omega[j, k])) for k in r]
+        [sum((-wedge(omega[j, l], omega[l, k]) for l in r), conn.manifold.d(omega[j, k])) for k in r]
         for j in r
     ]
 

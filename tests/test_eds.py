@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from frameforms import (
     FileFormatError,
     FormBasis,
     FrameIndexError,
+    FrameMismatchError,
     GaussianRational,
     MixedDegreeError,
     NonLinearError,
@@ -178,22 +180,30 @@ def test_equations_for_vn_trivial_cases():
 def test_equations_for_vn_nonlinear_propagates():
     """Each term needs one omega factor and a constant coefficient.
 
-    cartan_test rejects the same ideals earlier, through is_linear.
+    equations_for_Vn and cartan_test make the same check of each
+    generator, with an error that names the offending term: NotLinearError
+    for the omega count, a plain NonLinearError for a symbolic
+    coefficient, FrameMismatchError for the forms of another bundle.
     """
     s = Session()
     P = frame_bundle(s, 2)
     bad = [
-        [P.omega(1, 1) * P.omega(1, 2)],
-        [P.theta(1) * P.omega(1, 1) * s.symbol("a")],
-        [P.theta(1)],
-        [P.omega(1, 1) * P.omega(1, 2) * P.omega(2, 1)],
+        ([P.omega(1, 1) * P.omega(1, 2)], NotLinearError, "e34 is not linear"),
+        ([P.theta(1) * P.omega(1, 1) * s.symbol("a")], NonLinearError, "a*e13 has a symbolic"),
+        ([P.theta(1)], NotLinearError, "e1 is not linear"),
+        ([P.omega(1, 1) * P.omega(1, 2) * P.omega(2, 1)], NotLinearError, "e345 is not linear"),
     ]
-    for ideal in bad:
-        with pytest.raises(NonLinearError):
+    for ideal, error, message in bad:
+        with pytest.raises(NonLinearError, match=re.escape(message)):
             equations_for_Vn(P, ideal)
-    for ideal in bad[2:]:
-        with pytest.raises(NotLinearError):
+        with pytest.raises(NonLinearError, match=re.escape(message)) as exc:
             cartan_test(P, ideal)
+        assert type(exc.value) is error
+    _, g2 = _g2()
+    for other in (frame_bundle(s, 7), frame_bundle(s, 3)):
+        for check in (equations_for_Vn, cartan_test):
+            with pytest.raises(FrameMismatchError):
+                check(other, g2)
 
 
 def test_vn_tableau_matches_substitution():
@@ -354,11 +364,15 @@ def test_cartan_test_mixed_degree_raises():
 
 
 def test_cartan_empty_ideal():
+    """No generator, or only the zero form, is the empty ideal; a nonzero scalar is not linear."""
     P = frame_bundle(Session(), 3)
-    report = cartan_test(P, [])
-    assert report.c == (0, 0, 0)
-    assert report.codim == 0
-    assert report.involutive
+    for ideal in ([], [0]):
+        report = cartan_test(P, ideal)
+        assert report.c == (0, 0, 0)
+        assert report.codim == 0
+        assert report.involutive
+    with pytest.raises(NotLinearError, match=re.escape("2*e[] is not linear")):
+        cartan_test(P, [2])
 
 
 def test_cartan_deterministic():
@@ -422,11 +436,11 @@ def test_incremental_polar_basis_matches_per_j_rebuild(systems):
             for j in range(P.n):
                 fresh = FormBasis(P.manifold)
                 for g, form in enumerate(ideal):
-                    new = [str(eq) for eq in eds._new_polar_equations(P, form, j, order)]
-                    assert [str(eq) for eq in tableau[g][j]] == new, (order, j, g)
                     eqs = reduced_polar_equations(P, form, j, order)
                     assert eqs == _recursive_polar_equations(P, form, j, order)
                     assert eqs[: len(previous[g])] == previous[g]
+                    new = [str(eq) for eq in eqs[len(previous[g]) :]]
+                    assert [str(eq) for eq in tableau[g][j]] == new, (order, j, g)
                     previous[g] = eqs
                     for eq in eqs:
                         fresh.insert(eq)
