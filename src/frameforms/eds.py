@@ -9,17 +9,18 @@ generators are never differentiated).
 On an integral n-plane each omega generator a is sum_j p_aj theta^j, so
 a linear term c theta^I ∧ omega_a adds ±c p_aj to the equation of
 theta^(I+j) for each j not in I: V_n is cut out by this constant map on
-the index pairs (a, j), the tableau.  Reduced polar equations contract
-ideal generators with flag vectors down to degree one, modulo the
-theta's; Cartan's test grows one basis of them along the flag and
-compares its ranks c_0..c_{n-1} with the codimension of V_n.
+the index pairs (a, j), the tableau, eliminated on the integer columns
+(a - n - 1)·n + (j - 1); the p's and V_n's Polys are made only when read.
+Reduced polar equations contract ideal generators with flag vectors down
+to degree one, modulo the theta's; Cartan's test grows one basis of them
+along the flag and compares its ranks c_0..c_{n-1} with codim V_n.
 
 The polar equations are read from the same tableau: contracting
 theta^I ∧ omega_a by the flag vectors of I, the last in the flag first,
 leaves ±omega_a, so each theta set I gives one equation sum ±c omega_a
 at the step after the flag position of I's last vector, the sign the
 parity of I read from that vector down.  _tableau is the one check of a
-generator, and cartan_test reads V_n and every polar step from it;
+generator, read once by cartan_test for V_n and every polar step;
 reduced_polar_equations contracts general forms with hook.
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import combinations
 
 from .basis import AffineBasis, FormBasis
@@ -41,7 +43,7 @@ from .errors import (
 )
 from .exterior import Form, _mono_key, as_form, degree, hook, parse_form
 from .manifold import FrameManifold, _content_lines
-from .scalar import Poly, Session
+from .scalar import Echelon, Poly, Session
 
 __all__ = [
     "FrameBundle",
@@ -56,7 +58,7 @@ __all__ = [
 
 
 class FrameBundle:
-    """The frame-bundle manifold of an n-dimensional base, plus Grassmannian symbols."""
+    """The frame-bundle manifold of an n-dimensional base, plus Grassmannian symbols p."""
 
     def __init__(self, session: Session, n: int):
         if not 1 <= n <= 9:
@@ -69,10 +71,12 @@ class FrameBundle:
             # d theta^i = sum_j theta^j ∧ omega_ij, one term per j.
             dtheta = {(j, i * n + j): one for j in range(1, n + 1)}
             self.manifold.declare_d(i, Form(self.manifold, dtheta))
-        self.p = {}
-        for i in range(n + 1, n * (n + 1) + 1):
-            for j in range(1, n + 1):
-                self.p[(i, j)] = session.symbol(f"p{i}{j}")
+
+    @cached_property
+    def p(self) -> dict:
+        """{(a, j): p_aj}, all n³ made on first read in (a, j) order."""
+        n, omegas = self.n, range(self.n + 1, self.n * (self.n + 1) + 1)
+        return {(a, j): self.session.symbol(f"p{a}{j}") for a in omegas for j in range(1, n + 1)}
 
     def theta(self, i: int) -> Form:
         if not 1 <= i <= self.n:
@@ -100,12 +104,14 @@ def frame_bundle(session: Session, n: int) -> FrameBundle:
     return FrameBundle(session, n)
 
 
-def is_linear(bundle: FrameBundle, ideal) -> bool:
-    """True when every monomial of every generator has exactly one omega factor.
+def _linear(mono, n) -> bool:
+    """True when a sorted monomial has exactly one omega factor, which is then its last."""
+    return bool(mono) and mono[-1] > n and (len(mono) == 1 or mono[-2] <= n)
 
-    It checks only that count; cartan_test does not call it (see _tableau).
-    """
-    return all(sum(g > bundle.n for g in mono) == 1 for form in ideal for mono in form.terms)
+
+def is_linear(bundle: FrameBundle, ideal) -> bool:
+    """True when every term of every generator, a form or scalar, has exactly one omega factor."""
+    return all(_linear(m, bundle.n) for form in ideal for m in as_form(bundle.manifold, form).terms)
 
 
 def _tableau(bundle: FrameBundle, form):
@@ -116,10 +122,9 @@ def _tableau(bundle: FrameBundle, form):
     factor and NonLinearError for one with a symbolic coefficient.
     """
     form = as_form(bundle.manifold, form)
-    n = bundle.n
     groups = {}
     for mono, c in form.terms.items():
-        linear = sum(g > n for g in mono) == 1
+        linear = _linear(mono, bundle.n)
         if not linear or not c.is_constant():
             term = Form(bundle.manifold, {mono: c})
             if not linear:
@@ -129,23 +134,19 @@ def _tableau(bundle: FrameBundle, form):
     return groups
 
 
-def equations_for_Vn(bundle: FrameBundle, ideal) -> AffineBasis:
-    """Equations cutting out the integral n-planes, as an affine equation set.
+def _vn_rows(n, tableaux) -> list:
+    """The independent rows {column of p_aj: c} of V_n, each tableau's in monomial order.
 
-    Each generator's tableau rows (see the module docstring) are inserted
-    in monomial order; the size is the codimension of V_n.  The sign of
-    theta^I ∧ theta^j = ±theta^(I+j) is -1 to the number of indices of I
-    above j.  A term c theta^I ∧ omega_a is the only one that gives the
-    row of I+j its p_aj entry, so entries are stored, never summed.
-    Raises _tableau's errors for a generator that is not a linear form
-    of the bundle.
+    The sign of theta^I ∧ theta^j = ±theta^(I+j) is -1 to the number of
+    indices of I above j.  A term c theta^I ∧ omega_a alone gives the row
+    of I+j its p_aj entry, so entries are stored, never summed.
     """
-    container = AffineBasis()
-    n, p = bundle.n, bundle.p
-    for form in ideal:
+    echelon = Echelon(int)  # a column pivots in its own order, that of the p's
+    kept = []
+    for groups in tableaux:
         rows = {}
-        for theta, terms in _tableau(bundle, form).items():
-            signed = [(a, (c, -c)) for a, c in terms]
+        for theta, terms in groups.items():
+            signed = [((a - n - 1) * n - 1, (c, -c)) for a, c in terms]
             k = len(theta)
             for j in range(1, n + 1):
                 pos = bisect_left(theta, j)
@@ -153,10 +154,29 @@ def equations_for_Vn(bundle: FrameBundle, ideal) -> AffineBasis:
                     continue
                 row = rows.setdefault(theta[:pos] + (j,) + theta[pos:], {})
                 parity = (k - pos) % 2
-                for a, s in signed:
-                    row[((p[(a, j)], 1),)] = s[parity]
-        for merged in sorted(rows, key=_mono_key):
-            container.insert(Poly(rows[merged]))
+                for column, s in signed:
+                    row[column + j] = s[parity]
+        for row in map(rows.get, sorted(rows, key=_mono_key)):
+            if echelon.insert(echelon.reduce(row)) is not None:  # None: row reduced to zero
+                kept.append(row)
+    return kept
+
+
+def _vn_polys(bundle: FrameBundle, rows) -> tuple:
+    """_vn_rows' rows as Polys in the p symbols."""
+    p = list(bundle.p.values())
+    return tuple(Poly({((p[column], 1),): c for column, c in row.items()}) for row in rows)
+
+
+def equations_for_Vn(bundle: FrameBundle, ideal) -> AffineBasis:
+    """Equations cutting out the integral n-planes, as an affine equation set.
+
+    The elements are _vn_rows' rows as Polys; the size is codim V_n.
+    Raises _tableau's errors for a generator that is not a linear form of the bundle.
+    """
+    container = AffineBasis()
+    for eq in _vn_polys(bundle, _vn_rows(bundle.n, [_tableau(bundle, form) for form in ideal])):
+        container.insert(eq)
     return container
 
 
@@ -177,6 +197,7 @@ def reduced_polar_equations(bundle: FrameBundle, form: Form, j: int, order=None)
     if not 0 <= j <= bundle.n:
         raise DimensionError(f"flag length {j} outside 0..{bundle.n}")
     order = _flag_order(bundle, order)
+    form = as_form(bundle.manifold, form)
     if j == 0 or degree(form) < 2:
         return [bundle.modulo_ic(form)] if degree(form) == 1 else []
     forms = (form, hook(bundle.theta(order[j - 1]), form))
@@ -184,7 +205,7 @@ def reduced_polar_equations(bundle: FrameBundle, form: Form, j: int, order=None)
 
 
 def _tableau_polar_equations(bundle: FrameBundle, form, order):
-    """The polar equations of a generator at each j = 0..n-1, read from its theta sets.
+    """The polar equations of a generator, or of its _tableau, at each j = 0..n-1.
 
     A theta set I gives sum ±c omega_a over its terms at step j = 1 + the
     flag position of I's last vector (j = 0 for the empty set; a set that
@@ -193,7 +214,7 @@ def _tableau_polar_equations(bundle: FrameBundle, form, order):
     last first, gives reduced_polar_equations' order.  Raises
     MixedDegreeError for theta sets of different sizes, as degree() does.
     """
-    groups = _tableau(bundle, form)
+    groups = form if isinstance(form, dict) else _tableau(bundle, form)
     if len({len(theta) for theta in groups}) > 1:
         raise MixedDegreeError(f"form has mixed degrees {sorted({len(t) + 1 for t in groups})}")
     steps = [[] for _ in range(bundle.n)]
@@ -210,34 +231,37 @@ def _tableau_polar_equations(bundle: FrameBundle, form, order):
 class CartanReport:
     """Polar ranks, codimension and verdict, with the equations behind them.
 
-    vn_equations are the retained equations of V_n; polar[j] the
-    retained polar equations at j in insertion order, a prefix of
-    polar[j + 1].  Equality and hashing look at (c, codim, involutive) only.
+    vn_equations are the retained equations of V_n, made on first read;
+    polar[j] the retained polar equations at j in insertion order, a
+    prefix of polar[j + 1].  Equality and hashing look at (c, codim, involutive) only.
     """
 
     c: tuple
     codim: int
     involutive: bool
-    vn_equations: tuple = field(default=(), compare=False)
     polar: tuple = field(default=(), compare=False)
+    _vn: object = field(default=tuple, compare=False, repr=False)
+
+    @cached_property
+    def vn_equations(self) -> tuple:
+        return self._vn()
 
 
 def cartan_test(bundle: FrameBundle, ideal, flag_order=None) -> CartanReport:
     """Cartan's involutivity test for a linear system at one flag.
 
-    Grows one polar basis along the flag, inserting at step j each
-    generator's equations at j, read from its tableau's theta sets (see
-    the module docstring) in reduced_polar_equations' order; c_j is its
-    rank then and the verdict is sum(c) == codim V_n.  _tableau checks
-    each generator first (FrameMismatchError, NotLinearError,
-    NonLinearError); then a bad flag raises DimensionError and a
-    generator of mixed degree MixedDegreeError.
+    Reads each generator's tableau once, for its V_n rows and its polar
+    equations.  Grows one polar basis along the flag, inserting at step j
+    each generator's equations at j in reduced_polar_equations' order;
+    c_j is its rank then and the verdict is sum(c) == codim V_n.
+    _tableau checks each generator first (FrameMismatchError,
+    NotLinearError, NonLinearError); then a bad flag raises
+    DimensionError and a generator of mixed degree MixedDegreeError.
     """
-    ideal = list(ideal)
-    container = equations_for_Vn(bundle, ideal)
+    tableaux = [_tableau(bundle, form) for form in ideal]
     order = _flag_order(bundle, flag_order)
-    codim = container.size()
-    steps = [_tableau_polar_equations(bundle, form, order) for form in ideal]
+    vn_rows = _vn_rows(bundle.n, tableaux)
+    steps = [_tableau_polar_equations(bundle, groups, order) for groups in tableaux]
     basis = FormBasis(bundle.manifold)
     polar = []
     for j in range(bundle.n):
@@ -246,7 +270,8 @@ def cartan_test(bundle: FrameBundle, ideal, flag_order=None) -> CartanReport:
                 basis.insert(eq)
         polar.append(basis.elements)
     c = tuple(len(eqs) for eqs in polar)
-    return CartanReport(c, codim, sum(c) == codim, container.elements, tuple(polar))
+    vn = partial(_vn_polys, bundle, vn_rows)
+    return CartanReport(c, len(vn_rows), sum(c) == len(vn_rows), tuple(polar), vn)
 
 
 def load_ideal(bundle: FrameBundle, text: str):

@@ -146,6 +146,20 @@ def test_p_grid_size():
     P = frame_bundle(Session(), 7)
     assert len(P.p) == 7 * 7 * 7
     assert str(P.p[(8, 1)]) == "p81"
+    # A plain test makes no symbol; reading its V_n equations makes the n³ p's.
+    s = Session()
+    before = s.next_index()
+    P = frame_bundle(s, 7)
+    report = cartan_test(P, g2_ideal(P))
+    assert s.next_index() == before + 1
+    assert len(report.vn_equations) == 49
+    assert s.next_index() == before + 2 + 7 * 7 * 7
+    # Reading the last p first still makes them all, in (a, j) order.
+    P = frame_bundle(Session(), 7)
+    last = P.p[(56, 7)]
+    indices = [P.p[(a, j)].index for a in range(8, 57) for j in range(1, 8)]
+    assert indices == sorted(indices) and indices[-1] == last.index
+    assert str(P.p[(8, 1)]) == "p81"
 
 
 def test_is_linear_examples():
@@ -153,6 +167,10 @@ def test_is_linear_examples():
     assert is_linear(P, ideal)
     assert not is_linear(P, [P.theta(1) * P.theta(2)])
     assert not is_linear(P, [P.omega(1, 1) * P.omega(1, 2)])
+    # A scalar is a degree-0 form: zero is the empty generator, a nonzero one is not linear.
+    assert is_linear(P, [0])
+    assert reduced_polar_equations(P, 0, 1) == []
+    assert not is_linear(P, [2])
 
 
 def test_equations_for_vn_g2():
@@ -200,20 +218,30 @@ def test_equations_for_vn_nonlinear_propagates():
             cartan_test(P, ideal)
         assert type(exc.value) is error
     _, g2 = _g2()
+    checks = (equations_for_Vn, cartan_test, is_linear)
+    checks += (lambda bundle, ideal: reduced_polar_equations(bundle, ideal[0], 0),)
     for other in (frame_bundle(s, 7), frame_bundle(s, 3)):
-        for check in (equations_for_Vn, cartan_test):
+        for check in checks:
             with pytest.raises(FrameMismatchError):
                 check(other, g2)
 
 
 def test_vn_tableau_matches_substitution():
-    """The tableau rows equal the substituted coefficients, printed and in order."""
+    """The tableau rows equal the substituted coefficients, printed and in order.
+
+    Both paths to them agree: equations_for_Vn's elements and the
+    report's vn_equations, whose count is the report's codim.
+    """
     rng = random.Random(11)
     systems = [_g2(), _spin7()]
     systems += [_random_linear_ideal(rng, 1 + i % 5) for i in range(60)]
     for P, ideal in systems:
         expected = [str(eq) for eq in _substituted_vn_equations(P, ideal)]
         assert [str(eq) for eq in equations_for_Vn(P, ideal).elements] == expected
+        report = cartan_test(P, ideal)
+        assert [str(eq) for eq in report.vn_equations] == expected
+        assert report.vn_equations == equations_for_Vn(P, ideal).elements
+        assert report.codim == len(report.vn_equations)
 
 
 def test_cartan_inequality_on_random_linear_ideals():
