@@ -19,12 +19,13 @@ that vanishes on the completion) and the components of x are
 sum_p x[p] T[p]; x lies in the span when the rows it pairs with also
 cancel it on the non-pivot columns.
 
-Two expression spaces are supported: differential forms (simple
-elements are wedge monomials of one manifold) and polynomials of degree
-at most one (simple elements are symbols, plus the constant coordinate
-used by AffineBasis).  Each space's constant_vec reads an expression's
-terms once into the constant row {simple element: GaussianRational}
-that both echelons take; decompose keeps Poly values for components().
+Each subclass is its own expression space: _sort_key orders its simple
+elements (wedge monomials of one manifold, or symbols and then CONST),
+_constant_vec reads an expression once into the constant row {simple
+element: GaussianRational} that both echelons take, _decompose keeps the
+Poly values for components(), and _build makes an expression from pairs.
+AffineBasis reads inconsistency off the echelon: CONST sorts last, so a
+row pivots on it exactly when an equation reduced to a nonzero constant.
 """
 
 from __future__ import annotations
@@ -48,56 +49,6 @@ class _ConstKey:
 CONST = _ConstKey()
 
 
-class _FormSpace:
-    def __init__(self, manifold):
-        self.manifold = manifold
-
-    def decompose(self, x):
-        return dict(as_form(self.manifold, x).terms)
-
-    def constant_vec(self, x):
-        out = {}
-        for k, p in as_form(self.manifold, x).terms.items():
-            if not p.is_constant():
-                raise NonConstantCoefficientError(
-                    "basis elements must have constant coefficients on simple elements"
-                )
-            v = p.terms.get(())
-            if v:
-                out[k] = v
-        return out
-
-    sort_key = staticmethod(_mono_key)
-
-    def build(self, pairs):
-        return Form(self.manifold, {k: Poly({(): c}) for k, c in pairs})
-
-
-class _PolySpace:
-    def constant_vec(self, x):
-        p = as_poly(x)
-        out = {}
-        for mono, c in p.terms.items():
-            if not mono:
-                out[CONST] = c
-            elif len(mono) == 1 and mono[0][1] == 1:
-                out[mono[0][0]] = c
-            else:
-                raise NonLinearError(f"{p} is not affine in its symbols")
-        return out
-
-    def decompose(self, x):
-        return {k: Poly.constant(c) for k, c in self.constant_vec(x).items()}
-
-    def sort_key(self, key):
-        if key is CONST:
-            return (1, 0)
-        return (0, key.index)
-
-    def build(self, pairs):
-        return Poly({() if k is CONST else ((k, 1),): c for k, c in pairs})
-
-
 class _Last:
     """Sort key that reverses another: the least _Last wraps the largest key."""
 
@@ -111,14 +62,14 @@ class _Last:
 
 
 class Basis:
-    """Ordered independent generating set over one expression space."""
+    """Ordered independent generating set over the expression space of a subclass."""
 
-    def __init__(self, space):
-        self._space = space
+    def __init__(self):
+        key = self._sort_key
         self._elements = []
-        self._echelon = Echelon(space.sort_key)
-        # Made by the first query: the bases of Cartan's test never query.
-        self._tagged = None
+        self._echelon = Echelon(key)
+        # Integer keys are the tag columns: they never pivot.
+        self._tagged = Echelon(lambda k: None if isinstance(k, int) else _Last(key(k)))
         self._simple = set()
         self._duals = None
         self.setup_count = 0
@@ -126,7 +77,7 @@ class Basis:
     @property
     def setup_ops(self):
         """Multiply-subtract steps spent by every set-up so far."""
-        return 0 if self._tagged is None else self._tagged.ops
+        return self._tagged.ops
 
     @property
     def elements(self):
@@ -144,33 +95,26 @@ class Basis:
     def __getitem__(self, i):
         return self._elements[i]
 
-    def _append(self, x):
-        """Append x when independent of the span; return its pivot, or None."""
-        red = self._echelon.reduce(self._space.constant_vec(x))
-        if not red:
-            return None
-        pivot = self._echelon.insert(red)
-        self._elements.append(x)
-        return pivot
-
     def insert(self, x) -> bool:
         """Append x verbatim when independent of the current span."""
-        return self._append(x) is not None
+        red = self._echelon.reduce(self._constant_vec(x))
+        if not red:
+            return False
+        self._echelon.insert(red)
+        self._elements.append(x)
+        return True
 
     # -- lazy dual/component machinery ------------------------------------
 
     def _setup(self):
         """Extend the tagged echelon by the elements appended since the last set-up."""
         ech = self._tagged
-        if ech is None:
-            key = self._space.sort_key
-            # Integer keys are the tag columns: they never pivot.
-            ech = self._tagged = Echelon(lambda k: None if isinstance(k, int) else _Last(key(k)))
-        elif len(ech.rows) == len(self._elements):
-            # Set up already: each element set up holds one row, as the elements are independent.
+        # Each element set up holds one row, as the elements are independent;
+        # the first query counts one set-up, even on an empty basis.
+        if self.setup_count and len(ech.rows) == len(self._elements):
             return
         for tag in range(len(ech.rows), len(self._elements)):
-            vec = self._space.constant_vec(self._elements[tag])
+            vec = self._constant_vec(self._elements[tag])
             self._simple.update(vec)
             vec[tag] = _ONE
             ech.insert(ech.reduce(vec))
@@ -184,7 +128,7 @@ class Basis:
         comps = [{} for _ in self._elements]
         # x minus the combination of the rows it pairs with, on the non-pivot columns.
         rest = {}
-        for key, p in self._space.decompose(x).items():
+        for key, p in self._decompose(x).items():
             if key not in self._simple:
                 raise NotInSpanError(f"{x} pairs with a simple element outside the basis span")
             row = rows.get(key)
@@ -212,7 +156,7 @@ class Basis:
                     if isinstance(k, int):
                         pairs[k].append((p, c))
             # Each list holds distinct pivots with nonzero constants.
-            self._duals = [self._space.build(q) for q in pairs]
+            self._duals = [self._build(q) for q in pairs]
         return list(self._duals)
 
 
@@ -220,26 +164,60 @@ class FormBasis(Basis):
     """Basis of differential forms over one manifold."""
 
     def __init__(self, manifold):
-        super().__init__(_FormSpace(manifold))
         self.manifold = manifold
+        super().__init__()
+
+    _sort_key = staticmethod(_mono_key)
+
+    def _constant_vec(self, x):
+        out = {}
+        for k, p in as_form(self.manifold, x).terms.items():
+            if not p.is_constant():
+                raise NonConstantCoefficientError(
+                    "basis elements must have constant coefficients on simple elements"
+                )
+            v = p.terms.get(())
+            if v:
+                out[k] = v
+        return out
+
+    def _decompose(self, x):
+        return as_form(self.manifold, x).terms
+
+    def _build(self, pairs):
+        return Form(self.manifold, {k: Poly({(): c}) for k, c in pairs})
 
 
 class SymbolBasis(Basis):
     """Basis of expressions linear in symbols (the constant counts as a coordinate)."""
 
-    def __init__(self):
-        super().__init__(_PolySpace())
+    @staticmethod
+    def _sort_key(key):
+        return (1, 0) if key is CONST else (0, key.index)
+
+    def _constant_vec(self, x):
+        p = as_poly(x)
+        out = {}
+        for mono, c in p.terms.items():
+            if not mono:
+                out[CONST] = c
+            elif len(mono) == 1 and mono[0][1] == 1:
+                out[mono[0][0]] = c
+            else:
+                raise NonLinearError(f"{p} is not affine in its symbols")
+        return out
+
+    def _decompose(self, x):
+        return {k: Poly.constant(c) for k, c in self._constant_vec(x).items()}
+
+    def _build(self, pairs):
+        return Poly({() if k is CONST else ((k, 1),): c for k, c in pairs})
 
 
 class AffineBasis(SymbolBasis):
     """Rank tracker for affine equation sets with contradiction detection."""
 
-    def __init__(self):
-        super().__init__()
-        self.inconsistent = False
-
-    def insert(self, x) -> bool:
-        pivot = self._append(x)
-        if pivot is CONST:
-            self.inconsistent = True
-        return pivot is not None
+    @property
+    def inconsistent(self):
+        """Whether some equation reduced to a nonzero constant; later inserts never remove its row."""
+        return CONST in self._echelon.rows

@@ -204,8 +204,8 @@ def reduced_polar_equations(bundle: FrameBundle, form: Form, j: int, order=None)
     return [eq for w in forms for eq in reduced_polar_equations(bundle, w, j - 1, order)]
 
 
-def _tableau_polar_equations(bundle: FrameBundle, form, order):
-    """The polar equations of a generator, or of its _tableau, at each j = 0..n-1.
+def _tableau_polar_equations(bundle: FrameBundle, groups, order):
+    """The polar equations of a generator's _tableau groups, at each j = 0..n-1.
 
     A theta set I gives sum ±c omega_a over its terms at step j = 1 + the
     flag position of I's last vector (j = 0 for the empty set; a set that
@@ -214,7 +214,6 @@ def _tableau_polar_equations(bundle: FrameBundle, form, order):
     last first, gives reduced_polar_equations' order.  Raises
     MixedDegreeError for theta sets of different sizes, as degree() does.
     """
-    groups = form if isinstance(form, dict) else _tableau(bundle, form)
     if len({len(theta) for theta in groups}) > 1:
         raise MixedDegreeError(f"form has mixed degrees {sorted({len(t) + 1 for t in groups})}")
     steps = [[] for _ in range(bundle.n)]

@@ -363,7 +363,7 @@ def test_lazy_setup_counter():
     b = FormBasis(M)
     b.insert(M.e(1) + M.e(2))
     b.insert(M.e(3))
-    assert b.setup_count == 0
+    assert b.setup_count == b.setup_ops == 0
     b.components(M.e(3))
     assert b.setup_count == 1
     b.dual_basis()
@@ -422,9 +422,12 @@ def test_setup_after_one_insert_extends_the_echelon():
 def test_empty_basis_queries():
     M = FrameManifold(Session(), 2)
     b = FormBasis(M)
+    assert b.setup_count == b.setup_ops == 0
     assert b.components(M.zero()) == []
+    assert b.setup_count == 1  # the first query counts one set-up, even on an empty basis
     with pytest.raises(NotInSpanError, match="outside the basis span"):
         b.components(M.e(1))
+    assert b.setup_count == 1 and b.setup_ops == 0
 
 
 def test_rejected_insert_keeps_the_epoch():
@@ -454,12 +457,11 @@ def _reference_setup(basis):
     independent of the span so far, in simple-element order; the tag part
     of row alpha is then row alpha of the inverse of the pairing matrix.
     """
-    space = basis._space
-    key = space.sort_key
+    key = basis._sort_key
     ech = Echelon(lambda k: None if isinstance(k, int) else key(k))
     simple = set()
     for tag, x in enumerate(basis.elements):
-        vec = space.constant_vec(x)
+        vec = basis._constant_vec(x)
         simple.update(vec)
         vec[tag] = _ONE
         ech.insert(ech.reduce(vec))
@@ -478,13 +480,13 @@ def _reference_setup(basis):
         for k, c in inverse[alpha].items():
             if k < m:
                 pairs[k].append((alpha, c))
-    return inverse, m, [space.build(p) for p in pairs]
+    return inverse, m, [basis._build(p) for p in pairs]
 
 
 def _reference_components(basis, x):
     inverse, m, _ = _reference_setup(basis)
     comps = [{} for _ in inverse]
-    for key, p in basis._space.decompose(x).items():
+    for key, p in basis._decompose(x).items():
         if not p:
             continue
         row = inverse.get(key)
@@ -527,12 +529,12 @@ def _seeded_bases(rng):
 def _draw(rng, basis, keys, kept):
     """An expression over keys, or a combination of kept elements (then dependent)."""
     if kept and rng.random() < 0.3:
-        out = basis._space.build([])
+        out = basis._build([])
         for x in rng.sample(kept, rng.randint(1, len(kept))):
             out = out + x * _gaussian(rng)
         return out
     pairs = [(k, _gaussian(rng)) for k in keys if rng.random() < 0.6]
-    return basis._space.build([(k, c) for k, c in pairs if c])
+    return basis._build([(k, c) for k, c in pairs if c])
 
 
 def test_incremental_setup_matches_from_scratch_reference():
@@ -549,7 +551,7 @@ def test_incremental_setup_matches_from_scratch_reference():
                 queries = [_draw(rng, basis, keys + extra, elements) for _ in range(3)]
                 queries.append(_draw(rng, basis, keys, elements))
                 if sym is not None and elements:
-                    combo = basis._space.build([])
+                    combo = basis._build([])
                     for x in elements:
                         combo = combo + x * (sym * _gaussian(rng) + _gaussian(rng))
                     queries.append(combo)
@@ -575,11 +577,11 @@ def test_components_match_sympy_solve():
             kept = basis.elements
             if not kept:
                 continue
-            vecs = [basis._space.constant_vec(x) for x in kept]
+            vecs = [basis._constant_vec(x) for x in kept]
             matrix = sympy.Matrix([[exact(v.get(k, _ZERO)) for k in keys + extra] for v in vecs]).T
             for _ in range(4):
                 x = _draw(rng, basis, keys + extra if rng.random() < 0.3 else keys, kept)
-                vec = basis._space.constant_vec(x)
+                vec = basis._constant_vec(x)
                 target = sympy.Matrix([exact(vec.get(k, _ZERO)) for k in keys + extra])
                 solutions = sympy.linsolve((matrix, target))
                 if not solutions:

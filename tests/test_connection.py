@@ -412,6 +412,54 @@ def test_curvature_is_the_curvature_of_nabla():
             assert not bianchi, (conn.prefix, k)
 
 
+def _two_step_nilpotent(rng, n):
+    """A seeded 2-step-nilpotent algebra: d of each last generator sums e_ab over the closed ones."""
+    M = FrameManifold(Session(), n)
+    closed = n // 2 + 1
+    for i in range(1, closed + 1):
+        M.declare_d(i, 0)
+    for i in range(closed + 1, n + 1):
+        w = M.zero()
+        for a in range(1, closed + 1):
+            for b in range(a + 1, closed + 1):
+                w = w + (M.e(a) * M.e(b)) * rng.randint(-2, 2)
+        M.declare_d(i, w)
+    return M
+
+
+def test_levi_civita_ricci_matches_milnor_formula():
+    """Ric(X,X) = -1/2 sum_i <[X,e_i],[X,e_i]> + 1/4 sum_{i,j} <[e_i,e_j],X>^2 on nilpotent algebras.
+
+    Milnor, "Curvatures of left invariant metrics on Lie groups" (1976), for
+    an orthonormal frame; Ric(e_i, e_l) = sum_k Omega_lk(e_k, e_i), with
+    Omega(A, B) read as hook(B, hook(A, Omega)).  X runs over e_i and
+    e_i + e_j, i < j; the right side comes from lie_bracket and pairing.
+    """
+    rng = random.Random(61)
+    s = Session()
+    seeded = [_two_step_nilpotent(rng, n) for n in (5, 6)]
+    for M in [heisenberg(s), nilpotent4(s), iwasawa6(s)] + seeded:
+        conn = _levi_civita(M, "L")
+        assert conn.free_parameters() == []
+        curv = conn.curvature()
+        r = range(1, M.dim + 1)
+        ric = {
+            (i, l): sum(hook(M.e(i), hook(M.e(k), curv[l - 1][k - 1])).scalar_part() for k in r)
+            for i in r
+            for l in r
+        }
+        for X in [[i] for i in r] + [[i, j] for i in r for j in r if i < j]:
+            lhs = sum(ric[i, l] for i in X for l in X)
+            vec = sum((M.e(i) for i in X), M.zero())
+            rhs = Fraction(0)
+            for i in r:
+                b = M.lie_bracket(vec, M.e(i))
+                rhs -= Fraction(1, 2) * pairing(b, b)
+                for j in r:
+                    rhs += Fraction(1, 4) * pairing(M.lie_bracket(M.e(i), M.e(j)), vec) ** 2
+            assert lhs == rhs, (M.dim, X)
+
+
 def test_riemannian_lie_bracket():
     s = Session()
     M = RiemannianManifold(s, 4)

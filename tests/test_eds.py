@@ -459,7 +459,7 @@ def test_incremental_polar_basis_matches_per_j_rebuild(systems):
     for P, ideal in systems():
         for order in _test_flags(P.n):
             report = cartan_test(P, ideal, order)
-            tableau = [eds._tableau_polar_equations(P, form, order) for form in ideal]
+            tableau = [eds._tableau_polar_equations(P, eds._tableau(P, form), order) for form in ideal]
             previous = [[] for _ in ideal]
             for j in range(P.n):
                 fresh = FormBasis(P.manifold)
