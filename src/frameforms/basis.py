@@ -1,9 +1,9 @@
 """Flag-preserving independent generating sets with lazy dual bases.
 
 A Basis stores the expressions it retains verbatim, in insertion order;
-dependence is decided against a separately maintained reduced-echelon
-shadow, so the flag span{x1..xk} of the first k retained inputs is
-never disturbed.
+dependence is decided by a separately maintained scalar.Rank, which
+keeps integer rows only to tell which inputs are independent, so the
+flag span{x1..xk} of the first k retained inputs is never disturbed.
 
 Duals and components come from a second, tagged echelon whose row k is
 element k plus a unit tag column k.  It pivots on each row's largest
@@ -22,17 +22,18 @@ cancel it on the non-pivot columns.
 Each subclass is its own expression space: _sort_key orders its simple
 elements (wedge monomials of one manifold, or symbols and then CONST),
 _constant_vec reads an expression once into the constant row {simple
-element: GaussianRational} that both echelons take, _decompose keeps the
-Poly values for components(), and _build makes an expression from pairs.
-AffineBasis reads inconsistency off the echelon: CONST sorts last, so a
-row pivots on it exactly when an equation reduced to a nonzero constant.
+element: GaussianRational} that the rank and the echelon take, _decompose
+keeps the Poly values for components(), and _build makes an expression
+from pairs.  AffineBasis reads inconsistency off the rank's pivots: CONST
+sorts last, so it is a pivot exactly when an equation reduced to a
+nonzero constant.
 """
 
 from __future__ import annotations
 
 from .errors import NonConstantCoefficientError, NonLinearError, NotInSpanError
 from .exterior import Form, _mono_key, as_form
-from .scalar import _ONE, Echelon, Poly, accumulate, as_poly
+from .scalar import _ONE, Echelon, Poly, Rank, accumulate, as_poly
 
 __all__ = ["Basis", "FormBasis", "SymbolBasis", "AffineBasis", "CONST"]
 
@@ -67,7 +68,7 @@ class Basis:
     def __init__(self):
         key = self._sort_key
         self._elements = []
-        self._echelon = Echelon(key)
+        self._rank = Rank(key)
         # Integer keys are the tag columns: they never pivot.
         self._tagged = Echelon(lambda k: None if isinstance(k, int) else _Last(key(k)))
         self._simple = set()
@@ -97,10 +98,8 @@ class Basis:
 
     def insert(self, x) -> bool:
         """Append x verbatim when independent of the current span."""
-        red = self._echelon.reduce(self._constant_vec(x))
-        if not red:
+        if not self._rank.insert(self._constant_vec(x)):
             return False
-        self._echelon.insert(red)
         self._elements.append(x)
         return True
 
@@ -219,5 +218,5 @@ class AffineBasis(SymbolBasis):
 
     @property
     def inconsistent(self):
-        """Whether some equation reduced to a nonzero constant; later inserts never remove its row."""
-        return CONST in self._echelon.rows
+        """Whether some equation reduced to a nonzero constant; later inserts never remove that pivot."""
+        return self._sort_key(CONST) in self._rank.pivots

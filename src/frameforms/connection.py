@@ -225,9 +225,20 @@ class Connection:
         """omega(X) as a function (j, k) -> the terms of omega_jk(X) = sum_i Gamma_ijk X^i.
 
         An entry is computed when first asked for, so each covariant
-        derivative reads only the symbols of the entries it uses.
+        derivative reads only the symbols of the entries it uses.  For X
+        a frame vector f_i the entry is Gamma_ijk's own terms, uncopied
+        unless negated; callers only read them.
         """
         support = self._components(X)
+        if len(support) == 1 and support[0][1] == {(): _ONE}:
+            i = support[0][0]
+
+            @functools.cache
+            def frame_entry(j, k):
+                terms, sign = self._terms(i, j, k)
+                return terms if sign > 0 else {m: -c for m, c in terms.items()}
+
+            return frame_entry
 
         @functools.cache
         def entry(j, k):

@@ -9,8 +9,9 @@ generators are never differentiated).
 On an integral n-plane each omega generator a is sum_j p_aj theta^j, so
 a linear term c theta^I ∧ omega_a adds ±c p_aj to the equation of
 theta^(I+j) for each j not in I: V_n is cut out by this constant map on
-the index pairs (a, j), the tableau, eliminated on the integer columns
-(a - n - 1)·n + (j - 1); the p's and V_n's Polys are made only when read.
+the index pairs (a, j), the tableau, whose independent rows scalar.Rank
+picks on the integer columns (a - n - 1)·n + (j - 1); the p's and V_n's
+Polys are made only when read.
 Reduced polar equations contract ideal generators with flag vectors down
 to degree one, modulo the theta's; Cartan's test grows one basis of them
 along the flag and compares its ranks c_0..c_{n-1} with codim V_n.
@@ -43,7 +44,7 @@ from .errors import (
 )
 from .exterior import Form, _mono_key, as_form, degree, hook, parse_form
 from .manifold import FrameManifold, _content_lines
-from .scalar import Echelon, Poly, Session
+from .scalar import Poly, Rank, Session
 
 __all__ = [
     "FrameBundle",
@@ -141,7 +142,7 @@ def _vn_rows(n, tableaux) -> list:
     indices of I above j.  A term c theta^I ∧ omega_a alone gives the row
     of I+j its p_aj entry, so entries are stored, never summed.
     """
-    echelon = Echelon(int)  # a column pivots in its own order, that of the p's
+    rank = Rank()  # a column pivots in its own order, that of the p's
     kept = []
     for groups in tableaux:
         rows = {}
@@ -157,7 +158,7 @@ def _vn_rows(n, tableaux) -> list:
                 for column, s in signed:
                     row[column + j] = s[parity]
         for row in map(rows.get, sorted(rows, key=_mono_key)):
-            if echelon.insert(echelon.reduce(row)) is not None:  # None: row reduced to zero
+            if rank.insert(row):
                 kept.append(row)
     return kept
 

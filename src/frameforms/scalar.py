@@ -15,19 +15,22 @@ equals only itself and hashes by identity (copying returns it), so
 symbols of different sessions never collide.  A session and every
 object created in it are confined to one thread at a time.
 
-accumulate is the one sparse-sum step: polynomials, forms, spinors and
-echelon rows all add coefficients into their term dicts through it.
+accumulate is the one sparse-sum step: polynomials, forms, spinors, and
+echelon and rank rows all add coefficients into their term dicts through it.
 _scaled is the one step that scales such pairs by a Q(i) constant, and
 a constant of 1 or -1 costs no multiplication.
 _SparseVector, the base of Poly, Form and Spinor, holds their shared
 vector-space operators (sum, difference, negation, truth, scaling) over
 that dict, so each subclass gives only its coercion, its product, its
 equality and its printing.
-Echelon is the one exact elimination kernel: linear_solve, the bases
-and the connection declarations all reduce through it.  Echelon.over
-and Echelon.impose_linear are the one affine-row step: the unknowns'
-linear monomials are the only pivots, and every equation is checked to
-give each unknown a constant coefficient before any is imposed.
+Echelon is the one exact elimination kernel wherever rows are read:
+linear_solve, the connection declarations and the bases' tagged
+dual/components echelon.  Echelon.over and Echelon.impose_linear are
+the one affine-row step: the unknowns' linear monomials are the only
+pivots, and every equation is checked to give each unknown a constant
+coefficient before any is imposed.  Rank only decides which rows are
+independent (Cartan's V_n, every basis's insert), by fraction-free
+elimination on Gaussian-integer rows held as plain ints.
 _signed_sum is the one joiner of printed terms into a sum.
 """
 
@@ -664,6 +667,81 @@ class Echelon:
             p[0][0]: Poly({m: -c for m, c in rows[p].items() if m != p})
             for p in (rows if pivots is None else pivots)
         }
+
+
+class Rank:
+    """Which rows are independent, by fraction-free elimination over Z[i].
+
+    Echelon's rank-only twin, for callers that read which rows are
+    independent and never the rows themselves.  A row {key:
+    GaussianRational} is cleared to Gaussian integers over its common
+    denominator and held as two int dicts, its real and imaginary parts,
+    keyed by `order(key)` (the key itself for order None), so a plain
+    min finds its least key.  Against the stored row r of that key, with
+    lead lam there and the row's entry mu, v <- lam*v - mu*r cancels the
+    key, and v is divided by its integer content (Bareiss, Math. Comp.
+    22, 1968, without the exact division step).  No row is made unit or
+    back-substituted.  `pivots` maps each stored row's least key to its
+    (re, im) dicts; the set of its keys is that of Echelon's rows over
+    the same order, since both are the least keys of the span.
+    """
+
+    __slots__ = ("order", "pivots")
+
+    def __init__(self, order=None):
+        self.order = order
+        self.pivots = {}
+
+    def insert(self, vec) -> bool:
+        """Store vec and return True, unless it lies in the span of the stored rows."""
+        order = self.order
+        if order is not None:
+            vec = {order(k): c for k, c in vec.items()}
+        den = 1
+        for c in vec.values():
+            if c._d != 1:
+                den = den * c._d // gcd(den, c._d)
+        if den == 1:
+            re = {k: c._a for k, c in vec.items() if c._a}
+            im = {k: c._b for k, c in vec.items() if c._b}
+        else:
+            re = {k: c._a * (den // c._d) for k, c in vec.items() if c._a}
+            im = {k: c._b * (den // c._d) for k, c in vec.items() if c._b}
+        pivots = self.pivots
+        while re or im:
+            lead = min(im) if not re else min(re) if not im else min(min(re), min(im))
+            row = pivots.get(lead)
+            if row is None:
+                pivots[lead] = (re, im)
+                return True
+            r_re, r_im = row
+            lr, li, mr, mi = r_re.get(lead, 0), r_im.get(lead, 0), re.get(lead, 0), im.get(lead, 0)
+            # Scaling lam and mu by one nonzero factor keeps the span, so
+            # drop their common content, and the sign of a negative real lam.
+            g = gcd(lr, li, mr, mi)
+            if li == 0 and lr < 0:
+                g = -g
+            lr, li, mr, mi = lr // g, li // g, mr // g, mi // g
+            if li or lr != 1:
+                # v <- lam*v into new dicts, as each part reads both old parts;
+                # for lam = 1 the parts update in place, each reading only itself.
+                v_re, v_im = re, im
+                re = {k: lr * x for k, x in v_re.items()} if lr else {}
+                im = {k: lr * x for k, x in v_im.items()} if lr else {}
+                if li:
+                    accumulate(re, ((k, -li * x) for k, x in v_im.items()))
+                    accumulate(im, ((k, li * x) for k, x in v_re.items()))
+            if mr:
+                accumulate(re, ((k, -mr * x) for k, x in r_re.items()))
+                accumulate(im, ((k, -mr * x) for k, x in r_im.items()))
+            if mi:
+                accumulate(re, ((k, mi * x) for k, x in r_im.items()))
+                accumulate(im, ((k, -mi * x) for k, x in r_re.items()))
+            content = gcd(*re.values(), *im.values())
+            if content > 1:
+                re = {k: x // content for k, x in re.items()}
+                im = {k: x // content for k, x in im.items()}
+        return False
 
 
 @dataclass(frozen=True)

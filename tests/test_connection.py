@@ -843,28 +843,42 @@ def _oracle_cases(rng):
 
 
 def test_flat_paths_match_reference_formulas():
-    """nabla, connection forms, torsion and curvature agree with the Poly-sum formulas."""
+    """nabla, connection forms, torsion and curvature agree with the Poly-sum formulas.
+
+    Besides random vectors X, every frame vector f_i is an X, where
+    omega_jk(f_i) is Gamma_ijk itself; the cases cover symmetric and
+    antisymmetric connections in simple and non-simple frames.
+    """
     rng = random.Random(2024)
     nonzero = 0
+    kinds = set()
     for name, conn, x in _oracle_cases(rng):
         M = conn.manifold
         n = M.dim
         for j in range(1, n + 1):
             for k in range(1, n + 1):
                 assert conn.connection_form(j, k) == _reference_connection_form(conn, j, k), name
+        simple = all(f in M.generators() for f in conn.frame)
+        kinds.add((conn.antisymmetric, simple))
+        frame_vectors = conn.frame.dual_basis()
         for _ in range(3):
             X, T = _rand_symbolic_vector(rng, M, x), _rand_symbolic_vector(rng, M, x)
+            for Y in frame_vectors:
+                assert conn.nabla_vector(Y, T) == _reference_nabla_vector(conn, Y, T), name
             got = conn.nabla_vector(X, T)
             assert got == _reference_nabla_vector(conn, X, T), name
             nonzero += bool(got)
             w = _rand_form(rng, M, x) * (1 + I)
-            assert conn.nabla_form(X, w) == _reference_nabla_form(conn, X, w), name
+            for Y in (X, *frame_vectors):
+                assert conn.nabla_form(Y, w) == _reference_nabla_form(conn, Y, w), name
             if conn.antisymmetric and hasattr(M, "clifford"):
                 psi = _rand_spinor(rng, M.clifford.spinor_dim, x)
-                assert conn.nabla_spinor(X, psi) == _reference_nabla_spinor(conn, X, psi), name
+                for Y in (X, *frame_vectors):
+                    assert conn.nabla_spinor(Y, psi) == _reference_nabla_spinor(conn, Y, psi), name
         assert conn.torsion() == _reference_cartan_torsion(conn), name
         assert conn.curvature() == _reference_curvature(conn), name
     assert nonzero >= 20
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_riemannian_d_matches_reference():

@@ -2,11 +2,11 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from frameforms import (
-    AffineBasis,
     CartanReport,
     DimensionError,
     FileFormatError,
@@ -33,6 +33,7 @@ from frameforms import (
 )
 from frameforms import eds, exterior
 from frameforms.cli import G2_PHI, G2_STAR_PHI, g2_ideal
+from frameforms.scalar import Echelon
 
 # The Cayley 4-form; d of it generates the Spin(7) system on n = 8.
 SPIN7_PHI = "1234+1256+1278+3456+3478+5678+1357-1368-1458-1467-2358-2367-2457+2468"
@@ -71,20 +72,26 @@ def _recursive_polar_equations(P, form, j, order):
     )
 
 
+def _substituted_coefficients(P, ideal):
+    """Reference: substitute omega_a = sum_j p_aj theta^j and collect every coefficient, in order."""
+    rules = {
+        a: sum((P.theta(j) * P.p[(a, j)] for j in range(1, P.n + 1)), P.manifold.zero())
+        for a in range(P.n + 1, P.n * (P.n + 1) + 1)
+    }
+    return [coeff for form in ideal for _, coeff in substitute_form(form, rules).coefficients()]
+
+
 def _substituted_vn_equations(P, ideal):
-    """Reference: substitute omega_a = sum_j p_aj theta^j and collect every coefficient."""
-    n = P.n
-    rules = {}
-    for a in range(n + 1, n * (n + 1) + 1):
-        x = P.manifold.zero()
-        for j in range(1, n + 1):
-            x = x + P.theta(j) * P.p[(a, j)]
-        rules[a] = x
-    container = AffineBasis()
-    for form in ideal:
-        for _, coeff in substitute_form(form, rules).coefficients():
-            container.insert(coeff)
-    return container.elements
+    """Reference: the substituted coefficients that a greedy Echelon selection keeps.
+
+    Every coefficient is linear in the p's, which pivot in creation order.
+    """
+    ech, kept = Echelon(lambda mono: mono[0][0].index), []
+    for coeff in _substituted_coefficients(P, ideal):
+        red = ech.reduce(coeff.terms)
+        if red and ech.insert(red) is not None:
+            kept.append(coeff)
+    return kept
 
 
 def _random_linear_ideal(rng, n):
@@ -589,3 +596,52 @@ def test_g2_numbers_against_independent_echelon():
                 row[pos[mono[0][0]]] = coeff
             rows.append(row)
         assert _echelon_rank_dense(rows) == codim
+
+
+# The Calabi-Yau system on n = 6: the Kaehler form and the real and
+# imaginary parts psi± of Omega = (e1 + i e2)(e3 + i e4)(e5 + i e6).
+CY3_REAL = "d: 12+34+56\nd: 135-146-236-245\nd: 136+145+235-246\n"
+CY3_COMPLEX = Path(__file__).with_name("data") / "cy3_complex.ideal"
+
+
+def _reference_vn_rows(P, ideal):
+    """Reference: _substituted_vn_equations as rows on the integer columns of _vn_rows."""
+    n = P.n
+    column = {P.p[(a, j)]: (a - n - 1) * n + j - 1 for a, j in P.p}
+    return [
+        {column[mono[0][0]]: c for mono, c in eq.terms.items()}
+        for eq in _substituted_vn_equations(P, ideal)
+    ]
+
+
+def test_cy3_real_and_complex_tableaux_agree():
+    """dω, dψ₊, dψ₋ and dω, dΩ, dΩ̄ give the same characters and codim 42.
+
+    dΩ = dψ₊ + i dψ₋ and dΩ̄ = dψ₊ − i dψ₋, so both ideals span the same
+    Q(i) space of equations at every flag.  The stabilizer of (ω, Ω) is
+    SU(3), and the three derivatives determine the intrinsic torsion
+    (Chiossi–Salamon), which lies in R^6 ⊗ (so(6)/su(3)); so codim V_6
+    is 6·(dim so(6) − dim su(3)) = 6·(15 − 8) = 42, as G2's 49 is
+    7·(21 − 14).  The identity flag is not generic: it gives
+    c = (0, 0, 1, 5, 10, 22), 38 < 42, and the seeded flag gives 42.
+    V_n's kept rows are those of a greedy Echelon selection over every
+    substituted coefficient, for the complex rows as for the real.
+    """
+    codim = 6 * (6 * 5 // 2 - 8)  # n·(dim so(6) − dim su(3))
+    P = frame_bundle(Session(), 6)
+    real = load_ideal(P, CY3_REAL)
+    complex_ = load_ideal(P, CY3_COMPLEX.read_text(encoding="utf-8"))
+    assert any(c.im for form in complex_ for p in form.terms.values() for c in p.terms.values())
+    identity, seeded = _seeded_flags(6, 1, 0)
+    expected = {
+        tuple(identity): ((0, 0, 1, 5, 10, 22), False),
+        tuple(seeded): ((0, 0, 1, 5, 14, 22), True),
+    }
+    for flag, (c, involutive) in expected.items():
+        for ideal in (real, complex_):
+            report = cartan_test(P, ideal, flag)
+            assert (report.c, report.codim, report.involutive) == (c, codim, involutive), flag
+    for ideal in (real, complex_):
+        kept = eds._vn_rows(P.n, [eds._tableau(P, form) for form in ideal])
+        assert kept == _reference_vn_rows(P, ideal)
+        assert len(kept) == codim == 42

@@ -15,7 +15,7 @@ from frameforms import (
     Session,
     linear_solve,
 )
-from frameforms.scalar import Echelon, Symbol, _make
+from frameforms.scalar import Echelon, Rank, Symbol, _make
 
 
 def test_gaussian_rational_arithmetic():
@@ -431,6 +431,99 @@ def test_echelon_impose_raises_and_stores_nothing_on_contradiction():
         assert ech.rows == before
     ech.impose((x - y).terms)
     assert ech.solved() == {x: Poly.constant(Fraction(1, 2)), y: Poly.constant(Fraction(1, 2))}
+
+
+def _echelon_accepts(ech, vec):
+    """Whether Echelon.reduce + Echelon.insert store vec as a new row."""
+    red = ech.reduce(vec)
+    return bool(red) and ech.insert(red) is not None
+
+
+class _BudgetedPivots(dict):
+    """Rank.pivots that fails an insert after 20 reduction steps.
+
+    Rank.insert looks up one pivot per step, and a row of k keys takes
+    at most k steps, so a lead that never cancels fails instead of
+    hanging; reset `steps` before each insert.
+    """
+
+    steps = 0
+
+    def get(self, key, default=None):
+        self.steps += 1
+        if self.steps > 20:
+            raise AssertionError("Rank.insert keeps reducing one row: a lead did not cancel")
+        return super().get(key, default)
+
+
+def _budgeted_rank():
+    rank = Rank()
+    rank.pivots = _BudgetedPivots()
+    return rank
+
+
+def _insert(rank, vec):
+    rank.pivots.steps = 0
+    return rank.insert(vec)
+
+
+def test_rank_decides_a_unit_pivot_with_an_imaginary_part():
+    """A stored lead of 1+i: the multiple (1-i)·row of it is dependent, the row plus 1 is not."""
+    half = Fraction(1, 2)
+    rows = [
+        ({0: GaussianRational(1, 1), 1: GaussianRational(1)}, True),
+        ({0: GaussianRational(2), 1: GaussianRational(1, -1)}, False),
+        ({0: GaussianRational(half, half), 1: GaussianRational(half)}, False),
+        ({0: GaussianRational(1, 1), 1: GaussianRational(2)}, True),
+        ({1: I}, False),
+    ]
+    rank = _budgeted_rank()
+    for vec, independent in rows:
+        assert _insert(rank, vec) == independent, vec
+    assert set(rank.pivots) == {0, 1}
+
+
+def test_rank_accepts_exactly_the_rows_echelon_accepts():
+    """On random Q(i) rows and dependent combinations of them, Rank and Echelon agree.
+
+    Each row is accepted by both or by neither, and Rank's pivot keys are
+    Echelon's row keys.  Entries draw fractions, imaginary parts and
+    leads such as 1+i; a dependent row is a Q(i) combination of earlier
+    rows, sometimes plus a small perturbation that makes it independent.
+    """
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    parts = st.sampled_from([Fraction(n, d) for n, d in ((0, 1), (1, 1), (-1, 1), (2, 1), (1, 2), (-3, 4))])
+    entries = st.builds(GaussianRational, parts, parts)
+    rows = st.dictionaries(st.integers(0, 5), entries, max_size=6).map(
+        lambda d: {k: v for k, v in d.items() if v}
+    )
+
+    def combination(data, earlier):
+        out = {}
+        for row in data.draw(st.lists(st.sampled_from(earlier), min_size=1, max_size=3)):
+            c = data.draw(entries.filter(bool))
+            for k, v in row.items():
+                out[k] = out.get(k, 0) + c * v
+        return {k: v for k, v in out.items() if v}
+
+    @hyp.settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @hyp.given(st.data())
+    def check(data):
+        rank, ech = _budgeted_rank(), Echelon(lambda k: k)
+        seen = []
+        for _ in range(data.draw(st.integers(1, 9))):
+            if seen and data.draw(st.booleans()):
+                vec = combination(data, seen)
+                if data.draw(st.integers(0, 3)) == 0:
+                    vec.update(data.draw(rows))
+            else:
+                vec = data.draw(rows)
+            assert _insert(rank, vec) == _echelon_accepts(ech, vec), vec
+            seen.append(vec)
+        assert set(rank.pivots) == set(ech.rows)
+
+    check()
 
 
 def test_linear_solve_no_assigned_symbol_in_rhs():
