@@ -9,19 +9,16 @@ generators are never differentiated).
 On an integral n-plane each omega generator a is sum_j p_aj theta^j, so
 a linear term c theta^I ∧ omega_a adds ±c p_aj to the equation of
 theta^(I+j) for each j not in I: V_n is cut out by this constant map on
-the index pairs (a, j), the tableau, whose independent rows scalar.Rank
-picks on the integer columns (a - n - 1)·n + (j - 1); the p's and V_n's
-Polys are made only when read.
-Reduced polar equations contract ideal generators with flag vectors down
-to degree one, modulo the theta's; Cartan's test grows one basis of them
-along the flag and compares its ranks c_0..c_{n-1} with codim V_n.
+the index pairs (a, j), the tableau.  Reduced polar equations contract
+ideal generators with flag vectors down to degree one, modulo the
+theta's.  Contracting theta^I ∧ omega_a by the flag vectors of I, the
+last in the flag first, leaves ±omega_a, so each theta set I gives the
+row sum ±c omega_a at the step after the flag position of its last vector.
 
-The polar equations are read from the same tableau: contracting
-theta^I ∧ omega_a by the flag vectors of I, the last in the flag first,
-leaves ±omega_a, so each theta set I gives one equation sum ±c omega_a
-at the step after the flag position of I's last vector, the sign the
-parity of I read from that vector down.  _tableau is the one check of a
-generator, read once by cartan_test for V_n and every polar step;
+cartan_test reads each generator's tableau once and passes V_n's rows,
+on the integer columns (a - n - 1)·n + (j - 1), and the polar rows along
+the flag, on the omega indices a, through scalar.Rank; the p's, V_n's
+Polys and the polar Forms are made only when the report is read.
 reduced_polar_equations contracts general forms with hook.
 """
 
@@ -29,10 +26,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations
 
-from .basis import AffineBasis, FormBasis
+from .basis import AffineBasis
 from .errors import (
     DimensionError,
     FileFormatError,
@@ -205,25 +202,24 @@ def reduced_polar_equations(bundle: FrameBundle, form: Form, j: int, order=None)
     return [eq for w in forms for eq in reduced_polar_equations(bundle, w, j - 1, order)]
 
 
-def _tableau_polar_equations(bundle: FrameBundle, groups, order):
-    """The polar equations of a generator's _tableau groups, at each j = 0..n-1.
+def _tableau_polar_equations(groups, order):
+    """The polar equations of a generator's _tableau groups, as rows {a: ±c} at each j = 0..n-1.
 
-    A theta set I gives sum ±c omega_a over its terms at step j = 1 + the
-    flag position of I's last vector (j = 0 for the empty set; a set that
-    holds the n-th flag vector gives none).  The sign is the parity of I
-    read from its last flag vector down, and sorting by the positions,
-    last first, gives reduced_polar_equations' order.  Raises
+    A theta set I gives the row of sum ±c omega_a over its terms at step
+    j = 1 + the flag position of I's last vector (j = 0 for the empty set;
+    a set that holds the n-th flag vector gives none).  The sign is the
+    parity of I read from its last flag vector down, and sorting by the
+    positions, last first, gives reduced_polar_equations' order.  Raises
     MixedDegreeError for theta sets of different sizes, as degree() does.
     """
     if len({len(theta) for theta in groups}) > 1:
         raise MixedDegreeError(f"form has mixed degrees {sorted({len(t) + 1 for t in groups})}")
-    steps = [[] for _ in range(bundle.n)]
+    steps = [[] for _ in order]
     for qs, theta in sorted((sorted(map(order.index, t), reverse=True), t) for t in groups):
         j = qs[0] + 1 if qs else 0
-        if j < bundle.n:
+        if j < len(order):
             odd = sum(order[q] < order[p] for p, q in combinations(qs, 2)) % 2
-            eq = {(a,): Poly({(): -c if odd else c}) for a, c in groups[theta]}
-            steps[j].append(Form(bundle.manifold, eq))
+            steps[j].append({a: -c if odd else c for a, c in groups[theta]})
     return steps
 
 
@@ -231,47 +227,51 @@ def _tableau_polar_equations(bundle: FrameBundle, groups, order):
 class CartanReport:
     """Polar ranks, codimension and verdict, with the equations behind them.
 
-    vn_equations are the retained equations of V_n, made on first read;
-    polar[j] the retained polar equations at j in insertion order, a
-    prefix of polar[j + 1].  Equality and hashing look at (c, codim, involutive) only.
+    vn_equations (Polys) and polar (Forms, polar[j] the first c_j retained
+    polar equations) are made from the kept rows on first read, () for a
+    report without its bundle.  repr, equality and hashing see (c, codim, involutive).
     """
 
     c: tuple
     codim: int
     involutive: bool
-    polar: tuple = field(default=(), compare=False)
-    _vn: object = field(default=tuple, compare=False, repr=False)
+    _bundle: object = field(default=None, compare=False, repr=False)
+    _vn_kept: tuple = field(default=(), compare=False, repr=False)
+    _polar_kept: tuple = field(default=(), compare=False, repr=False)
 
     @cached_property
     def vn_equations(self) -> tuple:
-        return self._vn()
+        return _vn_polys(self._bundle, self._vn_kept) if self._bundle else ()
+
+    @cached_property
+    def polar(self) -> tuple:
+        if not self._bundle:
+            return ()
+        M = self._bundle.manifold
+        forms = [Form(M, {(a,): Poly({(): c}) for a, c in row.items()}) for row in self._polar_kept]
+        return tuple(tuple(forms[:k]) for k in self.c)
 
 
 def cartan_test(bundle: FrameBundle, ideal, flag_order=None) -> CartanReport:
     """Cartan's involutivity test for a linear system at one flag.
 
     Reads each generator's tableau once, for its V_n rows and its polar
-    equations.  Grows one polar basis along the flag, inserting at step j
-    each generator's equations at j in reduced_polar_equations' order;
-    c_j is its rank then and the verdict is sum(c) == codim V_n.
-    _tableau checks each generator first (FrameMismatchError,
-    NotLinearError, NonLinearError); then a bad flag raises
-    DimensionError and a generator of mixed degree MixedDegreeError.
+    rows.  One Rank takes the polar rows along the flag, at step j each
+    generator's rows at j in reduced_polar_equations' order; c_j counts
+    the rows kept so far and the verdict is sum(c) == codim V_n.  Every
+    check runs before any elimination: _tableau checks each generator
+    (FrameMismatchError, NotLinearError, NonLinearError); then a bad flag
+    raises DimensionError and a generator of mixed degree MixedDegreeError.
     """
     tableaux = [_tableau(bundle, form) for form in ideal]
     order = _flag_order(bundle, flag_order)
+    steps = [_tableau_polar_equations(groups, order) for groups in tableaux]
     vn_rows = _vn_rows(bundle.n, tableaux)
-    steps = [_tableau_polar_equations(bundle, groups, order) for groups in tableaux]
-    basis = FormBasis(bundle.manifold)
-    polar = []
+    rank, kept, c = Rank(), [], []
     for j in range(bundle.n):
-        for form_steps in steps:
-            for eq in form_steps[j]:
-                basis.insert(eq)
-        polar.append(basis.elements)
-    c = tuple(len(eqs) for eqs in polar)
-    vn = partial(_vn_polys, bundle, vn_rows)
-    return CartanReport(c, len(vn_rows), sum(c) == len(vn_rows), tuple(polar), vn)
+        kept += [row for form_steps in steps for row in form_steps[j] if rank.insert(row)]
+        c.append(len(kept))
+    return CartanReport(tuple(c), len(vn_rows), sum(c) == len(vn_rows), bundle, vn_rows, kept)
 
 
 def load_ideal(bundle: FrameBundle, text: str):

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ G2_IDEAL_FILE = (
     "d: 1234-6712-6734-7513-7542-5614-5623\n"
 )
 SPIN7_IDEAL_FILE = "d: 1234+1256+1278+3456+3478+5678+1357-1368-1458-1467-2358-2367-2457+2468\n"
+# Calabi-Yau 3-fold forms with complex coefficients: V_n and polar lines print i.
+CY3_COMPLEX_FILE = (Path(__file__).with_name("data") / "cy3_complex.ideal").read_text()
 
 GOLDEN = {
     "nilpotent-torsion": (
@@ -124,8 +127,20 @@ def test_eds_command_flag_and_verbose(tmp_path):
             None,
             "fbcfcd5ab914deef828c0e41bd4d891f203017bc625d350d729486fa174b1fc9",
         ),
+        (
+            CY3_COMPLEX_FILE,
+            6,
+            None,
+            "909b0c11ae52180aa4b7898638cc81588fc311dc0e2511388cbc6c3292ca607b",
+        ),
+        (
+            CY3_COMPLEX_FILE,
+            6,
+            "4,6,1,2,3,5",
+            "738bb0af01ad02816f933252dfe865e384872579a9df0a5664ce35e974decf80",
+        ),
     ],
-    ids=["g2", "g2-flag", "spin7"],
+    ids=["g2", "g2-flag", "spin7", "cy3-complex", "cy3-complex-flag"],
 )
 def test_eds_verbose_output_pinned(tmp_path, ideal_text, dim, flag, digest):
     """The whole --verbose stdout, V_n and polar lines included, byte for byte."""

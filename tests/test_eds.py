@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 from frameforms import (
+    Basis,
     CartanReport,
     DimensionError,
     FileFormatError,
+    Form,
     FormBasis,
     FrameIndexError,
     FrameMismatchError,
@@ -33,7 +35,7 @@ from frameforms import (
 )
 from frameforms import eds, exterior
 from frameforms.cli import G2_PHI, G2_STAR_PHI, g2_ideal
-from frameforms.scalar import Echelon
+from frameforms.scalar import Echelon, Rank
 
 # The Cayley 4-form; d of it generates the Spin(7) system on n = 8.
 SPIN7_PHI = "1234+1256+1278+3456+3478+5678+1357-1368-1458-1467-2358-2367-2457+2468"
@@ -365,8 +367,8 @@ def test_cartan_test_builds_no_fraction(monkeypatch, n, text, c):
 def test_cartan_test_hooks_and_wraps_nothing(monkeypatch, n, text, c):
     """After the ideal is loaded: no hook, and no Poly.constant wrapping.
 
-    The polar equations come from the tableau, and every basis reads its
-    constant rows straight from the terms.
+    The polar equations come from the tableau as rows, and no basis is
+    involved.
     """
     P = frame_bundle(Session(), n)
     ideal = load_ideal(P, text)
@@ -390,12 +392,51 @@ def test_cartan_test_hooks_and_wraps_nothing(monkeypatch, n, text, c):
     assert calls == []
 
 
-def test_cartan_test_mixed_degree_raises():
-    """A generator of mixed degree is rejected as before the tableau path."""
+def test_cartan_test_mixed_degree_raises(monkeypatch):
+    """A generator of mixed degree is rejected before any row reaches a Rank."""
     P = frame_bundle(Session(), 2)
     ideal = load_ideal(P, "d: 1+12\n")
+    inserts = []
+    real_insert = Rank.insert
+
+    def counting_insert(self, vec):
+        inserts.append(vec)
+        return real_insert(self, vec)
+
+    monkeypatch.setattr(Rank, "insert", counting_insert)
     with pytest.raises(MixedDegreeError, match=r"form has mixed degrees \[2, 3\]"):
         cartan_test(P, ideal)
+    assert inserts == []
+
+
+def test_cartan_test_counts_rows_and_builds_forms_when_read(monkeypatch):
+    """cartan_test makes no Form, no Poly and no Basis.insert call on G2.
+
+    The report makes its polar Forms on first read, polar[j] holding c_j
+    of them, and keeps them; a report built by hand has no equations.
+    """
+    P, ideal = _g2()
+    counts = {"Form": 0, "Poly": 0, "Basis.insert": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Form, "__init__", counting("Form", Form.__init__))
+    monkeypatch.setattr(Poly, "__init__", counting("Poly", Poly.__init__))
+    monkeypatch.setattr(Basis, "insert", counting("Basis.insert", Basis.insert))
+    report = cartan_test(P, ideal)
+    assert counts == {"Form": 0, "Poly": 0, "Basis.insert": 0}
+    monkeypatch.undo()
+    assert tuple(len(eqs) for eqs in report.polar) == report.c
+    assert report.polar is report.polar
+    assert all(isinstance(eq, Form) for eq in report.polar[-1])
+    bare = CartanReport(report.c, report.codim, report.involutive)
+    assert bare == report and bare.polar == () and bare.vn_equations == ()
+    assert repr(bare) == f"CartanReport(c={report.c}, codim=49, involutive=True)"
 
 
 def test_cartan_empty_ideal():
@@ -452,6 +493,11 @@ def _test_flags(n):
     return _seeded_flags(n, 3, seed=5)
 
 
+def _row_form(P, row):
+    """A polar row {a: c} as the form sum c omega_a."""
+    return Form(P.manifold, {(a,): Poly.constant(c) for a, c in row.items()})
+
+
 @pytest.mark.parametrize(
     "systems",
     [lambda: [_g2()], lambda: [_spin7()], _random_systems],
@@ -460,13 +506,13 @@ def _test_flags(n):
 def test_incremental_polar_basis_matches_per_j_rebuild(systems):
     """One basis grown along the flag gives the ranks of a fresh basis at every j.
 
-    The equations cartan_test reads from the tableau at each j are, printed
-    and in order, those that hook the j-th flag vector first.
+    The rows cartan_test reads from the tableau at each j are, printed as
+    forms and in order, the equations that hook the j-th flag vector first.
     """
     for P, ideal in systems():
         for order in _test_flags(P.n):
             report = cartan_test(P, ideal, order)
-            tableau = [eds._tableau_polar_equations(P, eds._tableau(P, form), order) for form in ideal]
+            tableau = [eds._tableau_polar_equations(eds._tableau(P, form), order) for form in ideal]
             previous = [[] for _ in ideal]
             for j in range(P.n):
                 fresh = FormBasis(P.manifold)
@@ -475,7 +521,8 @@ def test_incremental_polar_basis_matches_per_j_rebuild(systems):
                     assert eqs == _recursive_polar_equations(P, form, j, order)
                     assert eqs[: len(previous[g])] == previous[g]
                     new = [str(eq) for eq in eqs[len(previous[g]) :]]
-                    assert [str(eq) for eq in tableau[g][j]] == new, (order, j, g)
+                    rows = [_row_form(P, row) for row in tableau[g][j]]
+                    assert [str(eq) for eq in rows] == new, (order, j, g)
                     previous[g] = eqs
                     for eq in eqs:
                         fresh.insert(eq)
