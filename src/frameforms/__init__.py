@@ -13,9 +13,7 @@ from .eds import (
     CartanReport,
     FrameBundle,
     cartan_test,
-    equations_for_Vn,
     frame_bundle,
-    is_linear,
     load_ideal,
     reduced_polar_equations,
 )
@@ -104,10 +102,8 @@ __all__ = [
     "clifford_mul",
     "coefficients",
     "degree",
-    "equations_for_Vn",
     "frame_bundle",
     "hook",
-    "is_linear",
     "linear_solve",
     "load_ideal",
     "load_manifold",

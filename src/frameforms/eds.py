@@ -19,7 +19,8 @@ cartan_test reads each generator's tableau once and passes V_n's rows,
 on the integer columns (a - n - 1)·n + (j - 1), and the polar rows along
 the flag, on the omega indices a, through scalar.Rank; the p's, V_n's
 Polys and the polar Forms are made only when the report is read.
-reduced_polar_equations contracts general forms with hook.
+reduced_polar_equations, which contracts general forms with hook, is kept
+as the independent reference for the polar equations.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .basis import AffineBasis
 from .errors import (
     DimensionError,
     FileFormatError,
@@ -46,8 +46,6 @@ from .scalar import Poly, Rank, Session
 __all__ = [
     "FrameBundle",
     "frame_bundle",
-    "is_linear",
-    "equations_for_Vn",
     "reduced_polar_equations",
     "cartan_test",
     "CartanReport",
@@ -92,24 +90,9 @@ class FrameBundle:
     def parse(self, text: str) -> Form:
         return parse_form(self.manifold, text)
 
-    def modulo_ic(self, w: Form) -> Form:
-        """Project modulo the independence forms: drop every term with a theta factor."""
-        n = self.n
-        return Form(w.manifold, {m: c for m, c in w.terms.items() if not m or m[0] > n})
-
 
 def frame_bundle(session: Session, n: int) -> FrameBundle:
     return FrameBundle(session, n)
-
-
-def _linear(mono, n) -> bool:
-    """True when a sorted monomial has exactly one omega factor, which is then its last."""
-    return bool(mono) and mono[-1] > n and (len(mono) == 1 or mono[-2] <= n)
-
-
-def is_linear(bundle: FrameBundle, ideal) -> bool:
-    """True when every term of every generator, a form or scalar, has exactly one omega factor."""
-    return all(_linear(m, bundle.n) for form in ideal for m in as_form(bundle.manifold, form).terms)
 
 
 def _tableau(bundle: FrameBundle, form):
@@ -119,10 +102,11 @@ def _tableau(bundle: FrameBundle, form):
     of another bundle, NotLinearError for a term without exactly one omega
     factor and NonLinearError for one with a symbolic coefficient.
     """
-    form = as_form(bundle.manifold, form)
+    form, n = as_form(bundle.manifold, form), bundle.n
     groups = {}
     for mono, c in form.terms.items():
-        linear = _linear(mono, bundle.n)
+        # Exactly one omega factor, which is then the last of the sorted monomial.
+        linear = bool(mono) and mono[-1] > n and (len(mono) == 1 or mono[-2] <= n)
         if not linear or not c.is_constant():
             term = Form(bundle.manifold, {mono: c})
             if not linear:
@@ -160,24 +144,6 @@ def _vn_rows(n, tableaux) -> list:
     return kept
 
 
-def _vn_polys(bundle: FrameBundle, rows) -> tuple:
-    """_vn_rows' rows as Polys in the p symbols."""
-    p = list(bundle.p.values())
-    return tuple(Poly({((p[column], 1),): c for column, c in row.items()}) for row in rows)
-
-
-def equations_for_Vn(bundle: FrameBundle, ideal) -> AffineBasis:
-    """Equations cutting out the integral n-planes, as an affine equation set.
-
-    The elements are _vn_rows' rows as Polys; the size is codim V_n.
-    Raises _tableau's errors for a generator that is not a linear form of the bundle.
-    """
-    container = AffineBasis()
-    for eq in _vn_polys(bundle, _vn_rows(bundle.n, [_tableau(bundle, form) for form in ideal])):
-        container.insert(eq)
-    return container
-
-
 def _flag_order(bundle: FrameBundle, order):
     """The flag as a list: the identity for None, else a checked permutation of 1..n."""
     order = list(range(1, bundle.n + 1)) if order is None else list(order)
@@ -197,7 +163,9 @@ def reduced_polar_equations(bundle: FrameBundle, form: Form, j: int, order=None)
     order = _flag_order(bundle, order)
     form = as_form(bundle.manifold, form)
     if j == 0 or degree(form) < 2:
-        return [bundle.modulo_ic(form)] if degree(form) == 1 else []
+        if degree(form) != 1:
+            return []
+        return [Form(form.manifold, {m: c for m, c in form.terms.items() if m[0] > bundle.n})]
     forms = (form, hook(bundle.theta(order[j - 1]), form))
     return [eq for w in forms for eq in reduced_polar_equations(bundle, w, j - 1, order)]
 
@@ -241,7 +209,10 @@ class CartanReport:
 
     @cached_property
     def vn_equations(self) -> tuple:
-        return _vn_polys(self._bundle, self._vn_kept) if self._bundle else ()
+        if not self._bundle:
+            return ()
+        p = list(self._bundle.p.values())
+        return tuple(Poly({((p[col], 1),): c for col, c in row.items()}) for row in self._vn_kept)
 
     @cached_property
     def polar(self) -> tuple:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from frameforms import (
+    AffineBasis,
     Basis,
     CartanReport,
     DimensionError,
@@ -23,10 +24,8 @@ from frameforms import (
     Session,
     cartan_test,
     degree,
-    equations_for_Vn,
     frame_bundle,
     hook,
-    is_linear,
     load_ideal,
     load_manifold,
     reduced_polar_equations,
@@ -66,7 +65,7 @@ def _seeded_flags(n, count, seed):
 def _recursive_polar_equations(P, form, j, order):
     """Reference: contract the whole flag tree from scratch, highest vector first."""
     if degree(form) == 1:
-        return [P.modulo_ic(form)]
+        return [Form(P.manifold, {m: c for m, c in form.terms.items() if m[0] > P.n})]
     if j == 0:
         return []
     return _recursive_polar_equations(P, form, j - 1, order) + _recursive_polar_equations(
@@ -172,45 +171,52 @@ def test_p_grid_size():
 
 
 def test_is_linear_examples():
+    """cartan_test is the linearity check: NotLinearError unless each term has one omega."""
     P, ideal = _g2()
-    assert is_linear(P, ideal)
-    assert not is_linear(P, [P.theta(1) * P.theta(2)])
-    assert not is_linear(P, [P.omega(1, 1) * P.omega(1, 2)])
-    # A scalar is a degree-0 form: zero is the empty generator, a nonzero one is not linear.
-    assert is_linear(P, [0])
+    assert cartan_test(P, ideal).codim == 49
+    for bad in ([P.theta(1) * P.theta(2)], [P.omega(1, 1) * P.omega(1, 2)], [2]):
+        with pytest.raises(NotLinearError):
+            cartan_test(P, bad)
+    # A scalar is a degree-0 form: zero is the empty generator, a nonzero one ([2]) is not linear.
+    report = cartan_test(P, [0])
+    assert report.c == (0,) * 7 and report.codim == 0
     assert reduced_polar_equations(P, 0, 1) == []
-    assert not is_linear(P, [2])
 
 
 def test_equations_for_vn_g2():
+    """V_n's 49 equations for G2 are affine in the p's: homogeneous linear, so consistent."""
     P, ideal = _g2()
-    container = equations_for_Vn(P, ideal)
+    report = cartan_test(P, ideal)
+    assert report.codim == 49
+    # An affine equation set built from them keeps all 49 and reaches no constant.
+    container = AffineBasis()
+    for eq in report.vn_equations:
+        container.insert(eq)
     assert container.size() == 49
     assert not container.inconsistent
-    # for the linear system every equation is homogeneous linear in p
-    for eq in container.elements:
+    for eq in report.vn_equations:
         assert eq.total_degree() == 1
         assert not eq.terms.get(())
 
 
 def test_equations_for_vn_trivial_cases():
     P = frame_bundle(Session(), 2)
-    assert equations_for_Vn(P, []).size() == 0
+    assert cartan_test(P, []).codim == 0
     # the substituted 3-form in two thetas vanishes identically
     ideal = [P.d(P.theta(1) * P.theta(2))]
-    assert equations_for_Vn(P, ideal).size() == 0
+    assert cartan_test(P, ideal).codim == 0
     # theta^2 ∧ omega_11 (generator 3) on theta^1 ∧ theta^2: theta^2 ∧ theta^1 = -theta^12
-    eqs = equations_for_Vn(P, [P.theta(2) * P.omega(1, 1)]).elements
+    eqs = cartan_test(P, [P.theta(2) * P.omega(1, 1)]).vn_equations
     assert eqs == (-Poly.from_symbol(P.p[(3, 1)]),)
 
 
 def test_equations_for_vn_nonlinear_propagates():
     """Each term needs one omega factor and a constant coefficient.
 
-    equations_for_Vn and cartan_test make the same check of each
-    generator, with an error that names the offending term: NotLinearError
-    for the omega count, a plain NonLinearError for a symbolic
-    coefficient, FrameMismatchError for the forms of another bundle.
+    cartan_test checks each generator once, with an error that names the
+    offending term: NotLinearError for the omega count, a plain
+    NonLinearError for a symbolic coefficient, FrameMismatchError for the
+    forms of another bundle; reduced_polar_equations checks the bundle too.
     """
     s = Session()
     P = frame_bundle(s, 2)
@@ -221,14 +227,11 @@ def test_equations_for_vn_nonlinear_propagates():
         ([P.omega(1, 1) * P.omega(1, 2) * P.omega(2, 1)], NotLinearError, "e345 is not linear"),
     ]
     for ideal, error, message in bad:
-        with pytest.raises(NonLinearError, match=re.escape(message)):
-            equations_for_Vn(P, ideal)
         with pytest.raises(NonLinearError, match=re.escape(message)) as exc:
             cartan_test(P, ideal)
         assert type(exc.value) is error
     _, g2 = _g2()
-    checks = (equations_for_Vn, cartan_test, is_linear)
-    checks += (lambda bundle, ideal: reduced_polar_equations(bundle, ideal[0], 0),)
+    checks = (cartan_test, lambda bundle, ideal: reduced_polar_equations(bundle, ideal[0], 0))
     for other in (frame_bundle(s, 7), frame_bundle(s, 3)):
         for check in checks:
             with pytest.raises(FrameMismatchError):
@@ -238,18 +241,17 @@ def test_equations_for_vn_nonlinear_propagates():
 def test_vn_tableau_matches_substitution():
     """The tableau rows equal the substituted coefficients, printed and in order.
 
-    Both paths to them agree: equations_for_Vn's elements and the
-    report's vn_equations, whose count is the report's codim.
+    The report's vn_equations equal the kept substituted coefficients as
+    Polys too, and their count is the report's codim.
     """
     rng = random.Random(11)
     systems = [_g2(), _spin7()]
     systems += [_random_linear_ideal(rng, 1 + i % 5) for i in range(60)]
     for P, ideal in systems:
-        expected = [str(eq) for eq in _substituted_vn_equations(P, ideal)]
-        assert [str(eq) for eq in equations_for_Vn(P, ideal).elements] == expected
+        kept = _substituted_vn_equations(P, ideal)
         report = cartan_test(P, ideal)
-        assert [str(eq) for eq in report.vn_equations] == expected
-        assert report.vn_equations == equations_for_Vn(P, ideal).elements
+        assert [str(eq) for eq in report.vn_equations] == [str(eq) for eq in kept]
+        assert report.vn_equations == tuple(kept)
         assert report.codim == len(report.vn_equations)
 
 
@@ -584,8 +586,7 @@ def test_loaders_read_lines_alike():
 def test_vn_equations_affine_property():
     """Every emitted equation is affine in the p symbols for linear ideals."""
     P, ideal = _g2()
-    container = equations_for_Vn(P, ideal)
-    for eq in container.elements:
+    for eq in cartan_test(P, ideal).vn_equations:
         assert eq.total_degree() <= 1
 
 
@@ -633,7 +634,7 @@ def test_g2_numbers_against_independent_echelon():
             ]
             assert _echelon_rank_dense(dense) == c[j], (P.n, j)
 
-        eqs = equations_for_Vn(P, ideal).elements
+        eqs = cartan_test(P, ideal).vn_equations
         syms = sorted({s for eq in eqs for s in eq.free_symbols()}, key=lambda s: s.index)
         pos = {s: i for i, s in enumerate(syms)}
         rows = []

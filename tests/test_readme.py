@@ -20,6 +20,8 @@ STATED = {
     "report.c": "(0, 0, 0, 1, 5, 15, 28)",
     "report.codim": "49",
     "report.involutive": "True",
+    "len(report.vn_equations)": "49",
+    "len(report.polar[6])": "28",
 }
 
 
