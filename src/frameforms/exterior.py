@@ -10,6 +10,7 @@ throughout the engine.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
     MixedDegreeError,
 )
 from .scalar import (
-    GaussianRational, I, Poly, _scaled_str, _signed_sum, _SparseVector, accumulate, as_poly,
+    GaussianRational, I, Poly, _scaled_str, _signed_sum, _SparseVector, _unit, accumulate, as_poly,
 )
 
 __all__ = [
@@ -201,26 +202,48 @@ def hook(v: Form, w: Form) -> Form:
 def _leibniz(w: Form, image, odd: bool) -> Form:
     """Extend image(g), the form generator g goes to, to w as a derivation.
 
-    _merge_indices merges the image of the generator at position pos
-    with the rest of the monomial as if it stood in front, which costs
-    (-1)^(pos*q) for an image monomial of degree q; an odd derivation
-    (d) picks up a further (-1)^pos, an even one (nabla) none.
+    Each generator's image is read once, as terms (m, b, q, unit) with
+    q = len(m) + odd and unit ±1 when b is the constant ±1, else 0.  The
+    factor at position pos of a monomial c·mono becomes b·c·m∧rest, times
+    (-1)^(pos·q): m moves in front of the pos factors before it, and an
+    odd derivation (d) passes them too, an even one (nabla) does not.
+    Sorting m into rest costs -1 per pair x in m, y in rest with y < x,
+    counted by bisect; an index of m already in rest gives zero.  A unit
+    b takes c or -c, with -c made at most once per monomial, so no Poly
+    is multiplied; any other b gives ±(b·c), the sign taken after the
+    product, which is b itself for c = 1.  Terms are added in monomial,
+    position, image-term order.
     """
     images = {}
-    out = {}
+    pairs = []
     for mono, c in w.terms.items():
+        neg = None
         for pos, g in enumerate(mono):
-            if g not in images:
-                images[g] = image(g)
+            terms = images.get(g)
+            if terms is None:
+                terms = images[g] = [
+                    (m, b, len(m) + odd, _unit(b.terms[()]) if b.is_constant() else 0)
+                    for m, b in image(g).terms.items()
+                ]
             rest = mono[:pos] + mono[pos + 1 :]
-            for m, b in images[g].terms.items():
-                merged, sign = _merge_indices(m, rest)
-                if not sign:
-                    continue
-                if pos * (len(m) + odd) % 2:
-                    sign = -sign
-                accumulate(out, [(merged, b * c if sign > 0 else -(b * c))])
-    return Form(w.manifold, out)
+            for m, b, q, unit in terms:
+                flips = pos * q
+                for x in m:
+                    k = bisect_left(rest, x)
+                    if k < len(rest) and rest[k] == x:
+                        break
+                    flips += k
+                else:
+                    if not unit:
+                        v = b * c if flips % 2 == 0 else -(b * c)
+                    elif (flips % 2 == 0) == (unit > 0):
+                        v = c
+                    else:
+                        if neg is None:
+                            neg = -c
+                        v = neg
+                    pairs.append((tuple(sorted(rest + m)), v))
+    return Form(w.manifold, accumulate({}, pairs))
 
 
 def pairing(a: Form, b: Form) -> Poly:
@@ -337,23 +360,27 @@ def parse_form(frame, text: str) -> Form:
     '0' is the zero form and the empty list 'e[]' the scalar monomial 1.
     The optional 'e' and the bracket list, which print_form writes for
     the scalar monomial and when an index exceeds 9, let print_form
-    output parse back.
+    output parse back.  A term's indices are checked as they are read
+    and then sorted once, with no wedge: the sign is the parity of their
+    inversions, and a repeated index makes the term zero.
     """
     sc = _Scanner(text.strip())
     if not sc.text:
         sc.error("empty form string")
     if sc.text == "0":
         return Form.zero(frame)
-    out = {}
+    pairs = []
     sign = 1
     if sc.peek() == "-":
         sc.take()
         sign = -1
     while True:
-        accumulate(out, _parse_term(frame, sc, sign).terms.items())
+        term = _parse_term(frame, sc, sign)
+        if term is not None:
+            pairs.append((term[0], Poly.constant(term[1])))
         ch = sc.peek()
         if not ch:
-            return Form(frame, out)
+            return Form(frame, accumulate({}, pairs))
         if ch == "+":
             sign = 1
         elif ch == "-":
@@ -416,38 +443,52 @@ def _parse_coeff(sc):
 
 
 def _parse_term(frame, sc, sign):
+    """One term as (sorted monomial, coefficient), or None for a zero term.
+
+    Every index is checked, then the term is sorted once: its sign is
+    the parity of the inversions, and a repeated index makes it zero.
+    """
     ch = sc.peek()
     if not (ch.isdigit() or ch in ("e", "i", "(")):
         sc.error("expected a term")
-    mono = Form.scalar(frame, sign * _parse_coeff(sc))
+    coeff = sign * _parse_coeff(sc)
+    indices = []
     if sc.peek() == "e":
         sc.take()
         if sc.peek() == "[":
             sc.take()
             if sc.peek() == "]":
                 sc.take()
-                return mono
+                return (), coeff
             while True:
                 d, pos = _parse_int(sc)
-                mono = wedge(mono, _generator(frame, d, pos))
+                indices.append(_generator(frame, d, pos))
                 if sc.peek() != ",":
                     break
                 sc.take()
             if sc.take() != "]":
                 sc.error("expected ',' or ']' in an index list")
-            return mono
+            return _sorted_term(indices, coeff)
     digit_start = sc.pos
     while sc.peek().isdigit():
-        mono = wedge(mono, _generator(frame, int(sc.take()), sc.pos - 1))
+        indices.append(_generator(frame, int(sc.take()), sc.pos - 1))
     if sc.pos == digit_start:
         sc.error("expected frame index digits")
-    return mono
+    return _sorted_term(indices, coeff)
+
+
+def _sorted_term(indices, coeff):
+    mono = tuple(sorted(indices))
+    if len(set(mono)) < len(mono):
+        return None
+    inversions = sum(a > b for k, a in enumerate(indices) for b in indices[k + 1 :])
+    return mono, -coeff if inversions % 2 else coeff
 
 
 def _generator(frame, d, pos):
-    """The generator of frame index d, read at position pos."""
+    """Frame index d, read at position pos, checked to be a generator of the frame."""
     if d == 0:
         raise FormParseError(pos, "frame index must be 1 or more")
     if d > frame.dim:
         raise FrameIndexError(f"index {d} exceeds frame dimension {frame.dim} at position {pos}")
-    return Form.generator(frame, d)
+    return d

@@ -118,6 +118,17 @@ def _content_lines(text):
             yield lineno, line
 
 
+class _ClosedTable(dict):
+    """A loaded d-table: a generator without an entry is closed, d e^i = 0."""
+
+    def __init__(self, zero):
+        super().__init__()
+        self.zero = zero
+
+    def __missing__(self, i):
+        return self.zero
+
+
 _DIM_RE = re.compile(r"^dim\s+(\d+)$")
 _D_RE = re.compile(r"^d\s+(\d+)\s*=\s*(\S+)$")
 
@@ -126,9 +137,11 @@ def load_manifold(session: Session, text: str) -> FrameManifold:
     """Build a manifold from its definition file.
 
     Lines: ``dim <n>`` once, then ``d <i> = <form-string>`` entries in
-    the parse_form grammar; omitted generators get d = 0.  '#' starts a
-    comment.  Raises NotNilpotentError, naming the first generator, when
-    d(d e^i) is not zero.
+    the parse_form grammar; '#' starts a comment.  A generator the file
+    omits is closed: its d reads as zero and it stays undeclared, so the
+    cost follows the entries, not n.  Raises NotNilpotentError, naming
+    the first declared generator, when d(d e^i) is not zero; a closed
+    generator has d(d e^i) = 0.
     """
     manifold = None
     entries = []
@@ -151,16 +164,14 @@ def load_manifold(session: Session, text: str) -> FrameManifold:
         raise FileFormatError(lineno, f"unrecognized line: {line}")
     if manifold is None:
         raise FileFormatError(0, "missing dim line")
+    manifold.d_table = _ClosedTable(manifold.zero())
     for lineno, idx, text_form in entries:
         try:
             form = parse_form(manifold, text_form)
             manifold.declare_d(idx, form)
         except (FormParseError, FrameIndexError, DegreeError, RedeclarationError) as exc:
             raise FileFormatError(lineno, str(exc)) from None
-    for i in range(1, manifold.dim + 1):
-        if i not in manifold.d_table:
-            manifold.declare_d(i, manifold.zero())
-    for i in range(1, manifold.dim + 1):
+    for i in sorted(manifold.d_table):
         dd = manifold.d(manifold.d_table[i])
         if dd:
             raise NotNilpotentError(f"d(d(e{i})) = {print_form(dd)} is not zero")

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -222,6 +223,35 @@ def test_dform_rejects_d_squared_nonzero(tmp_path):
     rc, out, err = _run(["dform", "--manifold-file", str(mfd), "4"])
     assert (rc, out) == (2, "")
     assert err == "frameforms: NotNilpotentError: d(d(e1)) = -e123 is not zero\n"
+
+
+def test_dform_on_a_huge_dim_line_runs_in_bounded_memory(tmp_path):
+    """The 15-byte file "dim 1000000000" costs what its entries cost, not its dim.
+
+    Omitted generators are closed and only declared entries are d²-checked,
+    so nothing is made per generator; the traced peak stays under 1 MB.
+    """
+    mfd = tmp_path / "huge.mfd"
+    mfd.write_text("dim 1000000000\n")
+    assert mfd.stat().st_size == 15
+    wide = tmp_path / "wide.mfd"
+    wide.write_text("dim 1000000000\nd 1000000000 = e[1,2]\n")
+    tracemalloc.start()
+    try:
+        results = [
+            _run(["dform", "--manifold-file", str(mfd), "12"]),
+            _run(["dform", "--manifold-file", str(wide), "e[999999999,1000000000]"]),
+            _run(["dform", "--manifold-file", str(wide), "e[3,1000000001]"]),
+        ]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert results[0] == (0, "0\n", "")
+    assert results[1] == (0, "-e[1,2,999999999]\n", "")
+    assert results[2] == (
+        1, "", "frameforms: input error: index 1000000001 exceeds frame dimension 1000000000 at position 4\n"
+    )
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(

@@ -364,3 +364,53 @@ def test_parse_gaussian_coefficients():
     for text in ("i", "i*", "(1+i)", "(1+i)e1", "(1+i*e1", "()*e1", "2*ie1"):
         with pytest.raises(FormParseError):
             parse_form(M, text)
+
+
+@pytest.mark.parametrize(
+    ("dim", "text", "error", "message", "position"),
+    [
+        (4, "102", FormParseError, "parse error at position 1: frame index must be 1 or more", 1),
+        (4, "15", FrameIndexError, "index 5 exceeds frame dimension 4 at position 1", None),
+        (4, "e[3,12]", FrameIndexError, "index 12 exceeds frame dimension 4 at position 4", None),
+        (4, "e[10,0]", FrameIndexError, "index 10 exceeds frame dimension 4 at position 2", None),
+        (11, "e[10,0]", FormParseError, "parse error at position 5: frame index must be 1 or more", 5),
+        (4, "e[1,2", FormParseError, "parse error at position 6: expected ',' or ']' in an index list", 6),
+    ],
+)
+def test_parse_error_messages_pinned(dim, text, error, message, position):
+    """Each index is checked where it is read, before the term is sorted."""
+    with pytest.raises(error) as exc:
+        parse_form(_manifold(dim), text)
+    assert str(exc.value) == message
+    assert getattr(exc.value, "position", None) == position
+
+
+def test_parse_and_d_of_g2_phi_build_no_wedge_or_poly_product(monkeypatch):
+    """parse_form sorts each term once, and d takes ±c for the bundle's unit structure constants."""
+    from frameforms import exterior
+    from frameforms.cli import G2_PHI
+
+    bundle = frame_bundle(Session(), 7)
+    M = bundle.manifold
+    calls = {"wedge": 0, "Poly.__mul__": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(exterior, "wedge", counted("wedge", exterior.wedge))
+    phi = bundle.parse(G2_PHI)
+    monkeypatch.setattr(Poly, "__mul__", counted("Poly.__mul__", Poly.__mul__))
+    dphi = bundle.d(phi)
+    assert calls == {"wedge": 0, "Poly.__mul__": 0}
+    monkeypatch.undo()
+    assert phi == (
+        M.e(5) * M.e(6) * M.e(7) - M.e(5) * M.e(1) * M.e(2) - M.e(5) * M.e(3) * M.e(4)
+        - M.e(6) * M.e(1) * M.e(3) - M.e(6) * M.e(4) * M.e(2)
+        - M.e(7) * M.e(1) * M.e(4) - M.e(7) * M.e(2) * M.e(3)
+    )
+    # Each of the 21 indices of phi gives 7 terms theta^j ∧ omega_ij, and the 2 whose
+    # theta^j is already in the term vanish: 105 terms, none of them a Poly product.
+    assert len(dphi.terms) == 105

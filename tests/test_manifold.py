@@ -237,6 +237,16 @@ def test_load_manifold_rejects_d_squared_nonzero():
         load_manifold(Session(), "dim 5\nd 4 = 15\nd 1 = 23\n")
 
 
+def test_load_manifold_reads_omitted_generators_as_closed():
+    """Only declared entries are stored and d²-checked, so a huge dim line costs nothing."""
+    M = load_manifold(Session(), "dim 1000000000\nd 1000000000 = e[1,2]\nd 7 = e[1,999999999]\n")
+    assert sorted(M.d_table) == [7, 1000000000]
+    assert M.d(M.e(1)) == 0 and M.d(M.e(999999999)) == 0
+    assert M.d(M.e(7) * M.e(1000000000)) == parse_form(M, "e[1,999999999,1000000000]-e[1,2,7]")
+    with pytest.raises(NotNilpotentError, match=r"^d\(d\(e1000000000\)\) = -e134 is not zero$"):
+        load_manifold(Session(), "dim 1000000000\nd 1000000000 = e[1,2]\nd 2 = e[3,4]\n")
+
+
 def test_declare_d_leaves_d_squared_unchecked():
     """Only loaded files are checked: declare_d takes a d-table with d∘d != 0."""
     M = FrameManifold(Session(), 4)
