@@ -231,11 +231,11 @@ def _cmd_eds(args, out):
     flag = None if args.flag is None else _parse_flag(args.flag, bundle)
     report = cartan_test(bundle, ideal, flag)
     if args.verbose:
-        for eq in report.vn_equations:
-            out.write(f"# Vn equation: {eq}\n")
-        for j, eqs in enumerate(report.polar):
-            for eq in eqs:
-                out.write(f"# polar[j={j}]: {print_form(eq)}\n")
+        for text in report.vn_text:
+            out.write(f"# Vn equation: {text}\n")
+        for j, texts in enumerate(report.polar_text):
+            for text in texts:
+                out.write(f"# polar[j={j}]: {text}\n")
     out.write("\n".join(_cartan_lines(report, args.dim)) + "\n")
     return 0
 
@@ -270,15 +270,17 @@ def _build_parser():
     return parser
 
 
+# Built once per process: parse_args fills a new namespace at each call.
+_PARSER = _build_parser()
+
 _INPUT_ERRORS = (FileFormatError, FormParseError, FrameIndexError, DimensionError)
 
 
 def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         err.write(f"frameforms: {exc}\n")
         return 1

@@ -15,10 +15,13 @@ theta's.  Contracting theta^I ∧ omega_a by the flag vectors of I, the
 last in the flag first, leaves ±omega_a, so each theta set I gives the
 row sum ±c omega_a at the step after the flag position of its last vector.
 
-cartan_test reads each generator's tableau once and passes V_n's rows,
-on the integer columns (a - n - 1)·n + (j - 1), and the polar rows along
-the flag, on the omega indices a, through scalar.Rank; the p's, V_n's
-Polys and the polar Forms are made only when the report is read.
+cartan_test reads each generator's tableau once.  It passes V_n's rows,
+as Gaussian-integer rows on the integer columns (a - n - 1)·n + (j - 1)
+over each generator's common denominator, and the polar rows along the
+flag, on the omega indices a, through scalar.Rank.  The report keeps
+those rows: the p's, V_n's Polys and the polar Forms are made only when
+they are read, and the text of the equations, which `eds --verbose`
+prints, is formatted from the rows without them.
 reduced_polar_equations, which contracts general forms with hook, is kept
 as the independent reference for the polar equations.
 """
@@ -29,6 +32,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 
 from .errors import (
     DimensionError,
@@ -39,9 +43,9 @@ from .errors import (
     NonLinearError,
     NotLinearError,
 )
-from .exterior import Form, _mono_key, as_form, degree, hook, parse_form
+from .exterior import Form, _mono_key, _mono_print, as_form, degree, hook, parse_form
 from .manifold import FrameManifold, _content_lines
-from .scalar import Poly, Rank, Session
+from .scalar import Poly, Rank, Session, _make, _scaled_str, _signed_sum
 
 __all__ = [
     "FrameBundle",
@@ -51,6 +55,11 @@ __all__ = [
     "CartanReport",
     "load_ideal",
 ]
+
+
+def _p_name(a: int, j: int) -> str:
+    """The name of the Grassmannian symbol p_aj."""
+    return f"p{a}{j}"
 
 
 class FrameBundle:
@@ -72,7 +81,7 @@ class FrameBundle:
     def p(self) -> dict:
         """{(a, j): p_aj}, all n³ made on first read in (a, j) order."""
         n, omegas = self.n, range(self.n + 1, self.n * (self.n + 1) + 1)
-        return {(a, j): self.session.symbol(f"p{a}{j}") for a in omegas for j in range(1, n + 1)}
+        return {(a, j): self.session.symbol(_p_name(a, j)) for a in omegas for j in range(1, n + 1)}
 
     def theta(self, i: int) -> Form:
         if not 1 <= i <= self.n:
@@ -117,30 +126,41 @@ def _tableau(bundle: FrameBundle, form):
 
 
 def _vn_rows(n, tableaux) -> list:
-    """The independent rows {column of p_aj: c} of V_n, each tableau's in monomial order.
+    """The independent rows (re, im, den) of V_n, each tableau's in monomial order.
 
-    The sign of theta^I ∧ theta^j = ±theta^(I+j) is -1 to the number of
-    indices of I above j.  A term c theta^I ∧ omega_a alone gives the row
-    of I+j its p_aj entry, so entries are stored, never summed.
+    A row is {column of p_aj: entry} over the Gaussian integers, re and
+    im its parts, and den its generator's common denominator: the entry
+    of p_aj is (re + i*im)/den.  The sign of theta^I ∧ theta^j =
+    ±theta^(I+j) is -1 to the number of indices of I above j.  A term
+    c theta^I ∧ omega_a alone gives the row of I+j its p_aj entry, so
+    entries are stored, never summed.
     """
     rank = Rank()  # a column pivots in its own order, that of the p's
     kept = []
     for groups in tableaux:
+        den = lcm(*[c._d for terms in groups.values() for _, c in terms])
         rows = {}
         for theta, terms in groups.items():
-            signed = [((a - n - 1) * n - 1, (c, -c)) for a, c in terms]
+            even = [((a - n - 1) * n - 1, c._a * (den // c._d), c._b * (den // c._d)) for a, c in terms]
+            signed = (even, [(column, -x, -y) for column, x, y in even])
             k = len(theta)
             for j in range(1, n + 1):
                 pos = bisect_left(theta, j)
                 if pos < k and theta[pos] == j:
                     continue
-                row = rows.setdefault(theta[:pos] + (j,) + theta[pos:], {})
-                parity = (k - pos) % 2
-                for column, s in signed:
-                    row[column + j] = s[parity]
-        for row in map(rows.get, sorted(rows, key=_mono_key)):
-            if rank.insert(row):
-                kept.append(row)
+                key = theta[:pos] + (j,) + theta[pos:]
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = ({}, {})
+                re, im = row
+                for column, x, y in signed[(k - pos) % 2]:
+                    if x:
+                        re[column + j] = x
+                    if y:
+                        im[column + j] = y
+        for re, im in map(rows.get, sorted(rows, key=_mono_key)):
+            if rank.insert_ints(dict(re), dict(im)):
+                kept.append((re, im, den))
     return kept
 
 
@@ -191,13 +211,24 @@ def _tableau_polar_equations(groups, order):
     return steps
 
 
+def _vn_columns(row):
+    """A V_n row's (column, re, im) entries in column order, that of the p's."""
+    re, im, _ = row
+    return [(column, re.get(column, 0), im.get(column, 0)) for column in sorted(re.keys() | im.keys())]
+
+
 @dataclass(frozen=True)
 class CartanReport:
     """Polar ranks, codimension and verdict, with the equations behind them.
 
-    vn_equations (Polys) and polar (Forms, polar[j] the first c_j retained
-    polar equations) are made from the kept rows on first read, () for a
-    report without its bundle.  repr, equality and hashing see (c, codim, involutive).
+    The kept V_n rows are held as Gaussian-integer rows (re, im, den) on
+    the integer columns of the p's, and the kept polar rows as {a: c}
+    on the omega indices.  vn_equations (Polys) and polar (Forms,
+    polar[j] the first c_j retained polar equations) are made from them
+    on first read.  vn_text and polar_text are the same equations as
+    str and print_form write them, formatted from the rows with no
+    Symbol, Poly or Form made.  Each is () for a report without its
+    bundle.  repr, equality and hashing see (c, codim, involutive).
     """
 
     c: tuple
@@ -212,7 +243,10 @@ class CartanReport:
         if not self._bundle:
             return ()
         p = list(self._bundle.p.values())
-        return tuple(Poly({((p[col], 1),): c for col, c in row.items()}) for row in self._vn_kept)
+        return tuple(
+            Poly({((p[col], 1),): _make(x, y, row[2]) for col, x, y in _vn_columns(row)})
+            for row in self._vn_kept
+        )
 
     @cached_property
     def polar(self) -> tuple:
@@ -221,6 +255,31 @@ class CartanReport:
         M = self._bundle.manifold
         forms = [Form(M, {(a,): Poly({(): c}) for a, c in row.items()}) for row in self._polar_kept]
         return tuple(tuple(forms[:k]) for k in self.c)
+
+    @cached_property
+    def vn_text(self) -> tuple:
+        """str(eq) for each eq of vn_equations."""
+        if not self._bundle:
+            return ()
+        n = self._bundle.n
+        return tuple(
+            _signed_sum(
+                _scaled_str(x, y, row[2], _p_name(col // n + n + 1, col % n + 1))
+                for col, x, y in _vn_columns(row)
+            )
+            for row in self._vn_kept
+        )
+
+    @cached_property
+    def polar_text(self) -> tuple:
+        """print_form(eq) for each eq of each polar[j]."""
+        if not self._bundle:
+            return ()
+        texts = [
+            _signed_sum(_scaled_str(c._a, c._b, c._d, _mono_print((a,))) for a, c in sorted(row.items()))
+            for row in self._polar_kept
+        ]
+        return tuple(tuple(texts[:k]) for k in self.c)
 
 
 def cartan_test(bundle: FrameBundle, ideal, flag_order=None) -> CartanReport:

@@ -314,7 +314,8 @@ def _mono_print(mono):
 
 def _coeff_print(c: Poly, mono_str: str) -> str:
     if c.is_constant():
-        return _scaled_str(c.constant_value(), mono_str)
+        c = c.constant_value()
+        return _scaled_str(c._a, c._b, c._d, mono_str)
     if len(c.terms) == 1:
         return f"{c}*{mono_str}"
     return f"({c})*{mono_str}"
@@ -390,13 +391,21 @@ def parse_form(frame, text: str) -> Form:
         sc.take()
 
 
+def _is_digit(ch):
+    """Whether ch is one of the ASCII digits '0'..'9' (str.isdigit also takes '²')."""
+    return "0" <= ch <= "9"
+
+
 def _parse_int(sc):
     start = sc.pos
-    while sc.peek().isdigit():
+    while _is_digit(sc.peek()):
         sc.take()
     if sc.pos == start:
         sc.error("expected an integer")
-    return int(sc.text[start : sc.pos]), start
+    try:
+        return int(sc.text[start : sc.pos]), start
+    except ValueError:  # more digits than int() converts
+        raise FormParseError(start, f"integer of {sc.pos - start} digits is too long") from None
 
 
 def _parse_scalar(sc):
@@ -417,8 +426,11 @@ def _parse_scalar(sc):
 
 
 def _parse_coeff(sc):
-    """A term's coefficient and its '*', or 1 if the term starts with its monomial."""
-    start = sc.pos
+    """A term's coefficient and its '*', or 1 if the term starts with its monomial.
+
+    Digits followed by neither '/' nor '*' are the monomial itself, and
+    are left unread.
+    """
     if sc.peek() == "e":
         return 1
     if sc.peek() == "(":
@@ -431,15 +443,16 @@ def _parse_coeff(sc):
         if op != ")":
             sc.error("expected '+', '-' or ')' in a coefficient")
     else:
+        text, end = sc.text, sc.pos
+        while _is_digit(text[end : end + 1]):
+            end += 1
+        if end > sc.pos and text[end : end + 1] not in ("/", "*"):
+            return 1
         value = _parse_scalar(sc)
     if sc.peek() == "*":
         sc.take()
         return value
-    if not sc.text[start : sc.pos].isdigit():
-        sc.error("expected '*' after coefficient")
-    # The integer was the digit string of the monomial itself.
-    sc.pos = start
-    return 1
+    sc.error("expected '*' after coefficient")
 
 
 def _parse_term(frame, sc, sign):
@@ -449,7 +462,7 @@ def _parse_term(frame, sc, sign):
     the parity of the inversions, and a repeated index makes it zero.
     """
     ch = sc.peek()
-    if not (ch.isdigit() or ch in ("e", "i", "(")):
+    if not (_is_digit(ch) or ch in ("e", "i", "(")):
         sc.error("expected a term")
     coeff = sign * _parse_coeff(sc)
     indices = []
@@ -470,7 +483,7 @@ def _parse_term(frame, sc, sign):
                 sc.error("expected ',' or ']' in an index list")
             return _sorted_term(indices, coeff)
     digit_start = sc.pos
-    while sc.peek().isdigit():
+    while _is_digit(sc.peek()):
         indices.append(_generator(frame, int(sc.take()), sc.pos - 1))
     if sc.pos == digit_start:
         sc.error("expected frame index digits")

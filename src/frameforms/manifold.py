@@ -90,9 +90,15 @@ class FrameManifold:
         return _leibniz(as_form(self, w), self._d_generator, odd=True)
 
     def lie_bracket(self, X: Form, Y: Form) -> Form:
-        """Constant-coefficient Lie bracket: <[X,Y], e^k> = −(de^k)(X,Y)."""
+        """Constant-coefficient Lie bracket: <[X,Y], e^k> = −(de^k)(X,Y).
+
+        A loaded manifold's omitted generators are closed, so only its
+        declared entries are read and the cost follows them, not dim.
+        """
+        table = self.d_table
+        declared = sorted(table) if isinstance(table, _ClosedTable) else range(1, self.dim + 1)
         out = {}
-        for k in range(1, self.dim + 1):
+        for k in declared:
             dk = self._d_generator(k)
             if not dk:
                 continue
@@ -133,6 +139,14 @@ _DIM_RE = re.compile(r"^dim\s+(\d+)$")
 _D_RE = re.compile(r"^d\s+(\d+)\s*=\s*(\S+)$")
 
 
+def _read_int(lineno, digits):
+    """A digit string as an int; one too long for int() is a FileFormatError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise FileFormatError(lineno, f"integer of {len(digits)} digits is too long") from None
+
+
 def load_manifold(session: Session, text: str) -> FrameManifold:
     """Build a manifold from its definition file.
 
@@ -151,7 +165,7 @@ def load_manifold(session: Session, text: str) -> FrameManifold:
             if manifold is not None:
                 raise FileFormatError(lineno, "duplicate dim line")
             try:
-                manifold = FrameManifold(session, int(m.group(1)))
+                manifold = FrameManifold(session, _read_int(lineno, m.group(1)))
             except DimensionError as exc:
                 raise FileFormatError(lineno, str(exc)) from None
             continue
@@ -159,7 +173,7 @@ def load_manifold(session: Session, text: str) -> FrameManifold:
         if m:
             if manifold is None:
                 raise FileFormatError(lineno, "d entry before dim line")
-            entries.append((lineno, int(m.group(1)), m.group(2)))
+            entries.append((lineno, _read_int(lineno, m.group(1)), m.group(2)))
             continue
         raise FileFormatError(lineno, f"unrecognized line: {line}")
     if manifold is None:

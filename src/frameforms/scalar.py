@@ -30,7 +30,8 @@ the one affine-row step: the unknowns' linear monomials are the only
 pivots, and every equation is checked to give each unknown a constant
 coefficient before any is imposed.  Rank only decides which rows are
 independent (Cartan's V_n, every basis's insert), by fraction-free
-elimination on Gaussian-integer rows held as plain ints.
+elimination on Gaussian-integer rows held as plain ints; V_n's rows
+enter as such ints, the others as Q(i) rows cleared to them.
 _signed_sum is the one joiner of printed terms into a sum.
 """
 
@@ -39,7 +40,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InconsistentError, NonLinearError
 
@@ -164,14 +165,7 @@ class GaussianRational:
         return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
 
     def __str__(self):
-        a, b, d = self._a, self._b, self._d
-        if not b:
-            return _ratio_str(a, d)
-        im = _ratio_str(b, d)
-        im = "i" if im == "1" else "-i" if im == "-1" else f"{im}*i"
-        if not a:
-            return im
-        return f"{_ratio_str(a, d)}{'+' if b > 0 else ''}{im}"
+        return _gaussian_str(self._a, self._b, self._d)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -216,17 +210,30 @@ def _ratio_str(n, d):
     return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
-def _scaled_str(c, mono):
-    """The product c*mono of a nonzero GaussianRational and a monomial's text.
+def _gaussian_str(a, b, d):
+    """The text of (a + b*i)/d, d > 0, as its normalized GaussianRational prints.
+
+    Each part is printed in lowest terms, so (a, b, d) need not be normalized.
+    """
+    if not b:
+        return _ratio_str(a, d)
+    im = _ratio_str(b, d)
+    im = "i" if im == "1" else "-i" if im == "-1" else f"{im}*i"
+    if not a:
+        return im
+    return f"{_ratio_str(a, d)}{'+' if b > 0 else ''}{im}"
+
+
+def _scaled_str(a, b, d, mono):
+    """The product of the nonzero (a + b*i)/d, d > 0, and a monomial's text.
 
     A coefficient of 1 or -1 is left out and one with both parts is
     parenthesized, so every printed term reads back as one term.
     """
-    unit = _unit(c)
-    if unit:
-        return mono if unit == 1 else "-" + mono
-    cs = str(c)
-    return f"({cs})*{mono}" if c._a and c._b else f"{cs}*{mono}"
+    if not b and (a == d or a == -d):
+        return mono if a > 0 else "-" + mono
+    cs = _gaussian_str(a, b, d)
+    return f"({cs})*{mono}" if a and b else f"{cs}*{mono}"
 
 
 I = GaussianRational(0, 1)
@@ -509,7 +516,9 @@ class Poly(_SparseVector):
 
     def __str__(self):
         terms = self._sorted_terms()
-        return _signed_sum(_scaled_str(c, _mono_str(m)) if m else str(c) for m, c in terms)
+        return _signed_sum(
+            _scaled_str(c._a, c._b, c._d, _mono_str(m)) if m else str(c) for m, c in terms
+        )
 
     def __repr__(self):
         return f"Poly({self})"
@@ -673,17 +682,16 @@ class Rank:
     """Which rows are independent, by fraction-free elimination over Z[i].
 
     Echelon's rank-only twin, for callers that read which rows are
-    independent and never the rows themselves.  A row {key:
-    GaussianRational} is cleared to Gaussian integers over its common
-    denominator and held as two int dicts, its real and imaginary parts,
-    keyed by `order(key)` (the key itself for order None), so a plain
-    min finds its least key.  Against the stored row r of that key, with
-    lead lam there and the row's entry mu, v <- lam*v - mu*r cancels the
-    key, and v is divided by its integer content (Bareiss, Math. Comp.
-    22, 1968, without the exact division step).  No row is made unit or
-    back-substituted.  `pivots` maps each stored row's least key to its
-    (re, im) dicts; the set of its keys is that of Echelon's rows over
-    the same order, since both are the least keys of the span.
+    independent and never the rows themselves.  A row is a Gaussian
+    integer vector held as two int dicts, its real and imaginary parts,
+    keyed so that a plain min finds its least key.  Against the stored
+    row r of that key, with lead lam there and the row's entry mu,
+    v <- lam*v - mu*r cancels the key, and v is divided by its integer
+    content (Bareiss, Math. Comp. 22, 1968, without the exact division
+    step).  No row is made unit or back-substituted.  `pivots` maps each
+    stored row's least key to its (re, im) dicts; the set of its keys is
+    that of Echelon's rows over the same order, since both are the least
+    keys of the span.
     """
 
     __slots__ = ("order", "pivots")
@@ -693,20 +701,30 @@ class Rank:
         self.pivots = {}
 
     def insert(self, vec) -> bool:
-        """Store vec and return True, unless it lies in the span of the stored rows."""
+        """insert_ints of a row {key: GaussianRational} cleared to its common denominator.
+
+        Keys are mapped through `order` (kept as they are for order None);
+        vec itself is left as it is.
+        """
         order = self.order
         if order is not None:
             vec = {order(k): c for k, c in vec.items()}
-        den = 1
-        for c in vec.values():
-            if c._d != 1:
-                den = den * c._d // gcd(den, c._d)
+        den = lcm(*[c._d for c in vec.values()])
         if den == 1:
             re = {k: c._a for k, c in vec.items() if c._a}
             im = {k: c._b for k, c in vec.items() if c._b}
         else:
             re = {k: c._a * (den // c._d) for k, c in vec.items() if c._a}
             im = {k: c._b * (den // c._d) for k, c in vec.items() if c._b}
+        return self.insert_ints(re, im)
+
+    def insert_ints(self, re, im) -> bool:
+        """Store the row re + i*im and return True, unless it lies in the span of the stored rows.
+
+        re and im are {key: int} dicts with no zero values, keyed in pivot
+        order.  They are reduced in place and, when the row is kept,
+        stored as they are: a caller that reads them afterwards passes copies.
+        """
         pivots = self.pivots
         while re or im:
             lead = min(im) if not re else min(re) if not im else min(min(re), min(im))

@@ -20,6 +20,8 @@ G2_IDEAL_FILE = (
 SPIN7_IDEAL_FILE = "d: 1234+1256+1278+3456+3478+5678+1357-1368-1458-1467-2358-2367-2457+2468\n"
 # Calabi-Yau 3-fold forms with complex coefficients: V_n and polar lines print i.
 CY3_COMPLEX_FILE = (Path(__file__).with_name("data") / "cy3_complex.ideal").read_text()
+# Denominators 2, 3 and 5 inside one generator and a Gaussian coefficient on n = 4.
+FRACTIONAL_FILE = (Path(__file__).with_name("data") / "fractional.ideal").read_text()
 
 GOLDEN = {
     "nilpotent-torsion": (
@@ -140,8 +142,20 @@ def test_eds_command_flag_and_verbose(tmp_path):
             "4,6,1,2,3,5",
             "738bb0af01ad02816f933252dfe865e384872579a9df0a5664ce35e974decf80",
         ),
+        (
+            FRACTIONAL_FILE,
+            4,
+            None,
+            "0cf2e54d539d77d178e9f686db397a40ea2ab33944da9ae3e730c26ae5d106db",
+        ),
+        (
+            FRACTIONAL_FILE,
+            4,
+            "3,1,4,2",
+            "553c4e5c6cb4c7fc295f6d09a9623b4b40845ef6da46af0570526ea7c1a4a8e3",
+        ),
     ],
-    ids=["g2", "g2-flag", "spin7", "cy3-complex", "cy3-complex-flag"],
+    ids=["g2", "g2-flag", "spin7", "cy3-complex", "cy3-complex-flag", "fractional", "fractional-flag"],
 )
 def test_eds_verbose_output_pinned(tmp_path, ideal_text, dim, flag, digest):
     """The whole --verbose stdout, V_n and polar lines included, byte for byte."""
@@ -151,6 +165,136 @@ def test_eds_verbose_output_pinned(tmp_path, ideal_text, dim, flag, digest):
     rc, out, err = _run(args + (["--flag", flag] if flag else []))
     assert rc == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "ideal_text, dim, flag",
+    [
+        (G2_IDEAL_FILE, 7, None),
+        (G2_IDEAL_FILE, 7, [3, 1, 2, 7, 5, 6, 4]),
+        (SPIN7_IDEAL_FILE, 8, None),
+        (CY3_COMPLEX_FILE, 6, [4, 6, 1, 2, 3, 5]),
+        (FRACTIONAL_FILE, 4, None),
+        (FRACTIONAL_FILE, 4, [3, 1, 4, 2]),
+    ],
+    ids=["g2", "g2-flag", "spin7", "cy3-complex-flag", "fractional", "fractional-flag"],
+)
+def test_eds_verbose_listing_is_the_report_equations(tmp_path, ideal_text, dim, flag):
+    """Each V_n line is str of a vn_equations Poly and each polar line print_form of a polar Form."""
+    from frameforms import Session, cartan_test, frame_bundle, load_ideal, print_form
+
+    ideal = tmp_path / "system.ideal"
+    ideal.write_text(ideal_text)
+    args = ["eds", "--dim", str(dim), "--ideal-file", str(ideal), "--verbose"]
+    rc, out, err = _run(args + (["--flag", ",".join(map(str, flag))] if flag else []))
+    assert rc == 0 and err == ""
+    bundle = frame_bundle(Session(), dim)
+    report = cartan_test(bundle, load_ideal(bundle, ideal_text), flag)
+    expected = [f"# Vn equation: {eq}" for eq in report.vn_equations]
+    for j, eqs in enumerate(report.polar):
+        expected += [f"# polar[j={j}]: {print_form(eq)}" for eq in eqs]
+    assert out.splitlines()[: len(expected)] == expected
+    assert len(out.splitlines()) == len(expected) + dim + 2
+
+
+def test_eds_verbose_makes_no_symbol_poly_text_or_form_text(tmp_path, monkeypatch):
+    """The listing is formatted from the report's rows: FrameBundle.p stays unread.
+
+    No Symbol is made, and neither Poly.__str__ nor print_form runs.
+    """
+    from frameforms import Poly, Session, cli, eds, exterior
+
+    ideal = tmp_path / "g2.ideal"
+    ideal.write_text(G2_IDEAL_FILE)
+    calls = []
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+
+        return call
+
+    monkeypatch.setattr(eds.FrameBundle, "p", property(forbidden("FrameBundle.p")))
+    monkeypatch.setattr(Session, "symbol", forbidden("Session.symbol"))
+    monkeypatch.setattr(Poly, "__str__", forbidden("Poly.__str__"))
+    monkeypatch.setattr(exterior, "print_form", forbidden("print_form"))
+    monkeypatch.setattr(cli, "print_form", forbidden("print_form"))
+    rc, out, err = _run(["eds", "--dim", "7", "--ideal-file", str(ideal), "--verbose"])
+    monkeypatch.undo()
+    assert calls == [] and rc == 0 and err == ""
+    assert out.count("# Vn equation: ") == 49 and out.endswith("INVOLUTIVE\n")
+
+
+def test_parser_is_built_once_and_keeps_no_arguments(tmp_path, monkeypatch):
+    """main parses with one module-level parser, and no option of a call leaks into the next.
+
+    Plain eds after eds --verbose --flag prints what a fresh interpreter prints.
+    """
+    from frameforms import cli
+
+    ideal = tmp_path / "g2.ideal"
+    ideal.write_text(G2_IDEAL_FILE)
+    plain = ["eds", "--dim", "7", "--ideal-file", str(ideal)]
+
+    def no_rebuild():
+        raise AssertionError("the parser was built again")
+
+    monkeypatch.setattr(cli, "_build_parser", no_rebuild)
+    rc, out, err = _run(plain + ["--verbose", "--flag", "3,1,2,7,5,6,4"])
+    assert rc == 0 and err == "" and out.startswith("# Vn equation: ")
+    second = _run(plain)
+    monkeypatch.undo()
+    src = os.path.dirname(os.path.dirname(frameforms.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "frameforms.cli", *plain], capture_output=True, env=env, check=True
+    )
+    assert second == (0, fresh.stdout.decode(), fresh.stderr.decode())
+    assert second[1] == GOLDEN["g2"]
+
+
+BIG = "9" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize(
+    "manifold_text, form, message",
+    [
+        (f"dim {BIG}\n", "12", "line 1: integer of 5000 digits is too long"),
+        (f"dim 4\nd {BIG} = 12\n", "12", "line 2: integer of 5000 digits is too long"),
+        ("dim 4\nd 3 = 12\n", f"{BIG}*12", "parse error at position 0: integer of 5000 digits is too long"),
+        ("dim 4\nd 3 = 12\n", f"1/{BIG}*12", "parse error at position 2: integer of 5000 digits is too long"),
+        ("dim 4\nd 3 = 12\n", f"e[{BIG}]", "parse error at position 2: integer of 5000 digits is too long"),
+        ("dim 4\nd 3 = 12\n", "e[\u00b2]", "parse error at position 2: expected an integer"),
+    ],
+    ids=["dim-line", "d-line", "coefficient", "denominator", "index-list", "superscript-digit"],
+)
+def test_dform_overlong_integer_is_an_input_error(tmp_path, manifold_text, form, message):
+    """An integer too long for int() exits 1 with one error line, raising nothing."""
+    mfd = tmp_path / "m.mfd"
+    mfd.write_text(manifold_text)
+    rc, out, err = _run(["dform", "--manifold-file", str(mfd), form])
+    assert (rc, out, err) == (1, "", f"frameforms: input error: {message}\n")
+
+
+def test_dform_long_digit_monomial_is_not_read_as_an_integer(tmp_path):
+    """Digits without '*' or '/' are a monomial, however many: 5000 repeated indices are zero."""
+    mfd = tmp_path / "m.mfd"
+    mfd.write_text("dim 4\nd 3 = 12\n")
+    assert _run(["dform", "--manifold-file", str(mfd), "1" * 5000]) == (0, "0\n", "")
+    assert _run(["dform", "--manifold-file", str(mfd), BIG]) == (
+        1, "", "frameforms: input error: index 9 exceeds frame dimension 4 at position 0\n"
+    )
+
+
+def test_eds_overlong_integer_is_an_input_error(tmp_path):
+    ideal = tmp_path / "big.ideal"
+    ideal.write_text(f"d: 12\nd: {BIG}*13\n")
+    rc, out, err = _run(["eds", "--dim", "3", "--ideal-file", str(ideal)])
+    assert (rc, out) == (1, "")
+    assert err == (
+        "frameforms: input error: line 2: parse error at position 0: integer of 5000 digits is too long\n"
+    )
 
 
 def test_eds_command_not_linear_exits_2(tmp_path):

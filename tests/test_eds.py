@@ -652,14 +652,11 @@ CY3_REAL = "d: 12+34+56\nd: 135-146-236-245\nd: 136+145+235-246\n"
 CY3_COMPLEX = Path(__file__).with_name("data") / "cy3_complex.ideal"
 
 
-def _reference_vn_rows(P, ideal):
-    """Reference: _substituted_vn_equations as rows on the integer columns of _vn_rows."""
+def _column_rows(P, equations):
+    """Equations linear in the p's as rows {column of p_aj: c}, the columns of _vn_rows."""
     n = P.n
     column = {P.p[(a, j)]: (a - n - 1) * n + j - 1 for a, j in P.p}
-    return [
-        {column[mono[0][0]]: c for mono, c in eq.terms.items()}
-        for eq in _substituted_vn_equations(P, ideal)
-    ]
+    return [{column[mono[0][0]]: c for mono, c in eq.terms.items()} for eq in equations]
 
 
 def test_cy3_real_and_complex_tableaux_agree():
@@ -690,6 +687,6 @@ def test_cy3_real_and_complex_tableaux_agree():
             report = cartan_test(P, ideal, flag)
             assert (report.c, report.codim, report.involutive) == (c, codim, involutive), flag
     for ideal in (real, complex_):
-        kept = eds._vn_rows(P.n, [eds._tableau(P, form) for form in ideal])
-        assert kept == _reference_vn_rows(P, ideal)
+        kept = _column_rows(P, cartan_test(P, ideal).vn_equations)
+        assert kept == _column_rows(P, _substituted_vn_equations(P, ideal))
         assert len(kept) == codim == 42

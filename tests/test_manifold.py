@@ -82,6 +82,35 @@ def test_d_missing_declaration():
         M.d(M.e(2))
 
 
+def test_lie_bracket_reads_only_declared_entries(monkeypatch):
+    """On a loaded manifold of dim 3000000 with one entry, the bracket reads that entry only.
+
+    It equals the dim-3 bracket, and _d_generator is never asked for an
+    undeclared generator; on a manifold built by declare_d an undeclared
+    generator still raises MissingDeclarationError.
+    """
+    asked = []
+    real = FrameManifold._d_generator
+
+    def counting(self, i):
+        asked.append(i)
+        return real(self, i)
+
+    monkeypatch.setattr(FrameManifold, "_d_generator", counting)
+    small = load_manifold(Session(), "dim 3\nd 3 = 12\n")
+    huge = load_manifold(Session(), "dim 3000000\nd 3 = 12\n")
+    asked.clear()
+    for X, Y in [(1, 2), (2, 1), (1, 3), (3, 3)]:
+        got = huge.lie_bracket(huge.e(X), huge.e(Y))
+        assert print_form(got) == print_form(small.lie_bracket(small.e(X), small.e(Y)))
+    assert print_form(huge.lie_bracket(huge.e(1), huge.e(2))) == "-e3"
+    assert set(asked) == {3}
+    M = FrameManifold(Session(), 3)
+    M.declare_d(3, M.e(1) * M.e(2))
+    with pytest.raises(MissingDeclarationError, match=r"d\(e1\) has not been declared"):
+        M.lie_bracket(M.e(1), M.e(2))
+
+
 def test_d_symbols_are_constants():
     s = Session()
     M = nilpotent4(s)

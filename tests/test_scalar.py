@@ -467,6 +467,19 @@ def _insert(rank, vec):
     return rank.insert(vec)
 
 
+def _insert_ints(rank, vec):
+    """Rank.insert_ints of i·3·den·vec as its (re, im) int dicts, den vec's common denominator."""
+    den = 1
+    for c in vec.values():
+        den = den * c._d // math.gcd(den, c._d)
+    scaled = {k: c * GaussianRational(0, 3 * den) for k, c in vec.items()}
+    assert all(c._d == 1 for c in scaled.values())
+    rank.pivots.steps = 0
+    re = {k: c._a for k, c in scaled.items() if c._a}
+    im = {k: c._b for k, c in scaled.items() if c._b}
+    return rank.insert_ints(re, im)
+
+
 def test_rank_decides_a_unit_pivot_with_an_imaginary_part():
     """A stored lead of 1+i: the multiple (1-i)·row of it is dependent, the row plus 1 is not."""
     half = Fraction(1, 2)
@@ -487,9 +500,11 @@ def test_rank_accepts_exactly_the_rows_echelon_accepts():
     """On random Q(i) rows and dependent combinations of them, Rank and Echelon agree.
 
     Each row is accepted by both or by neither, and Rank's pivot keys are
-    Echelon's row keys.  Entries draw fractions, imaginary parts and
-    leads such as 1+i; a dependent row is a Q(i) combination of earlier
-    rows, sometimes plus a small perturbation that makes it independent.
+    Echelon's row keys; so for Rank.insert_ints of each row cleared to
+    Gaussian integers and scaled by a unit and an integer.  Entries draw
+    fractions, imaginary parts and leads such as 1+i; a dependent row is
+    a Q(i) combination of earlier rows, sometimes plus a small
+    perturbation that makes it independent.
     """
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
@@ -510,7 +525,7 @@ def test_rank_accepts_exactly_the_rows_echelon_accepts():
     @hyp.settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @hyp.given(st.data())
     def check(data):
-        rank, ech = _budgeted_rank(), Echelon(lambda k: k)
+        rank, ints, ech = _budgeted_rank(), _budgeted_rank(), Echelon(lambda k: k)
         seen = []
         for _ in range(data.draw(st.integers(1, 9))):
             if seen and data.draw(st.booleans()):
@@ -519,9 +534,11 @@ def test_rank_accepts_exactly_the_rows_echelon_accepts():
                     vec.update(data.draw(rows))
             else:
                 vec = data.draw(rows)
-            assert _insert(rank, vec) == _echelon_accepts(ech, vec), vec
+            accepted = _echelon_accepts(ech, vec)
+            assert _insert(rank, vec) == accepted, vec
+            assert _insert_ints(ints, vec) == accepted, vec
             seen.append(vec)
-        assert set(rank.pivots) == set(ech.rows)
+        assert set(rank.pivots) == set(ints.pivots) == set(ech.rows)
 
     check()
 
