@@ -21,19 +21,19 @@ cancel it on the non-pivot columns.
 
 Each subclass is its own expression space: _sort_key orders its simple
 elements (wedge monomials of one manifold, or symbols and then CONST),
-_constant_vec reads an expression once into the constant row {simple
-element: GaussianRational} that the rank and the echelon take, _decompose
-keeps the Poly values for components(), and _build makes an expression
-from pairs.  AffineBasis reads inconsistency off the rank's pivots: CONST
-sorts last, so it is a pivot exactly when an equation reduced to a
-nonzero constant.
+_constant_vec reads an expression into the constant row {simple element:
+GaussianRational} that the echelon takes and insert clears, keyed by
+_sort_key, for the rank; _decompose keeps the Poly values for
+components(), and _build makes an expression from pairs.  AffineBasis
+reads inconsistency off the rank's pivots: CONST sorts last, so it is a
+pivot exactly when an equation reduced to a nonzero constant.
 """
 
 from __future__ import annotations
 
 from .errors import NonConstantCoefficientError, NonLinearError, NotInSpanError
 from .exterior import Form, _mono_key, as_form
-from .scalar import _ONE, Echelon, Poly, Rank, accumulate, as_poly
+from .scalar import _ONE, Echelon, Poly, Rank, _cleared, accumulate, as_poly
 
 __all__ = ["Basis", "FormBasis", "SymbolBasis", "AffineBasis", "CONST"]
 
@@ -68,7 +68,7 @@ class Basis:
     def __init__(self):
         key = self._sort_key
         self._elements = []
-        self._rank = Rank(key)
+        self._rank = Rank()
         # Integer keys are the tag columns: they never pivot.
         self._tagged = Echelon(lambda k: None if isinstance(k, int) else _Last(key(k)))
         self._simple = set()
@@ -98,7 +98,9 @@ class Basis:
 
     def insert(self, x) -> bool:
         """Append x verbatim when independent of the current span."""
-        if not self._rank.insert(self._constant_vec(x)):
+        key = self._sort_key
+        _, row = _cleared(self._constant_vec(x).items())
+        if not self._rank.insert({key(k): a for k, a, _ in row if a}, {key(k): b for k, _, b in row if b}):
             return False
         self._elements.append(x)
         return True

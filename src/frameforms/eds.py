@@ -15,13 +15,12 @@ theta's.  Contracting theta^I ∧ omega_a by the flag vectors of I, the
 last in the flag first, leaves ±omega_a, so each theta set I gives the
 row sum ±c omega_a at the step after the flag position of its last vector.
 
-cartan_test reads each generator's tableau once.  It passes V_n's rows,
-as Gaussian-integer rows on the integer columns (a - n - 1)·n + (j - 1)
-over each generator's common denominator, and the polar rows along the
-flag, on the omega indices a, through scalar.Rank.  The report keeps
-those rows: the p's, V_n's Polys and the polar Forms are made only when
-they are read, and the text of the equations, which `eds --verbose`
-prints, is formatted from the rows without them.
+cartan_test reads each generator's tableau once, cleared to Gaussian
+integers over its common denominator, and makes every row from it as
+(re, im, den): V_n's on the integer columns (a - n - 1)·n + (j - 1) of
+the p's, the polar rows on the omega indices a, for scalar.Rank.insert.
+The report keeps the rows kept; the p's, V_n's Polys and the polar Forms
+are made only when read, and `eds --verbose` prints text made from rows.
 reduced_polar_equations, which contracts general forms with hook, is kept
 as the independent reference for the polar equations.
 """
@@ -32,7 +31,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from math import lcm
 
 from .errors import (
     DimensionError,
@@ -45,7 +43,7 @@ from .errors import (
 )
 from .exterior import Form, _mono_key, _mono_print, as_form, degree, hook, parse_form
 from .manifold import FrameManifold, _content_lines
-from .scalar import Poly, Rank, Session, _make, _scaled_str, _signed_sum
+from .scalar import Poly, Rank, Session, _cleared, _make, _scaled_str, _signed_sum
 
 __all__ = [
     "FrameBundle",
@@ -105,14 +103,13 @@ def frame_bundle(session: Session, n: int) -> FrameBundle:
 
 
 def _tableau(bundle: FrameBundle, form):
-    """The terms c theta^I ∧ omega_a of a generator, as {I: [(a, c)]} with c in Q(i).
+    """A generator's terms c theta^I ∧ omega_a as (den, {I: [(a, re, im)]}), c = (re + i*im)/den.
 
     The one check of a generator: as_form's FrameMismatchError for a form
     of another bundle, NotLinearError for a term without exactly one omega
     factor and NonLinearError for one with a symbolic coefficient.
     """
     form, n = as_form(bundle.manifold, form), bundle.n
-    groups = {}
     for mono, c in form.terms.items():
         # Exactly one omega factor, which is then the last of the sorted monomial.
         linear = bool(mono) and mono[-1] > n and (len(mono) == 1 or mono[-2] <= n)
@@ -121,27 +118,27 @@ def _tableau(bundle: FrameBundle, form):
             if not linear:
                 raise NotLinearError(f"{term} is not linear in the connection forms")
             raise NonLinearError(f"{term} has a symbolic coefficient")
-        groups.setdefault(mono[:-1], []).append((mono[-1], c.terms[()]))
-    return groups
+    den, terms = _cleared([(mono, c.terms[()]) for mono, c in form.terms.items()])
+    groups = {}
+    for mono, re, im in terms:
+        groups.setdefault(mono[:-1], []).append((mono[-1], re, im))
+    return den, groups
 
 
 def _vn_rows(n, tableaux) -> list:
     """The independent rows (re, im, den) of V_n, each tableau's in monomial order.
 
-    A row is {column of p_aj: entry} over the Gaussian integers, re and
-    im its parts, and den its generator's common denominator: the entry
-    of p_aj is (re + i*im)/den.  The sign of theta^I ∧ theta^j =
-    ±theta^(I+j) is -1 to the number of indices of I above j.  A term
-    c theta^I ∧ omega_a alone gives the row of I+j its p_aj entry, so
-    entries are stored, never summed.
+    The entry of p_aj is (re + i*im)/den at its column.  The sign of
+    theta^I ∧ theta^j = ±theta^(I+j) is -1 to the number of indices of I
+    above j.  A term c theta^I ∧ omega_a alone gives the row of I+j its
+    p_aj entry, so entries are stored, never summed.
     """
     rank = Rank()  # a column pivots in its own order, that of the p's
     kept = []
-    for groups in tableaux:
-        den = lcm(*[c._d for terms in groups.values() for _, c in terms])
+    for den, groups in tableaux:
         rows = {}
         for theta, terms in groups.items():
-            even = [((a - n - 1) * n - 1, c._a * (den // c._d), c._b * (den // c._d)) for a, c in terms]
+            even = [((a - n - 1) * n - 1, x, y) for a, x, y in terms]
             signed = (even, [(column, -x, -y) for column, x, y in even])
             k = len(theta)
             for j in range(1, n + 1):
@@ -159,7 +156,7 @@ def _vn_rows(n, tableaux) -> list:
                     if y:
                         im[column + j] = y
         for re, im in map(rows.get, sorted(rows, key=_mono_key)):
-            if rank.insert_ints(dict(re), dict(im)):
+            if rank.insert(re, im):
                 kept.append((re, im, den))
     return kept
 
@@ -190,45 +187,53 @@ def reduced_polar_equations(bundle: FrameBundle, form: Form, j: int, order=None)
     return [eq for w in forms for eq in reduced_polar_equations(bundle, w, j - 1, order)]
 
 
-def _tableau_polar_equations(groups, order):
-    """The polar equations of a generator's _tableau groups, as rows {a: ±c} at each j = 0..n-1.
+def _tableau_polar_equations(tableau, order):
+    """The polar equations of a generator's _tableau, as rows (re, im, den) at each j = 0..n-1.
 
-    A theta set I gives the row of sum ±c omega_a over its terms at step
-    j = 1 + the flag position of I's last vector (j = 0 for the empty set;
-    a set that holds the n-th flag vector gives none).  The sign is the
+    A theta set I gives the row ±sum c omega_a over its terms, c =
+    (re[a] + i*im[a])/den, at step j = 1 + the flag position of I's last
+    vector (j = 0 for the empty set; a set that holds the n-th flag
+    vector gives none).  The sign is the
     parity of I read from its last flag vector down, and sorting by the
     positions, last first, gives reduced_polar_equations' order.  Raises
     MixedDegreeError for theta sets of different sizes, as degree() does.
     """
+    den, groups = tableau
     if len({len(theta) for theta in groups}) > 1:
         raise MixedDegreeError(f"form has mixed degrees {sorted({len(t) + 1 for t in groups})}")
     steps = [[] for _ in order]
     for qs, theta in sorted((sorted(map(order.index, t), reverse=True), t) for t in groups):
         j = qs[0] + 1 if qs else 0
         if j < len(order):
-            odd = sum(order[q] < order[p] for p, q in combinations(qs, 2)) % 2
-            steps[j].append({a: -c if odd else c for a, c in groups[theta]})
+            sign = -1 if sum(order[q] < order[p] for p, q in combinations(qs, 2)) % 2 else 1
+            re = {a: sign * x for a, x, _ in groups[theta] if x}
+            im = {a: sign * y for a, _, y in groups[theta] if y}
+            steps[j].append((re, im, den))
     return steps
 
 
-def _vn_columns(row):
-    """A V_n row's (column, re, im) entries in column order, that of the p's."""
+def _columns(row):
+    """A kept row's (key, re, im) entries in key order: that of the p's for V_n, of the omegas for polar."""
     re, im, _ = row
-    return [(column, re.get(column, 0), im.get(column, 0)) for column in sorted(re.keys() | im.keys())]
+    return [(key, re.get(key, 0), im.get(key, 0)) for key in sorted(re.keys() | im.keys())]
+
+
+def _row_text(row, name):
+    """A kept row (re, im, den) as str and print_form write its equation, name(key) the text of a key."""
+    return _signed_sum([_scaled_str(x, y, row[2], name(key)) for key, x, y in _columns(row)])
 
 
 @dataclass(frozen=True)
 class CartanReport:
     """Polar ranks, codimension and verdict, with the equations behind them.
 
-    The kept V_n rows are held as Gaussian-integer rows (re, im, den) on
-    the integer columns of the p's, and the kept polar rows as {a: c}
-    on the omega indices.  vn_equations (Polys) and polar (Forms,
-    polar[j] the first c_j retained polar equations) are made from them
-    on first read.  vn_text and polar_text are the same equations as
-    str and print_form write them, formatted from the rows with no
-    Symbol, Poly or Form made.  Each is () for a report without its
-    bundle.  repr, equality and hashing see (c, codim, involutive).
+    The kept V_n and polar rows are held alike, as cartan_test makes
+    them.  vn_equations (Polys) and polar (Forms, polar[j] the first c_j
+    retained polar equations) are made from them on first read.  vn_text
+    and polar_text are the same equations as str and print_form write
+    them, formatted from the rows with no Symbol, Poly or Form made.
+    Each is () for a report without its bundle.  repr, equality and
+    hashing see (c, codim, involutive).
     """
 
     c: tuple
@@ -244,7 +249,7 @@ class CartanReport:
             return ()
         p = list(self._bundle.p.values())
         return tuple(
-            Poly({((p[col], 1),): _make(x, y, row[2]) for col, x, y in _vn_columns(row)})
+            Poly({((p[col], 1),): _make(x, y, row[2]) for col, x, y in _columns(row)})
             for row in self._vn_kept
         )
 
@@ -253,7 +258,10 @@ class CartanReport:
         if not self._bundle:
             return ()
         M = self._bundle.manifold
-        forms = [Form(M, {(a,): Poly({(): c}) for a, c in row.items()}) for row in self._polar_kept]
+        forms = [
+            Form(M, {(a,): Poly({(): _make(x, y, row[2])}) for a, x, y in _columns(row)})
+            for row in self._polar_kept
+        ]
         return tuple(tuple(forms[:k]) for k in self.c)
 
     @cached_property
@@ -263,11 +271,7 @@ class CartanReport:
             return ()
         n = self._bundle.n
         return tuple(
-            _signed_sum(
-                _scaled_str(x, y, row[2], _p_name(col // n + n + 1, col % n + 1))
-                for col, x, y in _vn_columns(row)
-            )
-            for row in self._vn_kept
+            _row_text(row, lambda col: _p_name(col // n + n + 1, col % n + 1)) for row in self._vn_kept
         )
 
     @cached_property
@@ -275,10 +279,7 @@ class CartanReport:
         """print_form(eq) for each eq of each polar[j]."""
         if not self._bundle:
             return ()
-        texts = [
-            _signed_sum(_scaled_str(c._a, c._b, c._d, _mono_print((a,))) for a, c in sorted(row.items()))
-            for row in self._polar_kept
-        ]
+        texts = [_row_text(row, lambda a: _mono_print((a,))) for row in self._polar_kept]
         return tuple(tuple(texts[:k]) for k in self.c)
 
 
@@ -295,11 +296,11 @@ def cartan_test(bundle: FrameBundle, ideal, flag_order=None) -> CartanReport:
     """
     tableaux = [_tableau(bundle, form) for form in ideal]
     order = _flag_order(bundle, flag_order)
-    steps = [_tableau_polar_equations(groups, order) for groups in tableaux]
+    steps = [_tableau_polar_equations(tableau, order) for tableau in tableaux]
     vn_rows = _vn_rows(bundle.n, tableaux)
     rank, kept, c = Rank(), [], []
     for j in range(bundle.n):
-        kept += [row for form_steps in steps for row in form_steps[j] if rank.insert(row)]
+        kept += [row for form_steps in steps for row in form_steps[j] if rank.insert(row[0], row[1])]
         c.append(len(kept))
     return CartanReport(tuple(c), len(vn_rows), sum(c) == len(vn_rows), bundle, vn_rows, kept)
 

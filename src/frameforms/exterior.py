@@ -491,11 +491,19 @@ def _parse_term(frame, sc, sign):
 
 
 def _sorted_term(indices, coeff):
-    mono = tuple(sorted(indices))
+    """(sorted monomial, ±coeff) of e[indices], signed by the sort's parity; None for a repeat."""
+    perm = sorted(range(len(indices)), key=indices.__getitem__)
+    mono = tuple(map(indices.__getitem__, perm))
     if len(set(mono)) < len(mono):
         return None
-    inversions = sum(a > b for k, a in enumerate(indices) for b in indices[k + 1 :])
-    return mono, -coeff if inversions % 2 else coeff
+    # Each swap puts one position in its place: k minus the cycle count swaps in all.
+    odd = False
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], j
+            odd = not odd
+    return mono, -coeff if odd else coeff
 
 
 def _generator(frame, d, pos):

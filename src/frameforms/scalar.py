@@ -29,9 +29,9 @@ dual/components echelon.  Echelon.over and Echelon.impose_linear are
 the one affine-row step: the unknowns' linear monomials are the only
 pivots, and every equation is checked to give each unknown a constant
 coefficient before any is imposed.  Rank only decides which rows are
-independent (Cartan's V_n, every basis's insert), by fraction-free
-elimination on Gaussian-integer rows held as plain ints; V_n's rows
-enter as such ints, the others as Q(i) rows cleared to them.
+independent (Cartan's V_n and polar rows, every basis's insert), by
+fraction-free elimination on Gaussian-integer rows held as plain ints;
+_cleared is the one step that clears Q(i) coefficients to them.
 _signed_sum is the one joiner of printed terms into a sum.
 """
 
@@ -185,6 +185,14 @@ def _make(a, b, d) -> GaussianRational:
     out = _new(GaussianRational)
     out._a, out._b, out._d = a, b, d
     return out
+
+
+def _cleared(pairs) -> tuple:
+    """(den, [(key, re, im)]) of Q(i) pairs (key, c), a list or dict items: c = (re + i*im)/den."""
+    den = lcm(*[c._d for _, c in pairs])
+    if den == 1:
+        return 1, [(k, c._a, c._b) for k, c in pairs]
+    return den, [(k, c._a * (den // c._d), c._b * (den // c._d)) for k, c in pairs]
 
 
 def _coerce(x):
@@ -694,37 +702,17 @@ class Rank:
     keys of the span.
     """
 
-    __slots__ = ("order", "pivots")
+    __slots__ = ("pivots",)
 
-    def __init__(self, order=None):
-        self.order = order
+    def __init__(self):
         self.pivots = {}
 
-    def insert(self, vec) -> bool:
-        """insert_ints of a row {key: GaussianRational} cleared to its common denominator.
-
-        Keys are mapped through `order` (kept as they are for order None);
-        vec itself is left as it is.
-        """
-        order = self.order
-        if order is not None:
-            vec = {order(k): c for k, c in vec.items()}
-        den = lcm(*[c._d for c in vec.values()])
-        if den == 1:
-            re = {k: c._a for k, c in vec.items() if c._a}
-            im = {k: c._b for k, c in vec.items() if c._b}
-        else:
-            re = {k: c._a * (den // c._d) for k, c in vec.items() if c._a}
-            im = {k: c._b * (den // c._d) for k, c in vec.items() if c._b}
-        return self.insert_ints(re, im)
-
-    def insert_ints(self, re, im) -> bool:
+    def insert(self, re, im) -> bool:
         """Store the row re + i*im and return True, unless it lies in the span of the stored rows.
 
-        re and im are {key: int} dicts with no zero values, keyed in pivot
-        order.  They are reduced in place and, when the row is kept,
-        stored as they are: a caller that reads them afterwards passes copies.
+        re and im are {key: int} dicts with no zero values; Rank reduces and keeps a copy of them.
         """
+        re, im = dict(re), dict(im)
         pivots = self.pivots
         while re or im:
             lead = min(im) if not re else min(re) if not im else min(min(re), min(im))

@@ -32,12 +32,14 @@ from frameforms import (
     substitute_form,
     wedge,
 )
-from frameforms import eds, exterior
+from frameforms import eds, exterior, scalar
 from frameforms.cli import G2_PHI, G2_STAR_PHI, g2_ideal
 from frameforms.scalar import Echelon, Rank
 
 # The Cayley 4-form; d of it generates the Spin(7) system on n = 8.
 SPIN7_PHI = "1234+1256+1278+3456+3478+5678+1357-1368-1458-1467-2358-2367-2457+2468"
+# Two generators on n = 4 with denominators 2, 3 and 5 and an imaginary coefficient.
+FRACTIONAL_IDEAL = Path(__file__).with_name("data") / "fractional.ideal"
 
 
 def _g2():
@@ -365,6 +367,38 @@ def test_cartan_test_builds_no_fraction(monkeypatch, n, text, c):
     assert made == []
 
 
+@pytest.mark.parametrize(
+    "n, text, flag",
+    [
+        (7, f"d: {G2_PHI}\nd: {G2_STAR_PHI}\n", None),
+        (7, f"d: {G2_PHI}\nd: {G2_STAR_PHI}\n", [3, 1, 4, 7, 2, 6, 5]),
+        (4, FRACTIONAL_IDEAL.read_text(encoding="utf-8"), None),
+        (4, FRACTIONAL_IDEAL.read_text(encoding="utf-8"), [2, 4, 1, 3]),
+    ],
+    ids=["g2", "g2-flag", "fractional", "fractional-flag"],
+)
+def test_cartan_test_makes_no_gaussian_rational(monkeypatch, n, text, flag):
+    """From the loaded ideal to the report, every row stays on Gaussian-integer ints.
+
+    The fractional ideal's generators mix denominators and an imaginary
+    coefficient, and the flags give both signs to the polar rows.
+    """
+    P = frame_bundle(Session(), n)
+    ideal = load_ideal(P, text)
+    made = []
+    real_new = scalar._new
+
+    def counting_new(cls):
+        made.append(cls)
+        return real_new(cls)
+
+    monkeypatch.setattr(scalar, "_new", counting_new)
+    report = cartan_test(P, ideal, flag)
+    monkeypatch.undo()
+    assert made == []
+    assert report.vn_equations and report.polar[-1]
+
+
 @_LOADED_SYSTEMS
 def test_cartan_test_hooks_and_wraps_nothing(monkeypatch, n, text, c):
     """After the ideal is loaded: no hook, and no Poly.constant wrapping.
@@ -395,15 +429,15 @@ def test_cartan_test_hooks_and_wraps_nothing(monkeypatch, n, text, c):
 
 
 def test_cartan_test_mixed_degree_raises(monkeypatch):
-    """A generator of mixed degree is rejected before any row reaches a Rank."""
+    """A generator of mixed degree is rejected before any row, of V_n or polar, reaches a Rank."""
     P = frame_bundle(Session(), 2)
     ideal = load_ideal(P, "d: 1+12\n")
     inserts = []
     real_insert = Rank.insert
 
-    def counting_insert(self, vec):
-        inserts.append(vec)
-        return real_insert(self, vec)
+    def counting_insert(self, re, im):
+        inserts.append((re, im))
+        return real_insert(self, re, im)
 
     monkeypatch.setattr(Rank, "insert", counting_insert)
     with pytest.raises(MixedDegreeError, match=r"form has mixed degrees \[2, 3\]"):
@@ -496,8 +530,15 @@ def _test_flags(n):
 
 
 def _row_form(P, row):
-    """A polar row {a: c} as the form sum c omega_a."""
-    return Form(P.manifold, {(a,): Poly.constant(c) for a, c in row.items()})
+    """A polar row (re, im, den) as the form sum (re[a] + i*im[a])/den omega_a."""
+    re, im, den = row
+    return Form(
+        P.manifold,
+        {
+            (a,): Poly.constant(GaussianRational(Fraction(re.get(a, 0), den), Fraction(im.get(a, 0), den)))
+            for a in re.keys() | im.keys()
+        },
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import random
 from fractions import Fraction
@@ -186,6 +187,32 @@ def test_parse_examples():
     assert parse_form(M, "-12") == -(M.e(1) * M.e(2))
     assert parse_form(M, "2*1") == 2 * M.e(1)
     assert parse_form(M, "0*12") == 0
+
+
+def test_parse_sign_of_long_index_lists():
+    """A bracket list's sign is its sorting permutation's parity, and a repeated index gives 0.
+
+    Reversed lists e[k,...,1] have parity k(k-1)/2; seeded shuffles are
+    checked against an inversion count made by insertion into a sorted list.
+    """
+    M = _manifold(5000)
+    for k in (1, 2, 3, 4, 5, 6, 1000, 4999, 5000):
+        w = parse_form(M, f"e[{','.join(map(str, range(k, 0, -1)))}]")
+        assert list(w.terms) == [tuple(range(1, k + 1))]
+        assert w.coefficient(tuple(range(1, k + 1))) == (-1) ** (k * (k - 1) // 2), k
+    rng = random.Random(11)
+    for k in (2, 3, 7, 100, 2500, 5000):
+        for _ in range(3):
+            indices = rng.sample(range(1, 5001), k)
+            seen, inversions = [], 0
+            for g in indices:
+                inversions += len(seen) - bisect.bisect(seen, g)
+                bisect.insort(seen, g)
+            w = parse_form(M, f"e[{','.join(map(str, indices))}]")
+            assert list(w.terms) == [tuple(seen)]
+            assert w.coefficient(tuple(seen)) == (-1) ** inversions, k
+            repeat = indices + [indices[rng.randrange(k)]]
+            assert parse_form(M, f"e[{','.join(map(str, repeat))}]") == 0
 
 
 def test_parse_errors():

@@ -462,22 +462,23 @@ def _budgeted_rank():
     return rank
 
 
-def _insert(rank, vec):
-    rank.pivots.steps = 0
-    return rank.insert(vec)
+def _insert(rank, vec, scale=1):
+    """Rank.insert of scale·den·vec as its (re, im) int dicts, den vec's common denominator.
 
-
-def _insert_ints(rank, vec):
-    """Rank.insert_ints of i·3·den·vec as its (re, im) int dicts, den vec's common denominator."""
+    The dicts passed must be left as they are.
+    """
     den = 1
     for c in vec.values():
         den = den * c._d // math.gcd(den, c._d)
-    scaled = {k: c * GaussianRational(0, 3 * den) for k, c in vec.items()}
+    scaled = {k: c * scale * den for k, c in vec.items()}
     assert all(c._d == 1 for c in scaled.values())
     rank.pivots.steps = 0
     re = {k: c._a for k, c in scaled.items() if c._a}
     im = {k: c._b for k, c in scaled.items() if c._b}
-    return rank.insert_ints(re, im)
+    before = (dict(re), dict(im))
+    accepted = rank.insert(re, im)
+    assert (re, im) == before
+    return accepted
 
 
 def test_rank_decides_a_unit_pivot_with_an_imaginary_part():
@@ -499,9 +500,9 @@ def test_rank_decides_a_unit_pivot_with_an_imaginary_part():
 def test_rank_accepts_exactly_the_rows_echelon_accepts():
     """On random Q(i) rows and dependent combinations of them, Rank and Echelon agree.
 
-    Each row is accepted by both or by neither, and Rank's pivot keys are
-    Echelon's row keys; so for Rank.insert_ints of each row cleared to
-    Gaussian integers and scaled by a unit and an integer.  Entries draw
+    Each row, cleared to Gaussian integers, is accepted by both or by
+    neither, and Rank's pivot keys are Echelon's row keys; so too when
+    each cleared row is also scaled by a unit and an integer.  Entries draw
     fractions, imaginary parts and leads such as 1+i; a dependent row is
     a Q(i) combination of earlier rows, sometimes plus a small
     perturbation that makes it independent.
@@ -536,7 +537,7 @@ def test_rank_accepts_exactly_the_rows_echelon_accepts():
                 vec = data.draw(rows)
             accepted = _echelon_accepts(ech, vec)
             assert _insert(rank, vec) == accepted, vec
-            assert _insert_ints(ints, vec) == accepted, vec
+            assert _insert(ints, vec, GaussianRational(0, 3)) == accepted, vec
             seen.append(vec)
         assert set(rank.pivots) == set(ints.pivots) == set(ech.rows)
 
