@@ -139,7 +139,7 @@ class Basis:
             for k, c in row.items():
                 if isinstance(k, int):
                     accumulate(comps[k], ((mono, a * c) for mono, a in p.terms.items()))
-                elif k != key:
+                else:
                     accumulate(rest, (((k, mono), -a * c) for mono, a in p.terms.items()))
         if rest:
             raise NotInSpanError(f"{x} is not in the span of the basis")

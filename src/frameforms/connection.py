@@ -28,11 +28,11 @@ spinors the signed permutations (1/2) g_j g_k.
 
 Constraints are never assigned directly: declare_* methods turn nabla
 expressions into scalar equations and add them to one persistent
-reduced echelon form over the connection's own symbols.  Its pivot rows
-give the substitution that expresses each solved symbol through the
-free ones; a declaration refreshes only the rows it changed, its new
-pivots and the old rows that held one of them.  Foreign symbols
-(another connection's parameters) ride along as parameters.
+reduced echelon form over the connection's own symbols.  That echelon
+is the Gamma table: a solved symbol's row holds its non-pivot entries,
+so s + row = 0, and Gamma is read off the rows as minus the row; a
+symbol without a row is free.  Foreign symbols (another connection's
+parameters) ride along as parameters.
 
 Scalar equations are split into real and imaginary parts before
 solving: the symbolic parameters stand for real-valued functions, and
@@ -103,16 +103,15 @@ class Connection:
         if len(basis) != n:
             raise ValueError(f"frame spans only {len(basis)} of {n} dimensions")
         self.frame = basis
+        # Each entry's symbol as its linear monomial, the key of its echelon row.
         self._gamma = {
-            (i, j, k): manifold.session.symbol(f"{prefix}{i}{j}{k}")
+            (i, j, k): ((manifold.session.symbol(f"{prefix}{i}{j}{k}"), 1),)
             for i in range(1, n + 1)
             for j in range(1, n + 1)
             for k in range(j + 1 if antisymmetric else 1, n + 1)
         }
-        self._symbols = list(self._gamma.values())
-        self._own = set(self._symbols)
-        self._echelon = Echelon.over(self._symbols)
-        self._subs = {}
+        self._own = {key[0][0] for key in self._gamma.values()}
+        self._echelon = Echelon.over(self._own)
 
     @classmethod
     def torsion_free(cls, manifold, frame=None, prefix="Gamma"):
@@ -179,19 +178,21 @@ class Connection:
                 return {}, 1
             if j > k:
                 j, k, sign = k, j, -1
-        s = self._gamma[(i, j, k)]
-        value = self._subs.get(s)
-        return ({((s, 1),): _ONE} if value is None else value.terms), sign
+        key = self._gamma[(i, j, k)]
+        row = self._echelon.rows.get(key)
+        # A solved symbol's row is minus its value, uncopied: callers only read it.
+        return ({key: _ONE}, sign) if row is None else (row, -sign)
 
     def gamma(self, i, j, k) -> Poly:
-        """The (substituted) symbol <nabla_{f_i} f_j, f^k>."""
+        """<nabla_{f_i} f_j, f^k>: minus the symbol's echelon row once solved, else the symbol."""
         self._check_indices(i, j, k)
         terms, sign = self._terms(i, j, k)
         return Poly(terms) if sign > 0 else -Poly(terms)
 
     def free_parameters(self):
         """The connection's own symbols not yet fixed by declarations."""
-        return [s for s in self._symbols if s not in self._subs]
+        rows = self._echelon.rows
+        return [key[0][0] for key in self._gamma.values() if key not in rows]
 
     def connection_form(self, j, k) -> Form:
         """The one-form omega_jk = sum_i Gamma_ijk f^i."""
@@ -320,19 +321,11 @@ class Connection:
 
         The rows are added to a copy that replaces the echelon only once
         every part proved linear and consistent, so a failed declaration
-        leaves the connection unchanged.  Inserting a row changes only
-        the rows that hold its pivot, so the substitution is refreshed
-        at the new pivots and at the old rows that held one of them.
+        leaves the connection unchanged.
         """
-        old = self._echelon.rows
         ech = self._echelon.copy()
         ech.impose_linear([part for p in polys for part in p.real_imag() if part], self._own)
-        if len(ech.rows) == len(old):
-            return
-        new = {p for p in ech.rows if p not in old}
-        changed = [p for p, row in old.items() if not new.isdisjoint(row)]
         self._echelon = ech
-        self._subs = {**self._subs, **ech.solved(new.union(changed))}
 
     def declare_nabla_vector(self, X, T, value):
         self.declare_zero([self.nabla_vector(X, T) - value])

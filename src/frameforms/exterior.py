@@ -415,9 +415,9 @@ def _parse_scalar(sc):
     value, _ = _parse_int(sc)
     if sc.peek() == "/":
         sc.take()
-        den, _ = _parse_int(sc)
+        den, start = _parse_int(sc)
         if den == 0:
-            sc.error("zero denominator")
+            raise FormParseError(start, "zero denominator")
         value = Fraction(value, den)
     if sc.text.startswith("*i", sc.pos):
         sc.pos += 2

@@ -582,13 +582,14 @@ def as_poly(x) -> Poly:
 class Echelon:
     """Incremental, fully reduced, sparse row echelon form over Q(i).
 
-    A row is a dict key -> GaussianRational, stored under its pivot.
+    A row is a dict key -> GaussianRational of its non-pivot entries,
+    stored under its pivot, whose coefficient one is implied; so a row
+    keyed by a symbol's monomial is minus that symbol's value.
     `order(key)` gives the sort key of a key that may pivot, or None for
     a key that never pivots (a parameter monomial, a bookkeeping tag).
-    Each row's pivot is its least pivotable key, with coefficient one,
-    and no row holds another row's pivot, so the rows are the unique
-    reduced echelon form of their span in that column order.  `ops`
-    counts the multiply-subtract steps spent.
+    Each row's pivot is its least pivotable key, and no row holds any
+    pivot, so the rows are the unique reduced echelon form of their span
+    in that column order.  `ops` counts the multiply-subtract steps spent.
     """
 
     __slots__ = ("order", "rows", "ops")
@@ -617,27 +618,28 @@ class Echelon:
         v = dict(vec)
         # Rows hold no other row's pivot, so one pass over vec's pivots suffices.
         for p in [k for k in v if k in self.rows]:
-            self._subtract(v, v[p], self.rows[p])
+            self._subtract(v, v.pop(p), self.rows[p])
         return v
 
     def insert(self, red):
         """Store a reduced vector as a new row and return its pivot.
 
-        The echelon takes `red` over: a row whose pivot coefficient is
-        one is stored as that very dict.  Returns None, storing nothing,
-        when no key of `red` may pivot.
+        The echelon takes `red` over: its pivot entry is popped, and the
+        rest, divided by that entry, is the row; a pivot coefficient of
+        one keeps that very dict.  Returns None, storing nothing, when
+        no key of `red` may pivot.
         """
         order = self.order
         pivot = min((k for k in red if order(k) is not None), key=order, default=None)
         if pivot is None:
             return None
-        lead = red[pivot]
+        lead = red.pop(pivot)
         pairs = red.items()
         scaled = _scaled(pairs, lead if _unit(lead) else _ONE / lead)  # 1/c is c for c = ±1
         row = red if scaled is pairs else dict(scaled)
         for other in self.rows.values():
-            c = other.get(pivot)
-            if c:
+            c = other.pop(pivot, None)
+            if c is not None:
                 self._subtract(other, c, row)
         self.rows[pivot] = row
         return pivot
@@ -674,16 +676,9 @@ class Echelon:
         for p in polys:
             self.impose(p.terms)
 
-    def solved(self, pivots=None) -> dict:
-        """For rows keyed by monomials: each pivot symbol's value, minus its row's rest.
-
-        Only the rows of `pivots` are read when they are given.
-        """
-        rows = self.rows
-        return {
-            p[0][0]: Poly({m: -c for m, c in rows[p].items() if m != p})
-            for p in (rows if pivots is None else pivots)
-        }
+    def solved(self) -> dict:
+        """For rows keyed by monomials: each pivot symbol's value, minus its row."""
+        return {p[0][0]: -Poly(row) for p, row in self.rows.items()}
 
 
 class Rank:

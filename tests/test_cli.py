@@ -277,6 +277,15 @@ def test_dform_overlong_integer_is_an_input_error(tmp_path, manifold_text, form,
     assert (rc, out, err) == (1, "", f"frameforms: input error: {message}\n")
 
 
+def test_dform_zero_denominator_names_its_position(tmp_path):
+    mfd = tmp_path / "iwasawa.mfd"
+    mfd.write_text(IWASAWA_FILE)
+    for form, position in (("1/0*e1", 2), ("(1/0)*e1", 3)):
+        assert _run(["dform", "--manifold-file", str(mfd), form]) == (
+            1, "", f"frameforms: input error: parse error at position {position}: zero denominator\n"
+        )
+
+
 def test_dform_long_digit_monomial_is_not_read_as_an_integer(tmp_path):
     """Digits without '*' or '/' are a monomial, however many: 5000 repeated indices are zero."""
     mfd = tmp_path / "m.mfd"

@@ -7,6 +7,7 @@ from frameforms import (
     Connection,
     DegreeError,
     DimensionError,
+    FormBasis,
     FrameIndexError,
     FrameManifold,
     I,
@@ -18,6 +19,7 @@ from frameforms import (
     Spinor,
     UnsupportedKindError,
     hook,
+    linear_solve,
     pairing,
     parse_form,
     wedge,
@@ -27,6 +29,7 @@ from frameforms.cli import (
     bilagrangian_brackets,
     su2_spinor_forms,
 )
+from frameforms.scalar import Echelon
 
 
 def nilpotent4(session):
@@ -247,6 +250,27 @@ def test_nabla_spinor_requires_metric_connection():
     c = Connection(M)
     with pytest.raises(UnsupportedKindError):
         c.nabla_spinor(M.e(1), None)
+    # a metric connection on a manifold without a spinor module
+    metric = Connection(M, antisymmetric=True)
+    with pytest.raises(UnsupportedKindError, match="no spinor module"):
+        metric.nabla_spinor(M.e(1), Spinor.basis(4, 0))
+
+
+def test_declare_nabla_spinor_value_must_be_a_spinor_or_zero():
+    R = RiemannianManifold(Session(), 4)
+    with pytest.raises(TypeError, match="needs a Spinor or 0 value"):
+        R.connection.declare_nabla_spinor(R.e(1), R.u(0), 1)
+    assert len(R.connection.free_parameters()) == 24
+
+
+def test_connection_frame_must_be_a_coframe():
+    M = torus(Session(), 3)
+    e1, e2, e3 = M.generators()
+    with pytest.raises(DegreeError, match="must be one-forms"):
+        Connection(M, frame=[e1 * e2, e2, e3])
+    for frame in ([e1, e2, e1 + e2], [e1, e2]):
+        with pytest.raises(ValueError, match=r"^frame spans only 2 of 3 dimensions$"):
+            Connection(M, frame=frame)
 
 
 def test_declare_nabla_examples():
@@ -257,9 +281,9 @@ def test_declare_nabla_examples():
     for k in range(1, 5):
         assert pairing(c.nabla_vector(M.e(1), M.e(1)), M.e(k)) == 0
     # idempotent: redeclaring an implied constraint changes nothing
-    before = dict(c._subs)
+    before = c._echelon.solved()
     c.declare_nabla_vector(M.e(1), M.e(1), 0)
-    assert c._subs == before
+    assert c._echelon.solved() == before
     # contradictory redeclaration
     c2 = Connection(M)
     c2.declare_nabla_vector(M.e(1), M.e(1), M.e(1))
@@ -271,9 +295,9 @@ def test_declare_zero_examples():
     s = Session()
     M = torus(s)
     c = Connection(M)
-    before = dict(c._subs)
+    before = c._echelon.solved()
     c.declare_zero([M.zero()])
-    assert c._subs == before
+    assert c._echelon.solved() == before
     with pytest.raises(InconsistentError):
         c.declare_zero([(M.e(1) * M.e(2)) * 3])
 
@@ -284,11 +308,11 @@ def test_failed_declaration_leaves_connection_unchanged():
     c = Connection(M)
     c.declare_nabla_vector(M.e(1), M.e(1), M.e(2))
     g1, g2, g3 = c.free_parameters()[:3]
-    subs, free = dict(c._subs), c.free_parameters()
+    subs, free = c._echelon.solved(), c.free_parameters()
     table = [str(c.gamma(i, j, k)) for i in range(1, 5) for j in range(1, 5) for k in range(1, 5)]
 
     def unchanged():
-        assert c._subs == subs
+        assert c._echelon.solved() == subs
         assert c.free_parameters() == free
         assert [str(c.gamma(i, j, k)) for i in range(1, 5) for j in range(1, 5) for k in range(1, 5)] == table
 
@@ -300,7 +324,7 @@ def test_failed_declaration_leaves_connection_unchanged():
     unchanged()
     c.declare_zero([g1 - 1])
     assert g1 not in c.free_parameters()
-    assert c._subs[g1] == 1
+    assert c._echelon.solved()[g1] == 1
 
 
 def test_declare_zero_nonlinear_error_texts():
@@ -689,10 +713,10 @@ def _reference_gamma(conn, i, j, k):
             return Poly.zero()
         if j > k:
             j, k, sign = k, j, -1
-    s = conn._gamma[(i, j, k)]
-    value = conn._subs.get(s)
-    if value is None:
-        value = Poly.from_symbol(s)
+    key = conn._gamma[(i, j, k)]
+    # A solved symbol's echelon row holds its non-pivot entries: s + row = 0.
+    row = conn._echelon.rows.get(key)
+    value = Poly.from_symbol(key[0][0]) if row is None else -Poly(row)
     return value if sign > 0 else -value
 
 
@@ -894,19 +918,41 @@ def test_riemannian_d_matches_reference():
             assert R.d(w) == _reference_riemannian_d(R, w), name
 
 
-# --- incremental substitution table ----------------------------------------------
+# --- the echelon is the Gamma table ----------------------------------------------
 
-def test_subs_stays_the_solved_echelon_across_declarations():
-    """After every declaration, failed ones included, _subs is exactly what solved() rebuilds."""
+def _assert_rows_hold_no_pivot(ech):
+    """No stored row holds its own pivot key, whose coefficient 1 is implied, nor another row's."""
+    pivots = set(ech.rows)
+    for pivot, row in ech.rows.items():
+        assert pivots.isdisjoint(row), pivot
+
+
+def _gamma_table(c):
+    n = c.manifold.dim
+    return [c.gamma(i, j, k) for i in range(1, n + 1) for j in range(1, n + 1) for k in range(1, n + 1)]
+
+
+def _polys(exprs):
+    """The scalar equations that declare_zero reads off exprs."""
+    return [p for x in exprs for p in ([x] if isinstance(x, Poly) else [c for _, c in x.coefficients()])]
+
+
+def test_echelon_rows_are_the_gamma_table_across_declarations():
+    """After every declaration, failed ones included, Gamma and the free symbols are those of a replay.
+
+    The replay is a fresh connection on the same manifold that declares,
+    in its own symbols, only the declarations that were accepted.
+    """
     rng = random.Random(404)
     failures = {InconsistentError: 0, NonLinearError: 0}
     for _ in range(4):
         s = Session()
         a = s.symbol("a")
         M = nilpotent4(s)
-        c = Connection(M, prefix="G", antisymmetric=rng.random() < 0.5)
+        antisymmetric = rng.random() < 0.5
+        c = Connection(M, prefix="G", antisymmetric=antisymmetric)
         own = c.free_parameters()
-        done = []
+        done, accepted = [], []
         for _ in range(25):
             roll = rng.random()
             if roll < 0.5:
@@ -924,28 +970,56 @@ def test_subs_stays_the_solved_echelon_across_declarations():
             try:
                 c.declare_zero(exprs)
                 done.extend(e for e in exprs if isinstance(e, Poly))
+                accepted.append(_polys(exprs))
             except (InconsistentError, NonLinearError) as exc:
                 failures[type(exc)] += 1
-            assert c._subs == c._echelon.solved()
-            assert c.free_parameters() == [g for g in own if g not in c._subs]
+            _assert_rows_hold_no_pivot(c._echelon)
+            replay = Connection(M, prefix="G", antisymmetric=antisymmetric)
+            fresh = replay.free_parameters()
+            to_fresh = {g: Poly.from_symbol(f) for g, f in zip(own, fresh)}
+            back = {f: Poly.from_symbol(g) for g, f in zip(own, fresh)}
+            for polys in accepted:
+                replay.declare_zero([p.substitute(to_fresh) for p in polys])
+            assert _gamma_table(c) == [p.substitute(back) for p in _gamma_table(replay)]
+            own_of = dict(zip(fresh, own))
+            assert c.free_parameters() == [own_of[f] for f in replay.free_parameters()]
     assert failures[InconsistentError] >= 3 and failures[NonLinearError] >= 3
 
 
-def test_declaration_refreshes_only_the_rows_it_changes():
+def test_linear_solve_and_basis_rows_hold_no_pivot():
+    s = Session()
+    x, y, z, t = (s.symbol(v) for v in "xyzt")
+    eqs = [x + y * 2 - t, y - z * I + 1, x - z - 3]
+    unknowns = {x, y, z}
+    ech = Echelon.over(unknowns)
+    ech.impose_linear(eqs, unknowns)
+    _assert_rows_hold_no_pivot(ech)
+    assert ech.solved() == linear_solve(eqs, [x, y, z]).assignments
+    M = nilpotent4(s)
+    b = FormBasis(M)
+    for f in [M.e(1) + M.e(2), M.e(2) * 2 - M.e(3), M.e(1) * M.e(2), M.e(3) + M.e(4)]:
+        b.insert(f)
+    b.dual_basis()
+    assert len(b._tagged.rows) == len(b)
+    _assert_rows_hold_no_pivot(b._tagged)
+
+
+def test_declaration_changes_only_the_rows_holding_its_pivots():
     s = Session()
     c = Connection(torus(s), prefix="G")
     g = c.free_parameters()
     c.declare_zero([g[0] - g[10], g[1] + g[11] * 2 - 1, g[2] - g[12] + g[13]])
-    before = dict(c._subs)
-    # g[20] is held by no stored row, so no other value is rebuilt
+    before = c._echelon.solved()
+    # g[20] is held by no stored row, so no other value changes
     c.declare_zero([g[20] - 3])
-    assert all(c._subs[sym] is value for sym, value in before.items())
-    assert c._subs[g[20]] == 3
+    after = c._echelon.solved()
+    assert {sym: after[sym] for sym in before} == before
+    assert after[g[20]] == 3
     # g[11] is held by the row of g[1] only
     c.declare_zero([g[11] - 1])
-    assert c._subs[g[1]] == -1
-    assert c._subs[g[0]] is before[g[0]] and c._subs[g[2]] is before[g[2]]
-    assert c._subs == c._echelon.solved()
+    after = c._echelon.solved()
+    assert after[g[1]] == -1
+    assert after[g[0]] == before[g[0]] and after[g[2]] == before[g[2]]
 
 
 # --- index and argument checks ----------------------------------------------------

@@ -136,6 +136,9 @@ def test_omega_checks_its_indices():
     for i, j in [(0, 1), (1, 0), (2, 4)]:
         with pytest.raises(FrameIndexError):
             P.omega(i, j)
+    for i in (0, 4):
+        with pytest.raises(FrameIndexError, match=f"theta index {i} outside 1..3"):
+            P.theta(i)
     assert P.omega(3, 3) == P.manifold.e(12)
 
 
@@ -277,6 +280,9 @@ def test_reduced_polar_equations_g2():
     assert basis.size() == 1
     # j = 0 on a form of degree > 1 emits nothing
     assert reduced_polar_equations(P, ideal[0], 0) == []
+    for j in (-1, P.n + 1):
+        with pytest.raises(DimensionError, match=f"flag length {j} outside 0..7"):
+            reduced_polar_equations(P, ideal[0], j)
     # j = 6 gives the 28-dimensional polar space
     basis6 = FormBasis(P.manifold)
     for form in ideal:

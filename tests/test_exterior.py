@@ -402,6 +402,10 @@ def test_parse_gaussian_coefficients():
         (4, "e[10,0]", FrameIndexError, "index 10 exceeds frame dimension 4 at position 2", None),
         (11, "e[10,0]", FormParseError, "parse error at position 5: frame index must be 1 or more", 5),
         (4, "e[1,2", FormParseError, "parse error at position 6: expected ',' or ']' in an index list", 6),
+        # a zero denominator is reported at its start, as every integer error is
+        (4, "1/0*e1", FormParseError, "parse error at position 2: zero denominator", 2),
+        (4, "(1/0)*e1", FormParseError, "parse error at position 3: zero denominator", 3),
+        (4, "(i+2/000)*e1", FormParseError, "parse error at position 5: zero denominator", 5),
     ],
 )
 def test_parse_error_messages_pinned(dim, text, error, message, position):

@@ -8,6 +8,7 @@ from frameforms import (
     DimensionError,
     FileFormatError,
     Form,
+    FrameIndexError,
     FrameManifold,
     MissingDeclarationError,
     NotNilpotentError,
@@ -46,6 +47,12 @@ def test_new_manifold():
     assert FrameManifold(Session(), 1).dim == 1
     with pytest.raises(DimensionError):
         FrameManifold(Session(), 0)
+    for i in (0, 5):
+        with pytest.raises(FrameIndexError, match=f"generator index {i} outside 1..4"):
+            M.e(i)
+    for gen in (M.e(1) + M.e(2), M.e(1) * 2, M.e(1) * M.e(2)):
+        with pytest.raises(FrameIndexError, match="expected a single generator"):
+            M.declare_d(gen, 0)
 
 
 def test_declare_d_examples():

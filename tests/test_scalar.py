@@ -223,6 +223,13 @@ def test_poly_ring_examples():
     q = x * x + 1
     for product in (q * 1, 1 * q, q * Poly.constant(1), Poly.constant(1) * q):
         assert product is q
+    assert (x + 1) ** 2 == x * x + 2 * x + 1 and (x + 1) ** 0 == 1
+    for n in (-1, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="only non-negative integer powers"):
+            (x + 1) ** n
+    assert (2 * I + 1 + 0 * x).constant_value() == 1 + 2 * I
+    with pytest.raises(ValueError, match="not a constant: x"):
+        Poly.from_symbol(x).constant_value()
 
 
 def test_poly_canonical_form():

@@ -156,7 +156,19 @@ def test_spinor_algebra():
     with pytest.raises(DimensionError):
         a + Spinor.basis(2, 0)
     with pytest.raises(DimensionError):
+        Spinor.basis(2, 0) + Spinor.basis(4, 0)
+    with pytest.raises(DimensionError):
         Spinor.basis(4, 5)
+
+
+def test_clifford_indices_outside_the_table():
+    M = FrameManifold(Session(), 3)
+    t = build_clifford_table(2)
+    with pytest.raises(DimensionError, match=r"frame index 3 outside the Clifford table \(n=2\)"):
+        clifford_mul(t, M.e(3), Spinor.basis(t.spinor_dim, 0))
+    for i in (0, 3):
+        with pytest.raises(DimensionError, match=f"gamma index {i} outside 1..2"):
+            t.gamma(i)
 
 
 def test_build_rejects_bad_dimension():
