@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .basis import FormBasis
 from .connection import Connection, RiemannianManifold
@@ -276,11 +277,31 @@ _PARSER = _build_parser()
 _INPUT_ERRORS = (FileFormatError, FormParseError, FrameIndexError, DimensionError)
 
 
+def _dform_argv(argv):
+    """dform's arguments with a form that starts with "-" moved behind "--".
+
+    argparse takes such a form (-e45, -1/2*45) for an option.  No form
+    starts with "--", so each single-dash argument other than -h is the
+    form, unless it is the value of --manifold-file.
+    """
+    if argv[:1] != ["dform"] or "--" in argv:
+        return argv
+    head, forms, args = ["dform"], [], iter(argv[1:])
+    for arg in args:
+        if arg[:1] == "-" and arg[:2] != "--" and arg != "-h":
+            forms.append(arg)
+        else:
+            head.append(arg)
+            if arg[:2] == "--" and "=" not in arg:
+                head.extend(islice(args, 1))  # the value of --manifold-file
+    return head + ["--"] + forms if forms else argv
+
+
 def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(_dform_argv(sys.argv[1:] if argv is None else list(argv)))
     except _UsageError as exc:
         err.write(f"frameforms: {exc}\n")
         return 1

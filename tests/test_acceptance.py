@@ -37,6 +37,8 @@ from frameforms.cli import (
     su2_spinor_forms,
 )
 
+from support import exact_rank
+
 
 @contextmanager
 def criterion(number, label):
@@ -193,24 +195,6 @@ def test_criterion_6b_clifford_relations():
                             assert s == expected
 
 
-def _echelon_rank(vectors, dim):
-    rows = [list(v) for v in vectors]
-    rank, col = 0, 0
-    while col < dim and rank < len(rows):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def test_criterion_6c_basis_duality_and_flags():
     with criterion(6, "dual-basis delta property and flag preservation vs echelon oracle"):
         rng = random.Random(2)
@@ -225,14 +209,12 @@ def test_criterion_6c_basis_duality_and_flags():
                     if rng.random() < 0.7:
                         w = w + M.e(g) * Fraction(rng.randint(-3, 3))
                 dense = [w.coefficient((g,)).constant_value() for g in range(1, n + 1)]
-                old = _echelon_rank(
-                    [[x.coefficient((g,)).constant_value() for g in range(1, n + 1)] for x in kept],
-                    n,
-                )
-                new = _echelon_rank(
+                old = exact_rank(
                     [[x.coefficient((g,)).constant_value() for g in range(1, n + 1)] for x in kept]
-                    + [dense],
-                    n,
+                )
+                new = exact_rank(
+                    [[x.coefficient((g,)).constant_value() for g in range(1, n + 1)] for x in kept]
+                    + [dense]
                 )
                 assert basis.insert(w) == (new > old)
                 if new > old:

@@ -20,14 +20,7 @@ from frameforms import (
 from frameforms.basis import CONST
 from frameforms.scalar import Echelon, accumulate
 
-
-def iwasawa6(session):
-    M = FrameManifold(session, 6)
-    for i in (1, 2, 3, 4):
-        M.declare_d(i, 0)
-    M.declare_d(5, M.e(1) * M.e(3) + M.e(4) * M.e(2))
-    M.declare_d(6, M.e(1) * M.e(4) + M.e(2) * M.e(3))
-    return M
+from support import exact_rank, iwasawa6
 
 
 def test_insert_examples():
@@ -47,6 +40,8 @@ def test_insert_stores_verbatim():
     b.insert(M.e(1) + M.e(2))
     # the second element is kept as given, not reduced against the first
     assert b.elements[1] == M.e(1) + M.e(2)
+    assert b[1] is b.elements[1] and b[-2] == M.e(1)
+    assert repr(CONST) == "CONST"
 
 
 def test_iwasawa_exact_three_forms():
@@ -164,33 +159,6 @@ def test_dual_basis_delta_property_randomized():
 # --- flag preservation against an independent echelon oracle ---------------
 
 
-def _oracle_rank(vectors, dim):
-    """Plain row-echelon rank over exact scalars, written independently."""
-    rows = [list(v) for v in vectors]
-    rank = 0
-    col = 0
-    nrows = len(rows)
-    while col < dim and rank < nrows:
-        piv = None
-        for r in range(rank, nrows):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for r in range(nrows):
-            if r == rank or not rows[r][col]:
-                continue
-            f = rows[r][col] / pv
-            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def _dense(form, n):
     return [form.coefficient((g,)).constant_value() for g in range(1, n + 1)]
 
@@ -211,8 +179,8 @@ def test_flag_preservation_vs_oracle():
         oracle_kept = []
         for w in inputs:
             vec = _dense(w, n)
-            before = _oracle_rank([_dense(x, n) for x in oracle_kept], n)
-            after = _oracle_rank([_dense(x, n) for x in oracle_kept] + [vec], n)
+            before = exact_rank([_dense(x, n) for x in oracle_kept])
+            after = exact_rank([_dense(x, n) for x in oracle_kept] + [vec])
             retained = b.insert(w)
             assert retained == (after > before), f"trial {trial}"
             if after > before:
@@ -223,7 +191,7 @@ def test_flag_preservation_vs_oracle():
             both = [_dense(x, n) for x in oracle_kept[:k]] + [
                 _dense(x, n) for x in b.elements[:k]
             ]
-            assert _oracle_rank(both, n) == k
+            assert exact_rank(both) == k
 
 
 def test_basis_ranks_match_sympy():

@@ -370,6 +370,24 @@ def test_dform_command(tmp_path):
     assert rc == 1 and "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "form, expected",
+    [("-e45", "e134\n"), ("-1/2*45", "1/2*e134\n"), ("-(1+i)*45", "(1+i)*e134\n")],
+)
+def test_dform_reads_a_leading_minus_as_the_form(tmp_path, form, expected):
+    """A form that starts with '-' is the form, before or after --manifold-file."""
+    iwa = tmp_path / "iwa.mfd"
+    iwa.write_text(IWASAWA_FILE)
+    for argv in (
+        ["dform", "--manifold-file", str(iwa), form],
+        ["dform", form, "--manifold-file", str(iwa)],
+        ["dform", "--manifold-file", str(iwa), "--", form],
+    ):
+        assert _run(argv) == (0, expected, ""), argv
+    rc, out, err = _run(["dform", "--manifold-file", str(iwa), form, "-e12"])
+    assert (rc, out) == (1, "") and "unrecognized arguments: -e12" in err
+
+
 def test_dform_rejects_d_squared_nonzero(tmp_path):
     mfd = tmp_path / "bad.mfd"
     mfd.write_text("dim 4\nd 4 = 12\nd 1 = 34\n")

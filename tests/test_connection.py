@@ -31,14 +31,7 @@ from frameforms.cli import (
 )
 from frameforms.scalar import Echelon
 
-
-def nilpotent4(session):
-    M = FrameManifold(session, 4)
-    M.declare_d(1, 0)
-    M.declare_d(2, 0)
-    M.declare_d(3, M.e(1) * M.e(2))
-    M.declare_d(4, M.e(1) * M.e(3))
-    return M
+from support import exact_rank, iwasawa6, nilpotent4
 
 
 def torus(session, n=4):
@@ -85,34 +78,6 @@ def test_nabla_examples():
                 assert lhs + c.gamma(i, j, k) == 0
 
 
-def _oracle_rank(rows):
-    """Rank of sparse rows over Fraction, by straightforward elimination."""
-    pivots = {}
-    rank = 0
-    for row in rows:
-        row = dict(row)
-        changed = True
-        while changed:
-            changed = False
-            for pivot, prow in pivots.items():
-                c = row.get(pivot)
-                if not c:
-                    continue
-                for k, v in prow.items():
-                    nv = row.get(k, 0) - c * v
-                    if nv:
-                        row[k] = nv
-                    else:
-                        row.pop(k, None)
-                changed = True
-        if row:
-            pivot = min(row)
-            pv = row[pivot]
-            pivots[pivot] = {k: v / pv for k, v in row.items()}
-            rank += 1
-    return rank
-
-
 def test_torsion_free_from_d():
     s = Session()
     M = nilpotent4(s)
@@ -125,7 +90,7 @@ def test_torsion_free_from_d():
         for i in range(1, 5):
             for l in range(i + 1, 5):
                 rows.append({(i, l, j): Fraction(1), (l, i, j): Fraction(-1)})
-    rank = _oracle_rank(rows)
+    rank = exact_rank(rows)
     assert rank == 24
     assert len(h.free_parameters()) == 64 - rank == 40
 
@@ -325,6 +290,37 @@ def test_failed_declaration_leaves_connection_unchanged():
     c.declare_zero([g1 - 1])
     assert g1 not in c.free_parameters()
     assert c._echelon.solved()[g1] == 1
+
+
+def test_handed_out_values_keep_their_values_across_declarations():
+    """gamma, connection_form and torsion results do not follow later declarations.
+
+    A solved antisymmetric Gamma_ikj with j < k is returned on its live
+    echelon row, so this holds only while each declaration works on a
+    copy of the rows.
+    """
+    s = Session()
+    R = RiemannianManifold(s, 4)
+    for i in range(1, 5):
+        R.declare_nabla_spinor(R.e(i), R.u(0), 0)
+    c = Connection(nilpotent4(s), prefix="T", antisymmetric=True)
+    c.declare_zero([c.torsion()[2]])
+    idx = range(1, 5)
+    for conn in (R.connection, c):
+
+        def results():
+            return (
+                [conn.gamma(i, j, k) for i in idx for j in idx for k in idx]
+                + [conn.connection_form(j, k) for j in idx for k in idx]
+                + conn.torsion()
+            )
+
+        held = results()
+        text = [str(x) for x in held]
+        for sym in conn.free_parameters():
+            conn.declare_zero([sym - 1])
+        assert [str(x) for x in held] == text
+        assert [str(x) for x in results()] != text
 
 
 def test_declare_zero_nonlinear_error_texts():
@@ -590,15 +586,6 @@ def test_hook_projection_shape_of_bilagrangian():
         sub = form.substitute_scalars(rules)
         for g in dead:
             assert sub.coefficient((g,)) == 0
-
-
-def iwasawa6(session):
-    M = FrameManifold(session, 6)
-    for i in (1, 2, 3, 4):
-        M.declare_d(i, 0)
-    M.declare_d(5, M.e(1) * M.e(3) + M.e(4) * M.e(2))
-    M.declare_d(6, M.e(1) * M.e(4) + M.e(2) * M.e(3))
-    return M
 
 
 def _non_simple_frame(M):

@@ -36,6 +36,8 @@ from frameforms import eds, exterior, scalar
 from frameforms.cli import G2_PHI, G2_STAR_PHI, g2_ideal
 from frameforms.scalar import Echelon, Rank
 
+from support import exact_rank
+
 # The Cayley 4-form; d of it generates the Spin(7) system on n = 8.
 SPIN7_PHI = "1234+1256+1278+3456+3478+5678+1357-1368-1458-1467-2358-2367-2457+2468"
 # Two generators on n = 4 with denominators 2, 3 and 5 and an imaginary coefficient.
@@ -478,6 +480,7 @@ def test_cartan_test_counts_rows_and_builds_forms_when_read(monkeypatch):
     assert all(isinstance(eq, Form) for eq in report.polar[-1])
     bare = CartanReport(report.c, report.codim, report.involutive)
     assert bare == report and bare.polar == () and bare.vn_equations == ()
+    assert bare.polar_text == () and bare.vn_text == ()
     assert repr(bare) == f"CartanReport(c={report.c}, codim=49, involutive=True)"
 
 
@@ -637,27 +640,6 @@ def test_vn_equations_affine_property():
         assert eq.total_degree() <= 1
 
 
-def _echelon_rank_dense(rows):
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = col = 0
-    while col < ncols and rank < len(rows):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def test_g2_numbers_against_independent_echelon():
     """Recompute the polar ranks and codimension with a plain dense echelon.
 
@@ -679,7 +661,7 @@ def test_g2_numbers_against_independent_echelon():
                 [w.terms[k].constant_value() if k in w.terms else zero for k in keys]
                 for w in polar
             ]
-            assert _echelon_rank_dense(dense) == c[j], (P.n, j)
+            assert exact_rank(dense) == c[j], (P.n, j)
 
         eqs = cartan_test(P, ideal).vn_equations
         syms = sorted({s for eq in eqs for s in eq.free_symbols()}, key=lambda s: s.index)
@@ -690,7 +672,7 @@ def test_g2_numbers_against_independent_echelon():
             for mono, coeff in eq.terms.items():
                 row[pos[mono[0][0]]] = coeff
             rows.append(row)
-        assert _echelon_rank_dense(rows) == codim
+        assert exact_rank(rows) == codim
 
 
 # The Calabi-Yau system on n = 6: the Kaehler form and the real and

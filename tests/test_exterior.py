@@ -140,6 +140,14 @@ def test_degree_examples():
         degree(M.e(1) + M.e(1) * M.e(2))
 
 
+def test_form_degree_substitute_scalars_and_repr():
+    M = _manifold()
+    w = M.e(1) * M.e(2) - M.e(3) * M.e(4) * Fraction(1, 2)
+    assert w.degree() == degree(w) == 2
+    assert w.substitute_scalars({}) is w
+    assert repr(w) == "Form(e12-1/2*e34)"
+
+
 def test_coefficients_examples():
     M = _manifold()
     e = M.e

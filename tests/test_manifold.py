@@ -21,24 +21,7 @@ from frameforms import (
     wedge,
 )
 
-
-def nilpotent4(session):
-    """de1 = de2 = 0, de3 = e12, de4 = e13."""
-    M = FrameManifold(session, 4)
-    M.declare_d(1, 0)
-    M.declare_d(2, 0)
-    M.declare_d(3, M.e(1) * M.e(2))
-    M.declare_d(4, M.e(1) * M.e(3))
-    return M
-
-
-def iwasawa6(session):
-    M = FrameManifold(session, 6)
-    for i in (1, 2, 3, 4):
-        M.declare_d(i, 0)
-    M.declare_d(5, M.e(1) * M.e(3) + M.e(4) * M.e(2))
-    M.declare_d(6, M.e(1) * M.e(4) + M.e(2) * M.e(3))
-    return M
+from support import iwasawa6, nilpotent4
 
 
 def test_new_manifold():
@@ -53,6 +36,13 @@ def test_new_manifold():
     for gen in (M.e(1) + M.e(2), M.e(1) * 2, M.e(1) * M.e(2)):
         with pytest.raises(FrameIndexError, match="expected a single generator"):
             M.declare_d(gen, 0)
+
+
+def test_parse_and_repr():
+    M = nilpotent4(Session())
+    assert M.parse("3/2*12-4") == parse_form(M, "3/2*12-4") == M.e(1) * M.e(2) * Fraction(3, 2) - M.e(4)
+    assert repr(M) == "<FrameManifold dim=4>"
+    assert repr(RiemannianManifold(Session(), 3)) == "<RiemannianManifold dim=3>"
 
 
 def test_declare_d_examples():

@@ -232,6 +232,28 @@ def test_poly_ring_examples():
         Poly.from_symbol(x).constant_value()
 
 
+def test_reprs_symbol_operators_and_zero_total_degree():
+    x = Session().symbol("x")
+    assert repr(GaussianRational(Fraction(1, 2), -3)) == "GaussianRational(Fraction(1, 2), Fraction(-3, 1))"
+    assert repr(2 * x - I) == "Poly(2*x-i)"
+    assert 1 - x == Poly.constant(1) - Poly.from_symbol(x) and str(1 - x) == "-x+1"
+    assert -x == -1 * x and str(-x) == "-x"
+    assert Poly.zero().total_degree() == 0
+
+
+def test_unsupported_operands_raise_type_error():
+    """GaussianRational and Poly return NotImplemented for a type they do not take."""
+    other = object()
+    g, p = GaussianRational(1, 2), Poly.from_symbol(Session().symbol("x"))
+    sub, rsub = operator.sub, lambda a, b: b - a
+    cases = [(g, sub), (g, rsub), (g, operator.truediv), (g, lambda a, b: b / a), (p, sub), (p, rsub)]
+    for value, op in cases:
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(value, other)
+    assert g.__eq__(other) is p.__eq__(other) is NotImplemented
+    assert g != other and p != other
+
+
 def test_poly_canonical_form():
     s = Session()
     x, y = s.symbols("x y")

@@ -9,6 +9,7 @@ from frameforms import (
     FrameManifold,
     GaussianRational,
     Poly,
+    RiemannianManifold,
     Session,
     Spinor,
     build_clifford_table,
@@ -159,6 +160,20 @@ def test_spinor_algebra():
         Spinor.basis(2, 0) + Spinor.basis(4, 0)
     with pytest.raises(DimensionError):
         Spinor.basis(4, 5)
+
+
+def test_riemannian_clifford_mul_repr_and_unsupported_operands():
+    R = RiemannianManifold(Session(), 4)
+    psi = R.u(0) + R.u(3) * 2
+    v = R.e(1) - R.e(2) * Fraction(1, 2)
+    product = R.clifford_mul(v, psi)
+    assert product and product == clifford_mul(R.clifford, v, psi)
+    assert repr(psi) == "Spinor(u0+2*u3)"
+    other = object()
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: b - a):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(psi, other)
+    assert psi.__eq__(other) is NotImplemented and psi != other
 
 
 def test_clifford_indices_outside_the_table():
