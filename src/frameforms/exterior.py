@@ -112,8 +112,7 @@ class Form(_SparseVector):
         """Wedge with another form; scalars multiply coefficients."""
         if isinstance(other, Form):
             return wedge(self, other)
-        p = as_poly(other)
-        return self._scale(p) if p else Form.zero(self.manifold)
+        return self._scale(other)
 
     # Scalars commute past forms; Form*Form never reaches __rmul__.
     __rmul__ = __mul__
@@ -139,18 +138,8 @@ class Form(_SparseVector):
     def coefficients(self):
         return coefficients(self)
 
-    def substitute_scalars(self, rules: dict) -> "Form":
-        """Apply a symbol substitution to every coefficient polynomial."""
-        if not rules:
-            return self
-        out = {m: c.substitute(rules) for m, c in self.terms.items()}
-        return self._like({m: c for m, c in out.items() if c})
-
     def __str__(self):
         return print_form(self)
-
-    def __repr__(self):
-        return f"Form({print_form(self)})"
 
 
 def as_form(manifold, x) -> Form:

@@ -20,9 +20,11 @@ echelon and rank rows all add coefficients into their term dicts through it.
 _scaled is the one step that scales such pairs by a Q(i) constant, and
 a constant of 1 or -1 costs no multiplication.
 _SparseVector, the base of Poly, Form and Spinor, holds their shared
-vector-space operators (sum, difference, negation, truth, scaling) over
-that dict, so each subclass gives only its coercion, its product, its
-equality and its printing.
+vector-space operators (sum, difference, negation, truth) over that
+dict, scaling by any scalar, substitute_scalars and repr, so each
+subclass gives only its coercion, its product, its equality, its
+printing and its coefficients order.  _mono_mul multiplies monomials
+by adding exponents in a dict.
 Echelon is the one exact elimination kernel wherever rows are read:
 linear_solve, the connection declarations and the bases' tagged
 dual/components echelon.  Echelon.over and Echelon.impose_linear are
@@ -331,28 +333,10 @@ class Session:
 # A monomial is a tuple of (Symbol, exponent) pairs sorted by symbol
 # index, exponents >= 1.  The empty tuple is the constant monomial.
 def _mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        s1, e1 = m1[i]
-        s2, e2 = m2[j]
-        if s1.index == s2.index:
-            out.append((s1, e1 + e2))
-            i += 1
-            j += 1
-        elif s1.index < s2.index:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
+    exps = dict(m1)
+    for s, e in m2:
+        exps[s] = exps.get(s, 0) + e
+    return tuple(sorted(exps.items(), key=lambda item: item[0].index))
 
 
 class _SparseVector:
@@ -394,9 +378,22 @@ class _SparseVector:
     def __bool__(self):
         return bool(self.terms)
 
-    def _scale(self, p):
-        """self times a nonzero scalar p; polynomials over Q(i) have no zero divisors."""
-        return self._like({k: c * p for k, c in self.terms.items()})
+    # Scaling and substitution read the coefficients as Polys: they serve
+    # Form and Spinor, while Poly has its own product and substitute.
+    def _scale(self, x):
+        """self times any scalar x; polynomials over Q(i) have no zero divisors."""
+        p = as_poly(x)
+        return self._like({k: c * p for k, c in self.terms.items()} if p else {})
+
+    def substitute_scalars(self, rules):
+        """Apply a symbol substitution to every coefficient polynomial."""
+        if not rules:
+            return self
+        out = {k: c.substitute(rules) for k, c in self.terms.items()}
+        return self._like({k: c for k, c in out.items() if c})
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
 
 
 class Poly(_SparseVector):
@@ -527,9 +524,6 @@ class Poly(_SparseVector):
         return _signed_sum(
             _scaled_str(c._a, c._b, c._d, _mono_str(m)) if m else str(c) for m, c in terms
         )
-
-    def __repr__(self):
-        return f"Poly({self})"
 
 
 def _mono_str(m):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .errors import DegreeError, DimensionError
 from .exterior import Form, _print_terms
-from .scalar import _ONE, _ZERO, I, Poly, _SparseVector, accumulate, as_poly
+from .scalar import _ONE, _ZERO, I, Poly, _SparseVector, accumulate
 
 __all__ = ["CliffordTable", "build_clifford_table", "Spinor", "clifford_mul"]
 
@@ -126,11 +126,7 @@ class Spinor(_SparseVector):
     def _like(self, terms):
         return Spinor(self.dim, terms)
 
-    def __mul__(self, other):
-        p = as_poly(other)
-        return self._scale(p) if p else Spinor.zero(self.dim)
-
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = _SparseVector._scale
 
     def __eq__(self, other):
         if isinstance(other, Spinor):
@@ -142,15 +138,8 @@ class Spinor(_SparseVector):
     def coefficients(self):
         return [(k, self.terms[k]) for k in sorted(self.terms)]
 
-    def substitute_scalars(self, rules):
-        out = {k: c.substitute(rules) for k, c in self.terms.items()}
-        return self._like({k: c for k, c in out.items() if c})
-
     def __str__(self):
         return _print_terms((self.terms[k], f"u{k}") for k in sorted(self.terms))
-
-    def __repr__(self):
-        return f"Spinor({self})"
 
 
 def clifford_mul(table: CliffordTable, v: Form, psi: Spinor) -> Spinor:

@@ -31,7 +31,7 @@ def _manifold(n=5):
     return FrameManifold(Session(), n)
 
 
-def _rand_form(rng, M, deg, nterms=3, rational=True, gaussian=False):
+def _rand_form(rng, M, deg, nterms=3, gaussian=False):
     out = M.zero()
     for _ in range(nterms):
         mono = rng.sample(range(1, M.dim + 1), deg)

@@ -17,6 +17,8 @@ from frameforms import (
 )
 from frameforms.scalar import Echelon, Rank, Symbol, _make
 
+from support import _pair
+
 
 def test_gaussian_rational_arithmetic():
     a = GaussianRational(1, 2)
@@ -55,13 +57,6 @@ def _rand_operand(rng):
         return _rand_rational(rng)
     parts = [_rand_rational(rng) if rng.random() < 0.8 else Fraction(0) for _ in range(2)]
     return GaussianRational(*parts)
-
-
-def _pair(x):
-    """The reference value of an operand: a (re, im) pair of Fractions."""
-    if isinstance(x, GaussianRational):
-        return x.re, x.im
-    return Fraction(x), Fraction(0)
 
 
 def _reference(op, x, y):
@@ -334,9 +329,11 @@ def test_ring_laws_randomized():
 def test_poly_matches_sympy_randomized():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(12)
-    s = Session()
-    syms = s.symbols("x y z")
-    gens = sympy.symbols("x y z")
+    # Two sessions, created interleaved and named out of creation order,
+    # so that neither name nor session order gives the canonical one.
+    s, t = Session(), Session()
+    syms = [s.symbol("x"), t.symbol("b"), s.symbol("y"), t.symbol("a"), s.symbol("z")]
+    gens = sympy.symbols("x b y a z")
     to_gen = dict(zip(syms, gens))
 
     def rand_poly():
@@ -359,6 +356,10 @@ def test_poly_matches_sympy_randomized():
         ))
 
     def same(p, expr):
+        # The sympy comparison is blind to key order; the canonical form is not.
+        for m, c in p.terms.items():
+            assert c and all(e >= 1 for _, e in m)
+            assert all(u.index < v.index for (u, _), (v, _) in zip(m, m[1:]))
         return sympy.expand(to_sympy(p) - expr) == 0
 
     for _ in range(150):
@@ -367,6 +368,7 @@ def test_poly_matches_sympy_randomized():
         assert same(a + b, sa + sb)
         assert same(a - b, sa - sb)
         assert same(a * b, sa * sb)
+        assert (a * b).terms == (b * a).terms
         n = rng.randint(0, 3)
         assert same(a**n, sa**n)
         rules = {sym: rand_poly() for sym in rng.sample(syms, rng.randint(0, 3))}

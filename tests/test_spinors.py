@@ -154,6 +154,9 @@ def test_spinor_algebra():
     assert str(Spinor.zero(4)) == "0"
     assert str(a - b) == "u0-u1"
     assert combo.substitute_scalars({g: Poly.constant(0)}) == b * Fraction(1, 2)
+    assert combo.substitute_scalars({}) is combo
+    assert 0 * combo == Spinor.zero(4)
+    assert combo * 0 == 0
     with pytest.raises(DimensionError):
         a + Spinor.basis(2, 0)
     with pytest.raises(DimensionError):
