@@ -16,15 +16,20 @@ off the matrix of connection one-forms omega_jk = sum_i G_ijk f^i
   Theta^k = df^k + sum_{i,j} G_ijk f^i ∧ f^j and
   Omega_jk = d omega_jk - sum_l omega_jl ∧ omega_lk.
 
-Each of these results is one flat sum.  Every Q(i) product goes
-through accumulate into one dict per result, keyed by the output's
-basis element (a frame monomial or a spinor index) and then by symbol
-monomial, and the term dicts become Poly coefficients once at the end;
-no intermediate Poly or Form is built.  The constant factors come from
-tables built once per connection, on first use: the frame's terms, the
-dual frame's terms (from the cached dual_basis), the products
-f^i ∧ f^j that torsion and a RiemannianManifold's d share, and for
-spinors the signed permutations (1/2) g_j g_k.
+nabla of a vector or a spinor, torsion's sum_{i,j} G_ijk f^i ∧ f^j,
+and the image of one generator under nabla_X or a RiemannianManifold's
+d are each one flat sum; on a form of higher degree, nabla_X and d
+extend those images by the Leibniz loop.  In a flat sum every Q(i)
+product goes through accumulate into one dict per result, keyed by the
+output's basis element (a frame monomial or a spinor index) and then by
+symbol monomial, and the term dicts become Poly coefficients once at
+the end; no intermediate Poly or Form is built.  The constant factors come from tables built once per
+connection, on first use: the frame's terms, the dual frame's terms
+(from the cached dual_basis), the products f^i ∧ f^j that torsion and
+a RiemannianManifold's d share, and for spinors the signed
+permutations (1/2) g_j g_k.  Curvature is computed with Form
+arithmetic on the omega_jk: it builds each connection_form and sums
+d omega_jk and the wedge products omega_jl ∧ omega_lk.
 
 Constraints are never assigned directly: declare_* methods turn nabla
 expressions into scalar equations and add them to one persistent

@@ -5,6 +5,26 @@ input-shaped errors to exit code 1 and mathematical/structural errors
 to exit code 2.
 """
 
+__all__ = [
+    "EngineError",
+    "NonLinearError",
+    "InconsistentError",
+    "NonConstantCoefficientError",
+    "DegreeError",
+    "MixedDegreeError",
+    "FrameMismatchError",
+    "FrameIndexError",
+    "FormParseError",
+    "FileFormatError",
+    "RedeclarationError",
+    "NotNilpotentError",
+    "MissingDeclarationError",
+    "NotInSpanError",
+    "UnsupportedKindError",
+    "DimensionError",
+    "NotLinearError",
+]
+
 
 class EngineError(Exception):
     """Base class for all engine errors."""

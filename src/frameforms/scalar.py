@@ -23,8 +23,9 @@ _SparseVector, the base of Poly, Form and Spinor, holds their shared
 vector-space operators (sum, difference, negation, truth) over that
 dict, scaling by any scalar, substitute_scalars and repr, so each
 subclass gives only its coercion, its product, its equality, its
-printing and its coefficients order.  _mono_mul multiplies monomials
-by adding exponents in a dict.
+printing and its coefficients order; Poly, whose coefficients are
+Q(i) constants, scales by its product and substitutes by substitute.
+_mono_mul multiplies monomials by adding exponents in a dict.
 Echelon is the one exact elimination kernel wherever rows are read:
 linear_solve, the connection declarations and the bases' tagged
 dual/components echelon.  Echelon.over and Echelon.impose_linear are
@@ -378,8 +379,6 @@ class _SparseVector:
     def __bool__(self):
         return bool(self.terms)
 
-    # Scaling and substitution read the coefficients as Polys: they serve
-    # Form and Spinor, while Poly has its own product and substitute.
     def _scale(self, x):
         """self times any scalar x; polynomials over Q(i) have no zero divisors."""
         p = as_poly(x)
@@ -430,6 +429,9 @@ class Poly(_SparseVector):
 
     def _like(self, terms):
         return Poly(terms)
+
+    def _scale(self, x):
+        return self * as_poly(x)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -500,6 +502,8 @@ class Poly(_SparseVector):
                 term = term * base**e
             accumulate(out, term.terms.items())
         return Poly(out)
+
+    substitute_scalars = substitute
 
     def real_imag(self):
         """Split into (re, im) with symbols treated as real-valued quantities."""

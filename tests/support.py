@@ -7,7 +7,11 @@ independent of the engine's scalars.
 
 from fractions import Fraction
 
-from frameforms import FrameManifold
+# The CLI examples' manifolds: nilpotent4 has de1 = de2 = 0, de3 = e12,
+# de4 = e13; iwasawa6, the complex Iwasawa manifold, has de1..de4 = 0,
+# de5 = e13 + e42, de6 = e14 + e23.
+from frameforms.cli import _iwasawa_manifold as iwasawa6
+from frameforms.cli import _nilpotent_manifold as nilpotent4
 
 _ZERO = (Fraction(0), Fraction(0))
 
@@ -51,22 +55,3 @@ def exact_rank(rows):
             pivots.append((col, {k: (r * ir - i * ii, r * ii + i * ir) for k, (r, i) in vec.items()}))
     return len(pivots)
 
-
-def nilpotent4(session):
-    """de1 = de2 = 0, de3 = e12, de4 = e13."""
-    M = FrameManifold(session, 4)
-    M.declare_d(1, 0)
-    M.declare_d(2, 0)
-    M.declare_d(3, M.e(1) * M.e(2))
-    M.declare_d(4, M.e(1) * M.e(3))
-    return M
-
-
-def iwasawa6(session):
-    """The complex Iwasawa manifold: de1..de4 = 0, de5 = e13 + e42, de6 = e14 + e23."""
-    M = FrameManifold(session, 6)
-    for i in (1, 2, 3, 4):
-        M.declare_d(i, 0)
-    M.declare_d(5, M.e(1) * M.e(3) + M.e(4) * M.e(2))
-    M.declare_d(6, M.e(1) * M.e(4) + M.e(2) * M.e(3))
-    return M

@@ -145,7 +145,7 @@ def _rand_form(rng, M, deg, nterms=2):
     return out
 
 
-@pytest.mark.parametrize("builder", [nilpotent4, iwasawa6])
+@pytest.mark.parametrize("builder", [nilpotent4, iwasawa6], ids=["nilpotent4", "iwasawa6"])
 def test_d_squared_zero(builder):
     rng = random.Random(3)
     M = builder(Session())
@@ -199,7 +199,7 @@ def test_d_leibniz_on_mixed_degree_forms(builder):
     assert nonzero >= 15
 
 
-@pytest.mark.parametrize("builder", [nilpotent4, iwasawa6])
+@pytest.mark.parametrize("builder", [nilpotent4, iwasawa6], ids=["nilpotent4", "iwasawa6"])
 def test_jacobi_identity(builder):
     rng = random.Random(4)
     M = builder(Session())
@@ -219,7 +219,7 @@ def test_jacobi_identity(builder):
         assert total == 0
 
 
-@pytest.mark.parametrize("builder", [nilpotent4, iwasawa6])
+@pytest.mark.parametrize("builder", [nilpotent4, iwasawa6], ids=["nilpotent4", "iwasawa6"])
 def test_lie_derivative_commutes_with_d(builder):
     rng = random.Random(5)
     M = builder(Session())

@@ -272,12 +272,20 @@ def test_substitute_examples():
     s = Session()
     x, y = s.symbols("x y")
     px, py = Poly.from_symbol(x), Poly.from_symbol(y)
-    assert (x + y).substitute({x: py}) == 2 * py
-    assert px.substitute({}) == px
-    # simultaneity: swap is not iterated
-    assert (x * y).substitute({x: py, y: px}) == x * y
-    # Rule values go through as_poly: a Symbol promotes, a non-scalar is rejected.
-    assert (x * x + 1).substitute({x: y}) == y * y + 1
+    cases = [
+        (x + y, {x: py}, 2 * py),
+        (px, {}, px),
+        # simultaneity: swap is not iterated
+        (x * y, {x: py, y: px}, x * y),
+        # Rule values go through as_poly: a Symbol promotes.
+        (x * x + 1, {x: y}, y * y + 1),
+    ]
+    for p, rules, expected in cases:
+        assert p.substitute(rules) == expected
+        # The _SparseVector name is Poly's own substitute.
+        assert p.substitute_scalars(rules) == p.substitute(rules)
+        assert p.substitute_scalars({}) is p
+    # A non-scalar rule value is rejected.
     with pytest.raises(TypeError, match="cannot interpret 'y' as a scalar"):
         (x * x + 1).substitute({x: "y"})
 

@@ -112,6 +112,8 @@ def test_scaling(kind, data, p, c):
     assert set(scaled.terms) == set(a.terms)
     assert all(scaled.terms[k] == v * s for k, v in a.terms.items())
     assert (a + b) * p == a * p + b * p
+    # _scale takes any scalar, so for a Poly it is the product.
+    assert a._scale(p) == a * p
     assert (a * c) * (1 / c) == a
     zero = a * 0
     assert not zero and zero.terms == {}
