@@ -56,7 +56,7 @@ import functools
 
 from .basis import FormBasis
 from .errors import DegreeError, FrameIndexError, UnsupportedKindError
-from .exterior import Form, _leibniz, as_form, wedge
+from .exterior import Form, _indexed_name, _leibniz, as_form, wedge
 from .manifold import FrameManifold
 from .scalar import _ONE, Echelon, Poly, Session, _mono_mul, _scaled, accumulate, as_poly
 from .spinors import Spinor, build_clifford_table, clifford_mul
@@ -110,7 +110,7 @@ class Connection:
         self.frame = basis
         # Each entry's symbol as its linear monomial, the key of its echelon row.
         self._gamma = {
-            (i, j, k): ((manifold.session.symbol(f"{prefix}{i}{j}{k}"), 1),)
+            (i, j, k): ((manifold.session.symbol(_indexed_name(prefix, (i, j, k))), 1),)
             for i in range(1, n + 1)
             for j in range(1, n + 1)
             for k in range(j + 1 if antisymmetric else 1, n + 1)

@@ -37,37 +37,6 @@ __all__ = [
 ]
 
 
-def _merge_indices(m1, m2):
-    """Merge two strictly increasing index tuples, tracking the sign.
-
-    Returns (merged, sign) with sign in {1, -1}, or (None, 0) when an
-    index repeats (the wedge is zero).
-    """
-    if not m1:
-        return m2, 1
-    if not m2:
-        return m1, 1
-    out = []
-    sign = 1
-    i = j = 0
-    n1 = len(m1)
-    while i < n1 and j < len(m2):
-        a, b = m1[i], m2[j]
-        if a == b:
-            return None, 0
-        if a < b:
-            out.append(a)
-            i += 1
-        else:
-            out.append(b)
-            j += 1
-            if (n1 - i) % 2:
-                sign = -sign
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out), sign
-
-
 def _mono_key(mono):
     return (len(mono), mono)
 
@@ -130,7 +99,11 @@ class Form(_SparseVector):
         return all(len(m) == k for m in self.terms)
 
     def coefficient(self, mono) -> Poly:
-        return self.terms.get(tuple(mono), Poly.zero())
+        """The coefficient of e[mono] in any index order: an odd order negates it, a repeat gives 0."""
+        term = _sorted_term([_generator_index(self.manifold, i) for i in mono], 1)
+        if term is None:
+            return Poly.zero()
+        return term[1] * self.terms.get(term[0], Poly.zero())
 
     def scalar_part(self) -> Poly:
         return self.terms.get((), Poly.zero())
@@ -155,16 +128,26 @@ def as_form(manifold, x) -> Form:
 
 
 def wedge(a: Form, b: Form) -> Form:
-    """Exterior product; bilinear over Poly and graded-anticommutative."""
+    """Exterior product; bilinear over Poly and graded-anticommutative.
+
+    Each index x of a monomial m2 of b passes the len(m1) - k indices of
+    a's monomial m1 above it, k = bisect_left(m1, x), one sign each; an
+    index in both makes the product zero.
+    """
     if b.manifold is not a.manifold:
         raise FrameMismatchError("forms belong to different manifolds")
-    pairs = (
-        (m, c1 * c2 if sign > 0 else -(c1 * c2))
-        for m1, c1 in a.terms.items()
-        for m2, c2 in b.terms.items()
-        for m, sign in [_merge_indices(m1, m2)]
-        if sign
-    )
+    pairs = []
+    for m1, c1 in a.terms.items():
+        n1 = len(m1)
+        for m2, c2 in b.terms.items():
+            flips = 0
+            for x in m2:
+                k = bisect_left(m1, x)
+                if k < n1 and m1[k] == x:
+                    break
+                flips += n1 - k
+            else:
+                pairs.append((tuple(sorted(m1 + m2)), c1 * c2 if flips % 2 == 0 else -(c1 * c2)))
     return Form(a.manifold, accumulate({}, pairs))
 
 
@@ -294,11 +277,16 @@ def substitute_form(w: Form, rules: dict) -> Form:
 
 # --- printing -------------------------------------------------------------
 
+def _indexed_name(name, indices):
+    """name and its index tuple, as digits when each is at most 9, else as a bracket list."""
+    if indices and max(indices) <= 9:
+        return name + "%d" * len(indices) % indices
+    return name + "[" + ",".join(map(str, indices)) + "]"
+
+
 def _mono_print(mono):
     # The scalar monomial prints as e[], so a scalar part parses back as one.
-    if mono and all(i <= 9 for i in mono):
-        return "e" + "".join(str(i) for i in mono)
-    return "e[" + ",".join(str(i) for i in mono) + "]"
+    return _indexed_name("e", mono)
 
 
 def _coeff_print(c: Poly, mono_str: str) -> str:

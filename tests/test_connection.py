@@ -50,6 +50,15 @@ def test_generic_connection_counts_and_names():
     assert c.gamma(1, 2, 3) == Poly.from_symbol(c.free_parameters()[0 * 16 + 1 * 4 + 2])
 
 
+def test_connection_names_unique_past_nine():
+    """From n = 10 an index has two digits, so the names take a bracket list, like e[10,11]."""
+    c = Connection(FrameManifold(Session(), 11))
+    names = [str(g) for g in c.free_parameters()]
+    assert len(names) == len(set(names)) == 11**3
+    assert names[0] == "Gamma111"
+    assert str(c.gamma(1, 11, 1) + c.gamma(11, 1, 1)) == "Gamma[1,11,1]+Gamma[11,1,1]"
+
+
 def test_connection_accepts_non_simple_frame():
     s = Session()
     M = torus(s)

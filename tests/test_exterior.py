@@ -7,6 +7,7 @@ import pytest
 
 from frameforms import (
     DegreeError,
+    Form,
     FormParseError,
     FrameIndexError,
     FrameManifold,
@@ -57,6 +58,45 @@ def test_wedge_examples():
     assert e(1) * e(2) == parse_form(M, "12")
     assert e(2) * e(1) == -parse_form(M, "12")
     assert (e(1) + e(2)) * (e(1) + e(2)) == 0
+
+
+def _wedge_oracle(a, b):
+    """a∧b term by term: concatenated indices, 0 on a repeat, signed by counting inverted pairs."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = m1 + m2
+            if len(set(m)) < len(m):
+                continue
+            inversions = sum(m[i] > m[j] for i in range(len(m)) for j in range(i + 1, len(m)))
+            key = tuple(sorted(m))
+            out[key] = out.get(key, Poly.zero()) + (c1 * c2 if inversions % 2 == 0 else -(c1 * c2))
+    return {m: c for m, c in out.items() if c}
+
+
+def test_wedge_matches_oracle_randomized():
+    """Seeded pairs on a 12-manifold: empty forms, scalar parts, mixed degrees, Q(i) and symbols."""
+    rng = random.Random(29)
+    M = _manifold(12)
+    x, y = M.session.symbols("x y")
+
+    def rand_coeff():
+        c = GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-1, 1))
+        return rng.choice([Poly.constant(c), c * x + 1, x * y - c])
+
+    def rand_form():
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            terms[tuple(sorted(rng.sample(range(1, 13), rng.randint(0, 4))))] = rand_coeff()
+        return Form(M, {m: c for m, c in terms.items() if c})
+
+    nonzero = 0
+    for _ in range(2000):
+        a, b = rand_form(), rand_form()
+        product = wedge(a, b)
+        assert product.terms == _wedge_oracle(a, b)
+        nonzero += bool(product)
+    assert nonzero > 1000
 
 
 def test_wedge_bilinear_over_poly():
@@ -192,6 +232,10 @@ def test_parse_examples():
     w = parse_form(M, "3/2*123-42")
     assert w == Fraction(3, 2) * (M.e(1) * M.e(2) * M.e(3)) - M.e(4) * M.e(2)
     assert w.coefficient((2, 4)) == 1  # -e42 normalizes to +e24
+    assert w.coefficient((4, 2)) == -1
+    assert w.coefficient((2, 2)) == 0
+    with pytest.raises(FrameIndexError):
+        w.coefficient((10, 2))
     assert parse_form(M, "-12") == -(M.e(1) * M.e(2))
     assert parse_form(M, "2*1") == 2 * M.e(1)
     assert parse_form(M, "0*12") == 0
