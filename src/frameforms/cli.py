@@ -169,12 +169,12 @@ def example_g2():
     session = Session()
     bundle = frame_bundle(session, 7)
     report = cartan_test(bundle, g2_ideal(bundle))
-    return _cartan_lines(report, 7)
+    return _cartan_lines(report)
 
 
-def _cartan_lines(report, n):
+def _cartan_lines(report):
     lines = [f"c_{j}={cj}" for j, cj in enumerate(report.c)]
-    lines.append(f"codim(V_{n})={report.codim}")
+    lines.append(f"codim(V_{len(report.c)})={report.codim}")
     lines.append("INVOLUTIVE" if report.involutive else "NOT INVOLUTIVE (at this flag)")
     return lines
 
@@ -237,7 +237,7 @@ def _cmd_eds(args, out):
         for j, texts in enumerate(report.polar_text):
             for text in texts:
                 out.write(f"# polar[j={j}]: {text}\n")
-    out.write("\n".join(_cartan_lines(report, args.dim)) + "\n")
+    out.write("\n".join(_cartan_lines(report)) + "\n")
     return 0
 
 
@@ -302,10 +302,6 @@ def main(argv=None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     try:
         args = _PARSER.parse_args(_dform_argv(sys.argv[1:] if argv is None else list(argv)))
-    except _UsageError as exc:
-        err.write(f"frameforms: {exc}\n")
-        return 1
-    try:
         return args.func(args, out)
     except _UsageError as exc:
         err.write(f"frameforms: {exc}\n")

@@ -24,8 +24,8 @@ product goes through accumulate into one dict per result, keyed by the
 output's basis element (a frame monomial or a spinor index) and then by
 symbol monomial, and the term dicts become Poly coefficients once at
 the end; no intermediate Poly or Form is built.  The constant factors come from tables built once per
-connection, on first use: the frame's terms, the dual frame's terms
-(from the cached dual_basis), the products f^i ∧ f^j that torsion and
+connection, on first use: the frame's terms, one table of the dual
+frame by generator (from the cached dual_basis), the products f^i ∧ f^j that torsion and
 a RiemannianManifold's d share, and for spinors the signed
 permutations (1/2) g_j g_k.  Curvature is computed with Form
 arithmetic on the omega_jk: it builds each connection_form and sums
@@ -137,17 +137,12 @@ class Connection:
         return [_constant_terms(f) for f in self.frame]
 
     @functools.cached_property
-    def _dual_terms(self):
-        """Row k-1: the (monomial, constant) terms of the dual vector f_k."""
-        return [_constant_terms(f) for f in self.frame.dual_basis()]
-
-    @functools.cached_property
     def _coframe_columns(self):
-        """Generator g -> [(k, mu)] with e^g = sum_k mu f^k; mu = <e^g, f_k> is read off the duals."""
+        """The dual frame by generator: (g,) -> [(k, mu)], k ascending, e^g = sum_k mu f^k."""
         out = {}
-        for k, dual in enumerate(self._dual_terms, 1):
-            for (g,), mu in dual:
-                out.setdefault(g, []).append((k, mu))
+        for k, dual in enumerate(self.frame.dual_basis(), 1):
+            for m, mu in _constant_terms(dual):
+                out.setdefault(m, []).append((k, mu))
         return out
 
     @functools.cached_property
@@ -265,10 +260,10 @@ class Connection:
         omega = self._omega_at(X)
         out = {}
         for j, t in self._components(T):
-            for k, dual in enumerate(self._dual_terms, 1):
-                c = omega(j, k)
-                if c:
-                    for m, b in dual:
+            for m, column in self._coframe_columns.items():
+                for k, b in column:
+                    c = omega(j, k)
+                    if c:
                         for tm, tc in t.items():
                             _add(out, m, c, tc * b, tm)
         return Form(self.manifold, _polys(out))
@@ -282,7 +277,7 @@ class Connection:
         def image(g):
             # e^g = sum_k mu f^k, so only the columns k with mu != 0 are read.
             out = {}
-            for k, mu in columns.get(g, ()):
+            for k, mu in columns.get((g,), ()):
                 for j, f in enumerate(frame, 1):
                     c = omega(j, k)
                     if c:
@@ -437,4 +432,4 @@ class RiemannianManifold(FrameManifold):
         return Spinor.basis(self.clifford.spinor_dim, k)
 
     def clifford_mul(self, v: Form, psi: Spinor) -> Spinor:
-        return clifford_mul(self.clifford, v, psi)
+        return clifford_mul(self.clifford, as_form(self, v), psi)

@@ -134,8 +134,7 @@ def wedge(a: Form, b: Form) -> Form:
     a's monomial m1 above it, k = bisect_left(m1, x), one sign each; an
     index in both makes the product zero.
     """
-    if b.manifold is not a.manifold:
-        raise FrameMismatchError("forms belong to different manifolds")
+    b = as_form(a.manifold, b)
     pairs = []
     for m1, c1 in a.terms.items():
         n1 = len(m1)
@@ -157,8 +156,7 @@ def hook(v: Form, w: Form) -> Form:
     Extends ``<v, e^j>`` as a degree -1 antiderivation: on a monomial
     a1∧...∧ak it contracts each factor in turn with alternating sign.
     """
-    if w.manifold is not v.manifold:
-        raise FrameMismatchError("forms belong to different manifolds")
+    w = as_form(v.manifold, w)
     if v and not v.is_homogeneous(1):
         raise DegreeError("hook expects a degree-1 first argument")
     pairs = (
@@ -220,8 +218,7 @@ def _leibniz(w: Form, image, odd: bool) -> Form:
 
 def pairing(a: Form, b: Form) -> Poly:
     """Canonical bilinear pairing; monomials form an orthonormal set."""
-    if b.manifold is not a.manifold:
-        raise FrameMismatchError("forms belong to different manifolds")
+    b = as_form(a.manifold, b)
     out = {}
     small, large = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
     for m, c in small.items():

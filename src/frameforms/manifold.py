@@ -61,6 +61,7 @@ class FrameManifold:
 
     def _gen_index(self, gen) -> int:
         if isinstance(gen, Form):
+            gen = as_form(self, gen)
             if len(gen.terms) != 1:
                 raise FrameIndexError("expected a single generator")
             (mono, c), = gen.terms.items()
@@ -135,8 +136,8 @@ class _ClosedTable(dict):
         return self.zero
 
 
-_DIM_RE = re.compile(r"^dim\s+(\d+)$")
-_D_RE = re.compile(r"^d\s+(\d+)\s*=\s*(\S+)$")
+_DIM_RE = re.compile(r"^dim\s+(\d+)$", re.ASCII)
+_D_RE = re.compile(r"^d\s+(\d+)\s*=\s*(\S+)$", re.ASCII)
 
 
 def _read_int(lineno, digits):

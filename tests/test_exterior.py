@@ -58,6 +58,10 @@ def test_wedge_examples():
     assert e(1) * e(2) == parse_form(M, "12")
     assert e(2) * e(1) == -parse_form(M, "12")
     assert (e(1) + e(2)) * (e(1) + e(2)) == 0
+    # A scalar second argument is a degree-0 form; a non-scalar is a TypeError.
+    assert wedge(e(1), 2) == 2 * e(1)
+    with pytest.raises(TypeError):
+        wedge(e(1), "x")
 
 
 def _wedge_oracle(a, b):
@@ -118,6 +122,7 @@ def test_hook_examples():
     assert hook(e(2), two_form) == -e(1)
     assert hook(e(4), two_form) == -e(3)
     assert hook(e(5), e(1) * e(2)) == 0
+    assert hook(e(1), 3) == 0
 
 
 def test_hook_degree_error():
@@ -159,6 +164,7 @@ def test_pairing_examples():
     assert pairing(e(1), e(2)) == 0
     assert pairing(e(1) * e(2), e(2) * e(1)) == -1
     assert pairing(e(1) * e(2), e(2) * e(1)) == _pairing_oracle(M, e(1) * e(2), e(2) * e(1))
+    assert pairing(e(1) + 2, 5) == 10
 
 
 def test_pairing_matches_determinant_oracle_randomized():
@@ -383,6 +389,10 @@ def test_cross_manifold_operations_rejected():
         lambda: conn.nabla_form(A.e(1), B.e(2)),
         lambda: basis.insert(B.e(1)),
         lambda: basis.components(B.e(1)),
+        # A generator or vector argument.
+        lambda: A.declare_d(B.e(4), 0),
+        lambda: R.declare_d(B.e(1), 0),
+        lambda: R.clifford_mul(B.e(1), R.u(0)),
     ]
     for op in rejected:
         with pytest.raises(FrameMismatchError):

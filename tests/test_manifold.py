@@ -302,3 +302,7 @@ def test_load_manifold_errors():
         load_manifold(s, "dim 4\nd 3 = 15\n")  # index above dim
     with pytest.raises(FileFormatError):
         load_manifold(s, "dim 0\n")
+    # Only ASCII digits and spaces, as in the form parser.
+    for text in ("dim \u0666\n", "dim 6\nd \u0665 = 13+42\n"):
+        with pytest.raises(FileFormatError, match="unrecognized line"):
+            load_manifold(s, text)
