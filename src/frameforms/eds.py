@@ -1,10 +1,10 @@
 """Linear exterior differential systems on the frame bundle.
 
-The bundle over an n-manifold is modeled as a parallelizable manifold
-of dimension n(n+1): generators 1..n are the tautological one-forms
-theta^i, generator i*n+j is the connection form omega_ij, and the only
-structure equations are d theta^i = sum_j theta^j ∧ omega_ij (the omega
-generators are never differentiated).
+The bundle over an n-manifold is a FrameManifold of dimension n(n+1):
+generators 1..n are the tautological one-forms theta^i, generator i*n+j
+is the connection form omega_ij, and the only structure equations are
+d theta^i = sum_j theta^j ∧ omega_ij (the omega generators are never
+differentiated).
 
 On an integral n-plane each omega generator a is sum_j p_aj theta^j, so
 a linear term c theta^I ∧ omega_a adds ±c p_aj to the equation of
@@ -15,8 +15,8 @@ theta's.  Contracting theta^I ∧ omega_a by the flag vectors of I, the
 last in the flag first, leaves ±omega_a, so each theta set I gives the
 row sum ±c omega_a at the step after the flag position of its last vector.
 
-cartan_test reads each generator's tableau once, cleared to Gaussian
-integers over its common denominator, and makes every row from it as
+cartan_test reads and checks each generator's tableau once, cleared to
+Gaussian integers over its common denominator, and makes every row from it as
 (re, im, den): V_n's on the integer columns (a - n - 1)·n + (j - 1) of
 the p's, the polar rows on the omega indices a, for scalar.Rank.insert.
 The report keeps the rows kept; the p's, V_n's Polys and the polar Forms
@@ -30,18 +30,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 
 from .errors import (
     DimensionError,
     FileFormatError,
     FormParseError,
     FrameIndexError,
-    MixedDegreeError,
     NonLinearError,
     NotLinearError,
 )
-from .exterior import Form, _mono_key, _mono_print, as_form, degree, hook, parse_form
+from .exterior import Form, _mono_key, _mono_print, _sorted_term, as_form, degree, hook
 from .manifold import FrameManifold, _content_lines
 from .scalar import Poly, Rank, Session, _cleared, _make, _scaled_str, _signed_sum
 
@@ -60,20 +58,23 @@ def _p_name(a: int, j: int) -> str:
     return f"p{a}{j}"
 
 
-class FrameBundle:
+class FrameBundle(FrameManifold):
     """The frame-bundle manifold of an n-dimensional base, plus Grassmannian symbols p."""
 
     def __init__(self, session: Session, n: int):
         if not 1 <= n <= 9:
             raise DimensionError(f"base dimension must be in 1..9, got {n}")
-        self.session = session
+        super().__init__(session, n * (n + 1))
         self.n = n
-        self.manifold = FrameManifold(session, n * (n + 1))
         one = Poly.constant(1)
         for i in range(1, n + 1):
             # d theta^i = sum_j theta^j ∧ omega_ij, one term per j.
-            dtheta = {(j, i * n + j): one for j in range(1, n + 1)}
-            self.manifold.declare_d(i, Form(self.manifold, dtheta))
+            self.declare_d(i, Form(self, {(j, i * n + j): one for j in range(1, n + 1)}))
+
+    @property
+    def manifold(self) -> FrameBundle:
+        """The bundle itself; perfbench/jobs.py reads `bundle.manifold`."""
+        return self
 
     @cached_property
     def p(self) -> dict:
@@ -84,18 +85,12 @@ class FrameBundle:
     def theta(self, i: int) -> Form:
         if not 1 <= i <= self.n:
             raise FrameIndexError(f"theta index {i} outside 1..{self.n}")
-        return self.manifold.e(i)
+        return self.e(i)
 
     def omega(self, i: int, j: int) -> Form:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise FrameIndexError(f"omega index ({i}, {j}) outside 1..{self.n}")
-        return self.manifold.e(i * self.n + j)
-
-    def d(self, w: Form) -> Form:
-        return self.manifold.d(w)
-
-    def parse(self, text: str) -> Form:
-        return parse_form(self.manifold, text)
+        return self.e(i * self.n + j)
 
 
 def frame_bundle(session: Session, n: int) -> FrameBundle:
@@ -107,17 +102,19 @@ def _tableau(bundle: FrameBundle, form):
 
     The one check of a generator: as_form's FrameMismatchError for a form
     of another bundle, NotLinearError for a term without exactly one omega
-    factor and NonLinearError for one with a symbolic coefficient.
+    factor, NonLinearError for one with a symbolic coefficient and
+    MixedDegreeError for terms of different degrees, as degree() raises it.
     """
-    form, n = as_form(bundle.manifold, form), bundle.n
+    form, n = as_form(bundle, form), bundle.n
     for mono, c in form.terms.items():
         # Exactly one omega factor, which is then the last of the sorted monomial.
         linear = bool(mono) and mono[-1] > n and (len(mono) == 1 or mono[-2] <= n)
         if not linear or not c.is_constant():
-            term = Form(bundle.manifold, {mono: c})
+            term = Form(bundle, {mono: c})
             if not linear:
                 raise NotLinearError(f"{term} is not linear in the connection forms")
             raise NonLinearError(f"{term} has a symbolic coefficient")
+    degree(form)  # MixedDegreeError for terms of different degrees
     den, terms = _cleared([(mono, c.terms[()]) for mono, c in form.terms.items()])
     groups = {}
     for mono, re, im in terms:
@@ -178,7 +175,7 @@ def reduced_polar_equations(bundle: FrameBundle, form: Form, j: int, order=None)
     if not 0 <= j <= bundle.n:
         raise DimensionError(f"flag length {j} outside 0..{bundle.n}")
     order = _flag_order(bundle, order)
-    form = as_form(bundle.manifold, form)
+    form = as_form(bundle, form)
     if j == 0 or degree(form) < 2:
         if degree(form) != 1:
             return []
@@ -195,17 +192,14 @@ def _tableau_polar_equations(tableau, order):
     vector (j = 0 for the empty set; a set that holds the n-th flag
     vector gives none).  The sign is the
     parity of I read from its last flag vector down, and sorting by the
-    positions, last first, gives reduced_polar_equations' order.  Raises
-    MixedDegreeError for theta sets of different sizes, as degree() does.
+    positions, last first, gives reduced_polar_equations' order.
     """
     den, groups = tableau
-    if len({len(theta) for theta in groups}) > 1:
-        raise MixedDegreeError(f"form has mixed degrees {sorted({len(t) + 1 for t in groups})}")
     steps = [[] for _ in order]
     for qs, theta in sorted((sorted(map(order.index, t), reverse=True), t) for t in groups):
         j = qs[0] + 1 if qs else 0
         if j < len(order):
-            sign = -1 if sum(order[q] < order[p] for p, q in combinations(qs, 2)) % 2 else 1
+            sign = _sorted_term([order[q] for q in qs], 1)[1]
             re = {a: sign * x for a, x, _ in groups[theta] if x}
             im = {a: sign * y for a, _, y in groups[theta] if y}
             steps[j].append((re, im, den))
@@ -243,44 +237,36 @@ class CartanReport:
     _vn_kept: tuple = field(default=(), compare=False, repr=False)
     _polar_kept: tuple = field(default=(), compare=False, repr=False)
 
+    def _by_step(self, eqs) -> tuple:
+        """The first c_j of eqs for each j, as polar and polar_text hold them; () without the bundle."""
+        return tuple(tuple(eqs[:k]) for k in self.c) if self._bundle else ()
+
     @cached_property
     def vn_equations(self) -> tuple:
-        if not self._bundle:
-            return ()
-        p = list(self._bundle.p.values())
+        n = len(self.c)  # column (a - n - 1)·n + (j - 1) holds p_aj
         return tuple(
-            Poly({((p[col], 1),): _make(x, y, row[2]) for col, x, y in _columns(row)})
+            Poly({((self._bundle.p[col // n + n + 1, col % n + 1], 1),): _make(x, y, row[2])
+                  for col, x, y in _columns(row)})
             for row in self._vn_kept
         )
 
     @cached_property
     def polar(self) -> tuple:
-        if not self._bundle:
-            return ()
-        M = self._bundle.manifold
-        forms = [
-            Form(M, {(a,): Poly({(): _make(x, y, row[2])}) for a, x, y in _columns(row)})
+        return self._by_step([
+            Form(self._bundle, {(a,): Poly({(): _make(x, y, row[2])}) for a, x, y in _columns(row)})
             for row in self._polar_kept
-        ]
-        return tuple(tuple(forms[:k]) for k in self.c)
+        ])
 
     @cached_property
     def vn_text(self) -> tuple:
         """str(eq) for each eq of vn_equations."""
-        if not self._bundle:
-            return ()
-        n = self._bundle.n
-        return tuple(
-            _row_text(row, lambda col: _p_name(col // n + n + 1, col % n + 1)) for row in self._vn_kept
-        )
+        n = len(self.c)
+        return tuple(_row_text(row, lambda col: _p_name(col // n + n + 1, col % n + 1)) for row in self._vn_kept)
 
     @cached_property
     def polar_text(self) -> tuple:
         """print_form(eq) for each eq of each polar[j]."""
-        if not self._bundle:
-            return ()
-        texts = [_row_text(row, lambda a: _mono_print((a,))) for row in self._polar_kept]
-        return tuple(tuple(texts[:k]) for k in self.c)
+        return self._by_step([_row_text(row, lambda a: _mono_print((a,))) for row in self._polar_kept])
 
 
 def cartan_test(bundle: FrameBundle, ideal, flag_order=None) -> CartanReport:
@@ -291,8 +277,8 @@ def cartan_test(bundle: FrameBundle, ideal, flag_order=None) -> CartanReport:
     generator's rows at j in reduced_polar_equations' order; c_j counts
     the rows kept so far and the verdict is sum(c) == codim V_n.  Every
     check runs before any elimination: _tableau checks each generator
-    (FrameMismatchError, NotLinearError, NonLinearError); then a bad flag
-    raises DimensionError and a generator of mixed degree MixedDegreeError.
+    (FrameMismatchError, NotLinearError, NonLinearError, MixedDegreeError),
+    then a bad flag raises DimensionError.
     """
     tableaux = [_tableau(bundle, form) for form in ideal]
     order = _flag_order(bundle, flag_order)

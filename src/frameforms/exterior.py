@@ -127,6 +127,15 @@ def as_form(manifold, x) -> Form:
     return x
 
 
+def _as_forms(a, b):
+    """(a, b) as forms of the manifold of whichever is a Form (a's first); TypeError if neither is."""
+    if isinstance(a, Form):
+        return a, as_form(a.manifold, b)
+    if isinstance(b, Form):
+        return as_form(b.manifold, a), b
+    raise TypeError("expected a Form argument, got two scalars")
+
+
 def wedge(a: Form, b: Form) -> Form:
     """Exterior product; bilinear over Poly and graded-anticommutative.
 
@@ -134,7 +143,7 @@ def wedge(a: Form, b: Form) -> Form:
     a's monomial m1 above it, k = bisect_left(m1, x), one sign each; an
     index in both makes the product zero.
     """
-    b = as_form(a.manifold, b)
+    a, b = _as_forms(a, b)
     pairs = []
     for m1, c1 in a.terms.items():
         n1 = len(m1)
@@ -156,7 +165,7 @@ def hook(v: Form, w: Form) -> Form:
     Extends ``<v, e^j>`` as a degree -1 antiderivation: on a monomial
     a1∧...∧ak it contracts each factor in turn with alternating sign.
     """
-    w = as_form(v.manifold, w)
+    v, w = _as_forms(v, w)
     if v and not v.is_homogeneous(1):
         raise DegreeError("hook expects a degree-1 first argument")
     pairs = (
@@ -218,7 +227,7 @@ def _leibniz(w: Form, image, odd: bool) -> Form:
 
 def pairing(a: Form, b: Form) -> Poly:
     """Canonical bilinear pairing; monomials form an orthonormal set."""
-    b = as_form(a.manifold, b)
+    a, b = _as_forms(a, b)
     out = {}
     small, large = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
     for m, c in small.items():
@@ -465,19 +474,20 @@ def _parse_term(frame, sc, sign):
 
 
 def _sorted_term(indices, coeff):
-    """(sorted monomial, ±coeff) of e[indices], signed by the sort's parity; None for a repeat."""
-    perm = sorted(range(len(indices)), key=indices.__getitem__)
-    mono = tuple(map(indices.__getitem__, perm))
-    if len(set(mono)) < len(mono):
-        return None
-    # Each swap puts one position in its place: k minus the cycle count swaps in all.
-    odd = False
-    for i in range(len(perm)):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], j
-            odd = not odd
-    return mono, -coeff if odd else coeff
+    """(sorted monomial, ±coeff) of e[indices], signed by the sort's parity; None for a repeat.
+
+    Each index is put in place by bisect, passing the indices above it
+    that came before it, one sign each, as in wedge.
+    """
+    mono = []
+    flips = 0
+    for x in indices:
+        k = bisect_left(mono, x)
+        if k < len(mono) and mono[k] == x:
+            return None
+        flips += len(mono) - k
+        mono.insert(k, x)
+    return tuple(mono), -coeff if flips % 2 else coeff
 
 
 def _generator(frame, d, pos):

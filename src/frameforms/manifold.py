@@ -71,7 +71,12 @@ class FrameManifold:
         return _generator_index(self, int(gen))
 
     def declare_d(self, gen, value):
-        """Record d(e^i) = value, a 2-form or zero."""
+        """Record d(e^i) = value, a 2-form or zero.
+
+        The entry that completes a plain table (one per generator) checks
+        d∘d = 0 on it: on NotNilpotentError the entry is not recorded.  A
+        partial table is not checked; a loaded one is checked once loaded.
+        """
         i = self._gen_index(gen)
         w = as_form(self, value)
         if i in self.d_table:
@@ -79,6 +84,19 @@ class FrameManifold:
         if w and not w.is_homogeneous(2):
             raise DegreeError(f"d(e{i}) must be a 2-form or zero")
         self.d_table[i] = w
+        if len(self.d_table) == self.dim and not isinstance(self.d_table, _ClosedTable):
+            try:
+                self._check_nilpotent()
+            except NotNilpotentError:
+                del self.d_table[i]
+                raise
+
+    def _check_nilpotent(self):
+        """Raise NotNilpotentError, naming the first declared generator, when d(d e^i) is not zero."""
+        for i in sorted(self.d_table):
+            dd = self.d(self.d_table[i])
+            if dd:
+                raise NotNilpotentError(f"d(d(e{i})) = {print_form(dd)} is not zero")
 
     def _d_generator(self, i: int) -> Form:
         try:
@@ -186,8 +204,5 @@ def load_manifold(session: Session, text: str) -> FrameManifold:
             manifold.declare_d(idx, form)
         except (FormParseError, FrameIndexError, DegreeError, RedeclarationError) as exc:
             raise FileFormatError(lineno, str(exc)) from None
-    for i in sorted(manifold.d_table):
-        dd = manifold.d(manifold.d_table[i])
-        if dd:
-            raise NotNilpotentError(f"d(d(e{i})) = {print_form(dd)} is not zero")
+    manifold._check_nilpotent()
     return manifold

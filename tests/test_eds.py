@@ -15,6 +15,7 @@ from frameforms import (
     Form,
     FormBasis,
     FrameIndexError,
+    FrameManifold,
     FrameMismatchError,
     GaussianRational,
     MixedDegreeError,
@@ -130,6 +131,10 @@ def test_frame_bundle_structure():
         expected = expected + P.theta(j) * P.manifold.e(7 + j)
     assert P.d(P.theta(1)) == expected
     assert P.omega(1, 3) == P.manifold.e(10)
+    # The bundle is a FrameManifold; its manifold is itself.
+    assert isinstance(P, FrameManifold)
+    assert P.manifold is P
+    assert P.e(10) == P.omega(1, 3)
 
 
 def test_omega_checks_its_indices():
@@ -450,6 +455,9 @@ def test_cartan_test_mixed_degree_raises(monkeypatch):
     monkeypatch.setattr(Rank, "insert", counting_insert)
     with pytest.raises(MixedDegreeError, match=r"form has mixed degrees \[2, 3\]"):
         cartan_test(P, ideal)
+    # _tableau checks each generator before the flag is read.
+    with pytest.raises(MixedDegreeError, match=r"form has mixed degrees \[2, 3\]"):
+        cartan_test(P, ideal, [1, 1])
     assert inserts == []
 
 

@@ -62,6 +62,10 @@ def test_wedge_examples():
     assert wedge(e(1), 2) == 2 * e(1)
     with pytest.raises(TypeError):
         wedge(e(1), "x")
+    # The manifold comes from whichever argument is a form; two scalars are a TypeError.
+    assert wedge(2, e(1)) == 2 * e(1)
+    with pytest.raises(TypeError):
+        wedge(2, 3)
 
 
 def _wedge_oracle(a, b):
@@ -123,6 +127,10 @@ def test_hook_examples():
     assert hook(e(4), two_form) == -e(3)
     assert hook(e(5), e(1) * e(2)) == 0
     assert hook(e(1), 3) == 0
+    # A scalar first argument is a degree-0 form: zero contracts to zero, else DegreeError.
+    assert hook(0, e(1)) == 0
+    with pytest.raises(DegreeError):
+        hook(2, e(1))
 
 
 def test_hook_degree_error():
@@ -165,6 +173,7 @@ def test_pairing_examples():
     assert pairing(e(1) * e(2), e(2) * e(1)) == -1
     assert pairing(e(1) * e(2), e(2) * e(1)) == _pairing_oracle(M, e(1) * e(2), e(2) * e(1))
     assert pairing(e(1) + 2, 5) == 10
+    assert pairing(2, e(1)) == 0
 
 
 def test_pairing_matches_determinant_oracle_randomized():

@@ -274,7 +274,7 @@ def test_load_manifold_reads_omitted_generators_as_closed():
 
 
 def test_declare_d_leaves_d_squared_unchecked():
-    """Only loaded files are checked: declare_d takes a d-table with d∘d != 0."""
+    """A partial table is not checked: declare_d takes three entries with d∘d != 0."""
     M = FrameManifold(Session(), 4)
     M.declare_d(4, M.e(1) * M.e(2))
     M.declare_d(1, M.e(3) * M.e(4))
@@ -306,3 +306,18 @@ def test_load_manifold_errors():
     for text in ("dim \u0666\n", "dim 6\nd \u0665 = 13+42\n"):
         with pytest.raises(FileFormatError, match="unrecognized line"):
             load_manifold(s, text)
+
+
+def test_declare_d_checks_d_squared_on_the_completing_entry():
+    """The entry that completes a table is checked as a loaded file is, and is not kept if d∘d != 0."""
+    M = FrameManifold(Session(), 4)
+    M.declare_d(4, M.e(1) * M.e(2))
+    M.declare_d(1, M.e(3) * M.e(4))
+    M.declare_d(2, 0)
+    with pytest.raises(NotNilpotentError, match=r"^d\(d\(e1\)\) = -e123 is not zero$"):
+        M.declare_d(3, 0)
+    assert sorted(M.d_table) == [1, 2, 4]
+    N = FrameManifold(Session(), 4)
+    for i, w in [(4, N.e(1) * N.e(2)), (1, 0), (2, 0), (3, 0)]:
+        N.declare_d(i, w)
+    assert sorted(N.d_table) == [1, 2, 3, 4]
