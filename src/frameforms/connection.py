@@ -53,6 +53,7 @@ torsion-free structure equation de^k = -sum_{i,j} G_ijk e^i ∧ e^j.
 from __future__ import annotations
 
 import functools
+import operator
 
 from .basis import FormBasis
 from .errors import DegreeError, FrameIndexError, UnsupportedKindError
@@ -165,9 +166,9 @@ class Connection:
     # -- symbol bookkeeping -------------------------------------------------
 
     def _check_indices(self, *idx):
-        """Raise FrameIndexError unless every index lies in 1..n."""
+        """Raise FrameIndexError unless every index lies in 1..n, TypeError for a non-integer."""
         n = self.manifold.dim
-        if not all(1 <= x <= n for x in idx):
+        if not all(1 <= operator.index(x) <= n for x in idx):
             raise FrameIndexError(f"connection index {idx} outside 1..{n}")
 
     def _terms(self, i, j, k):

@@ -10,6 +10,7 @@ throughout the engine.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -42,7 +43,8 @@ def _mono_key(mono):
 
 
 def _generator_index(manifold, i):
-    """i, checked to be a generator index 1..dim of the manifold."""
+    """i, checked to be a generator index 1..dim of the manifold; a non-integer raises TypeError."""
+    i = operator.index(i)
     if not 1 <= i <= manifold.dim:
         raise FrameIndexError(f"generator index {i} outside 1..{manifold.dim}")
     return i

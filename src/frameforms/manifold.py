@@ -37,6 +37,7 @@ class FrameManifold:
         self.session = session
         self.dim = dim
         self.d_table = {}
+        self._closed = False  # set by load_manifold: a generator without an entry has d e^i = 0
         self._gens = {}
 
     def e(self, i: int) -> Form:
@@ -68,14 +69,13 @@ class FrameManifold:
             if len(mono) != 1 or c != 1:
                 raise FrameIndexError("expected a single generator")
             return mono[0]
-        return _generator_index(self, int(gen))
+        return _generator_index(self, gen)
 
     def declare_d(self, gen, value):
         """Record d(e^i) = value, a 2-form or zero.
 
-        The entry that completes a plain table (one per generator) checks
-        d∘d = 0 on it: on NotNilpotentError the entry is not recorded.  A
-        partial table is not checked; a loaded one is checked once loaded.
+        An entry made to a complete table (one entry per generator, or a
+        loaded one) checks d∘d = 0 and is not kept on NotNilpotentError.
         """
         i = self._gen_index(gen)
         w = as_form(self, value)
@@ -84,7 +84,7 @@ class FrameManifold:
         if w and not w.is_homogeneous(2):
             raise DegreeError(f"d(e{i}) must be a 2-form or zero")
         self.d_table[i] = w
-        if len(self.d_table) == self.dim and not isinstance(self.d_table, _ClosedTable):
+        if self._closed or len(self.d_table) == self.dim:
             try:
                 self._check_nilpotent()
             except NotNilpotentError:
@@ -102,6 +102,8 @@ class FrameManifold:
         try:
             return self.d_table[i]
         except KeyError:
+            if self._closed:
+                return self.zero()
             raise MissingDeclarationError(f"d(e{i}) has not been declared") from None
 
     def d(self, w) -> Form:
@@ -114,8 +116,7 @@ class FrameManifold:
         A loaded manifold's omitted generators are closed, so only its
         declared entries are read and the cost follows them, not dim.
         """
-        table = self.d_table
-        declared = sorted(table) if isinstance(table, _ClosedTable) else range(1, self.dim + 1)
+        declared = sorted(self.d_table) if self._closed else range(1, self.dim + 1)
         out = {}
         for k in declared:
             dk = self._d_generator(k)
@@ -143,17 +144,6 @@ def _content_lines(text):
             yield lineno, line
 
 
-class _ClosedTable(dict):
-    """A loaded d-table: a generator without an entry is closed, d e^i = 0."""
-
-    def __init__(self, zero):
-        super().__init__()
-        self.zero = zero
-
-    def __missing__(self, i):
-        return self.zero
-
-
 _DIM_RE = re.compile(r"^dim\s+(\d+)$", re.ASCII)
 _D_RE = re.compile(r"^d\s+(\d+)\s*=\s*(\S+)$", re.ASCII)
 
@@ -170,11 +160,12 @@ def load_manifold(session: Session, text: str) -> FrameManifold:
     """Build a manifold from its definition file.
 
     Lines: ``dim <n>`` once, then ``d <i> = <form-string>`` entries in
-    the parse_form grammar; '#' starts a comment.  A generator the file
-    omits is closed: its d reads as zero and it stays undeclared, so the
-    cost follows the entries, not n.  Raises NotNilpotentError, naming
-    the first declared generator, when d(d e^i) is not zero; a closed
-    generator has d(d e^i) = 0.
+    the parse_form grammar; '#' starts a comment.  All lines are read
+    before any entry is declared.  A generator the file omits is closed:
+    its d reads as zero and it stays undeclared, so the cost follows the
+    entries, not n.  Raises NotNilpotentError, naming the first declared
+    generator, when d(d e^i) is not zero, at the last new generator of a
+    file that declares them all; a later declare_d is checked as well.
     """
     manifold = None
     entries = []
@@ -197,12 +188,12 @@ def load_manifold(session: Session, text: str) -> FrameManifold:
         raise FileFormatError(lineno, f"unrecognized line: {line}")
     if manifold is None:
         raise FileFormatError(0, "missing dim line")
-    manifold.d_table = _ClosedTable(manifold.zero())
     for lineno, idx, text_form in entries:
         try:
             form = parse_form(manifold, text_form)
             manifold.declare_d(idx, form)
         except (FormParseError, FrameIndexError, DegreeError, RedeclarationError) as exc:
             raise FileFormatError(lineno, str(exc)) from None
+    manifold._closed = True
     manifold._check_nilpotent()
     return manifold

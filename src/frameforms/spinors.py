@@ -17,6 +17,8 @@ suite's expected tables.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import DegreeError, DimensionError
 from .exterior import Form, _print_terms
 from .scalar import _ONE, _ZERO, I, Poly, _SparseVector, accumulate
@@ -108,6 +110,7 @@ class Spinor(_SparseVector):
 
     @classmethod
     def basis(cls, dim, k):
+        k = operator.index(k)
         if not 0 <= k < dim:
             raise DimensionError(f"spinor basis index {k} outside 0..{dim - 1}")
         return cls(dim, {k: Poly.constant(1)})

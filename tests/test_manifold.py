@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -145,12 +147,23 @@ def _rand_form(rng, M, deg, nterms=2):
     return out
 
 
-@pytest.mark.parametrize("builder", [nilpotent4, iwasawa6], ids=["nilpotent4", "iwasawa6"])
+FILIFORM_FILE = "dim 6\nd 3 = 2*12\nd 4 = 13\nd 5 = 1/2*14\nd 6 = (1+i)*15\n"
+
+
+def filiform6_loaded(session):
+    """de^k = c·e^1∧e^{k-1} (k >= 3), so d(de^k) = −c·e^1∧de^{k−1} = 0: de^{k−1} holds e^1 or is 0."""
+    return load_manifold(session, FILIFORM_FILE)
+
+
+@pytest.mark.parametrize(
+    "builder", [nilpotent4, iwasawa6, filiform6_loaded], ids=["nilpotent4", "iwasawa6", "filiform6-loaded"]
+)
 def test_d_squared_zero(builder):
     rng = random.Random(3)
     M = builder(Session())
-    for i in range(1, M.dim + 1):
-        assert M.d(M.d(M.e(i))) == 0
+    for deg in range(M.dim + 1):
+        for gens in itertools.combinations(M.generators(), deg):
+            assert M.d(M.d(functools.reduce(wedge, gens, M.scalar(1)))) == 0
     for _ in range(100):
         w = _rand_form(rng, M, rng.randint(1, 3), 3)
         assert M.d(M.d(w)) == 0
@@ -264,13 +277,22 @@ def test_load_manifold_rejects_d_squared_nonzero():
 
 
 def test_load_manifold_reads_omitted_generators_as_closed():
-    """Only declared entries are stored and d²-checked, so a huge dim line costs nothing."""
+    """Only declared entries are stored and d²-checked, so a huge dim line costs nothing.
+
+    A later declare_d on a loaded manifold is d²-checked too, and is not kept if d∘d != 0.
+    """
     M = load_manifold(Session(), "dim 1000000000\nd 1000000000 = e[1,2]\nd 7 = e[1,999999999]\n")
     assert sorted(M.d_table) == [7, 1000000000]
     assert M.d(M.e(1)) == 0 and M.d(M.e(999999999)) == 0
     assert M.d(M.e(7) * M.e(1000000000)) == parse_form(M, "e[1,999999999,1000000000]-e[1,2,7]")
     with pytest.raises(NotNilpotentError, match=r"^d\(d\(e1000000000\)\) = -e134 is not zero$"):
         load_manifold(Session(), "dim 1000000000\nd 1000000000 = e[1,2]\nd 2 = e[3,4]\n")
+    M = load_manifold(Session(), "dim 4\nd 4 = 12\n")
+    with pytest.raises(NotNilpotentError, match=r"^d\(d\(e1\)\) = -e123 is not zero$"):
+        M.declare_d(1, M.e(3) * M.e(4))
+    assert sorted(M.d_table) == [4]
+    M.declare_d(3, M.e(1) * M.e(2))
+    assert M.lie_bracket(M.e(1), M.e(2)) == -M.e(3) - M.e(4)
 
 
 def test_declare_d_leaves_d_squared_unchecked():
@@ -306,6 +328,29 @@ def test_load_manifold_errors():
     for text in ("dim \u0666\n", "dim 6\nd \u0665 = 13+42\n"):
         with pytest.raises(FileFormatError, match="unrecognized line"):
             load_manifold(s, text)
+    # Entries are declared in file order, so the d² failure at the last new
+    # generator (line 5) comes before the redeclaration on line 6.
+    with pytest.raises(NotNilpotentError, match=r"^d\(d\(e1\)\) = -e123 is not zero$"):
+        load_manifold(s, "dim 4\nd 4 = 12\nd 1 = 34\nd 2 = 0\nd 3 = 0\nd 3 = 0\n")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: FrameManifold(s, 3).declare_d(2.9, 0),
+        lambda s: FrameManifold(s, 3).declare_d("1", 0),
+        lambda s: FrameManifold(s, 3).e(2.5),
+        lambda s: FrameManifold(s, 3).e(1).coefficient((1.5,)),
+        lambda s: RiemannianManifold(s, 3).u(1.5),
+        lambda s: RiemannianManifold(s, 3).connection.gamma(1.5, 1, 2),
+        lambda s: RiemannianManifold(s, 3).connection.connection_form(1.5, 2),
+    ],
+    ids=["declare_d-float", "declare_d-str", "e", "coefficient", "u", "gamma", "connection_form"],
+)
+def test_non_integer_index_raises_type_error(call):
+    """An index is an int: a float or a digit string is not truncated or stored."""
+    with pytest.raises(TypeError):
+        call(Session())
 
 
 def test_declare_d_checks_d_squared_on_the_completing_entry():
