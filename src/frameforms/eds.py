@@ -18,7 +18,8 @@ row sum ±c omega_a at the step after the flag position of its last vector.
 cartan_test reads and checks each generator's tableau once, cleared to
 Gaussian integers over its common denominator, and makes every row from it as
 (re, im, den): V_n's on the integer columns (a - n - 1)·n + (j - 1) of
-the p's, the polar rows on the omega indices a, for scalar.Rank.insert.
+the p's, one per target monomial theta^K and in monomial order, and the
+polar rows on the omega indices a, for scalar.Rank.insert.
 The report keeps the rows kept; the p's, V_n's Polys and the polar Forms
 are made only when read, and `eds --verbose` prints text made from rows.
 reduced_polar_equations, which contracts general forms with hook, is kept
@@ -27,9 +28,9 @@ as the independent reference for the polar equations.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 from .errors import (
     DimensionError,
@@ -39,7 +40,7 @@ from .errors import (
     NonLinearError,
     NotLinearError,
 )
-from .exterior import Form, _mono_key, _mono_print, _sorted_term, as_form, degree, hook
+from .exterior import Form, _mono_print, _sorted_term, as_form, degree, hook
 from .manifold import FrameManifold, _content_lines
 from .scalar import Poly, Rank, Session, _cleared, _make, _scaled_str, _signed_sum
 
@@ -125,34 +126,34 @@ def _tableau(bundle: FrameBundle, form):
 def _vn_rows(n, tableaux) -> list:
     """The independent rows (re, im, den) of V_n, each tableau's in monomial order.
 
-    The entry of p_aj is (re + i*im)/den at its column.  The sign of
-    theta^I ∧ theta^j = ±theta^(I+j) is -1 to the number of indices of I
-    above j.  A term c theta^I ∧ omega_a alone gives the row of I+j its
-    p_aj entry, so entries are stored, never summed.
+    The entry of p_aj is (re + i*im)/den at its column.  A tableau with
+    theta sets of size k has one row per target monomial theta^K, K of
+    size k + 1, made and ranked in combinations order, which is monomial
+    order.  For each i the terms c theta^I ∧ omega_a of I = K minus K[i]
+    give the row their p_aj entries, j = K[i], with the sign (-1)^(k - i)
+    of theta^I ∧ theta^j = ±theta^K.  Distinct (I, j) fill distinct
+    columns, so entries are stored, never summed.  A zero generator has
+    no theta sets and no rows.
     """
     rank = Rank()  # a column pivots in its own order, that of the p's
     kept = []
+    base = -(n + 1) * n - 1  # p_aj's column (a - n - 1)*n + j - 1 is a*n + j + base
     for den, groups in tableaux:
-        rows = {}
-        for theta, terms in groups.items():
-            even = [((a - n - 1) * n - 1, x, y) for a, x, y in terms]
-            signed = (even, [(column, -x, -y) for column, x, y in even])
-            k = len(theta)
-            for j in range(1, n + 1):
-                pos = bisect_left(theta, j)
-                if pos < k and theta[pos] == j:
-                    continue
-                key = theta[:pos] + (j,) + theta[pos:]
-                row = rows.get(key)
-                if row is None:
-                    row = rows[key] = ({}, {})
-                re, im = row
-                for column, x, y in signed[(k - pos) % 2]:
-                    if x:
-                        re[column + j] = x
-                    if y:
-                        im[column + j] = y
-        for re, im in map(rows.get, sorted(rows, key=_mono_key)):
+        if not groups:
+            continue  # a zero generator
+        k = len(next(iter(groups)))  # every theta set of one generator has k members
+        for K in combinations(range(1, n + 1), k + 1):
+            re, im = {}, {}
+            # combinations(K, k) drops K[k] first and K[0] last: the t-th drops K[k - t], sign (-1)^t.
+            for t, theta in enumerate(combinations(K, k)):
+                terms = groups.get(theta)
+                if terms:
+                    shift, sign = K[k - t] + base, -1 if t & 1 else 1
+                    for a, x, y in terms:
+                        if x:
+                            re[a * n + shift] = sign * x
+                        if y:
+                            im[a * n + shift] = sign * y
             if rank.insert(re, im):
                 kept.append((re, im, den))
     return kept
@@ -196,7 +197,8 @@ def _tableau_polar_equations(tableau, order):
     """
     den, groups = tableau
     steps = [[] for _ in order]
-    for qs, theta in sorted((sorted(map(order.index, t), reverse=True), t) for t in groups):
+    position = {v: q for q, v in enumerate(order)}.__getitem__
+    for qs, theta in sorted((sorted(map(position, t), reverse=True), t) for t in groups):
         j = qs[0] + 1 if qs else 0
         if j < len(order):
             sign = _sorted_term([order[q] for q in qs], 1)[1]
@@ -261,7 +263,8 @@ class CartanReport:
     def vn_text(self) -> tuple:
         """str(eq) for each eq of vn_equations."""
         n = len(self.c)
-        return tuple(_row_text(row, lambda col: _p_name(col // n + n + 1, col % n + 1)) for row in self._vn_kept)
+        names = [_p_name(a, j) for a in range(n + 1, n * (n + 1) + 1) for j in range(1, n + 1)]
+        return tuple(_row_text(row, names.__getitem__) for row in self._vn_kept)
 
     @cached_property
     def polar_text(self) -> tuple:

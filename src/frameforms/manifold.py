@@ -41,8 +41,12 @@ class FrameManifold:
         self._gens = {}
 
     def e(self, i: int) -> Form:
-        """The i-th coframe generator (doubles as the i-th frame vector)."""
-        g = self._gens.get(i)
+        """The i-th coframe generator (doubles as the i-th frame vector).
+
+        Only an int index reads the cache, so one that is not, such as 2.0,
+        raises TypeError whether or not e^2 is cached.
+        """
+        g = self._gens.get(i) if type(i) is int else None
         if g is None:
             g = Form.generator(self, i)
             self._gens[i] = g

@@ -15,8 +15,9 @@ equals only itself and hashes by identity (copying returns it), so
 symbols of different sessions never collide.  A session and every
 object created in it are confined to one thread at a time.
 
-accumulate is the one sparse-sum step: polynomials, forms, spinors, and
-echelon and rank rows all add coefficients into their term dicts through it.
+accumulate is the one sparse-sum step: polynomials, forms, spinors and
+echelon rows all add coefficients into their term dicts through it.
+Rank's int rows add through their own plain int loop, its hot path.
 _scaled is the one step that scales such pairs by a Q(i) constant, and
 a constant of 1 or -1 costs no multiplication.
 _SparseVector, the base of Poly, Form and Spinor, holds their shared
@@ -689,10 +690,13 @@ class Rank:
     row r of that key, with lead lam there and the row's entry mu,
     v <- lam*v - mu*r cancels the key, and v is divided by its integer
     content (Bareiss, Math. Comp. 22, 1968, without the exact division
-    step).  No row is made unit or back-substituted.  `pivots` maps each
-    stored row's least key to its (re, im) dicts; the set of its keys is
-    that of Echelon's rows over the same order, since both are the least
-    keys of the span.
+    step).  Each part product of that update, an int multiplier times a
+    real or imaginary part, adds into v's parts through one plain int
+    loop, which skips a zero multiplier or an empty part, so real and
+    Gaussian rows take one path.  No row is made unit or back-substituted.
+    `pivots` maps each stored row's least key to its (re, im) dicts; the
+    set of its keys is that of Echelon's rows over the same order, since
+    both are the least keys of the span.
     """
 
     __slots__ = ("pivots",)
@@ -721,21 +725,22 @@ class Rank:
             if li == 0 and lr < 0:
                 g = -g
             lr, li, mr, mi = lr // g, li // g, mr // g, mi // g
+            v_re, v_im = re, im
             if li or lr != 1:
                 # v <- lam*v into new dicts, as each part reads both old parts;
                 # for lam = 1 the parts update in place, each reading only itself.
-                v_re, v_im = re, im
                 re = {k: lr * x for k, x in v_re.items()} if lr else {}
                 im = {k: lr * x for k, x in v_im.items()} if lr else {}
-                if li:
-                    accumulate(re, ((k, -li * x) for k, x in v_im.items()))
-                    accumulate(im, ((k, li * x) for k, x in v_re.items()))
-            if mr:
-                accumulate(re, ((k, -mr * x) for k, x in r_re.items()))
-                accumulate(im, ((k, -mr * x) for k, x in r_im.items()))
-            if mi:
-                accumulate(re, ((k, mi * x) for k, x in r_im.items()))
-                accumulate(im, ((k, -mi * x) for k, x in r_re.items()))
+            # Then out += m*part for the i*li*v parts of lam*v and the four of -mu*r.
+            for out, m, part in ((re, -li, v_im), (im, li, v_re), (re, -mr, r_re),
+                                 (im, -mr, r_im), (re, mi, r_im), (im, -mi, r_re)):
+                if m and part:
+                    for k, x in part.items():
+                        s = out.get(k, 0) + m * x
+                        if s:
+                            out[k] = s
+                        else:
+                            del out[k]
             content = gcd(*re.values(), *im.values())
             if content > 1:
                 re = {k: x // content for k, x in re.items()}

@@ -22,6 +22,8 @@ SPIN7_IDEAL_FILE = "d: 1234+1256+1278+3456+3478+5678+1357-1368-1458-1467-2358-23
 CY3_COMPLEX_FILE = (Path(__file__).with_name("data") / "cy3_complex.ideal").read_text()
 # Denominators 2, 3 and 5 inside one generator and a Gaussian coefficient on n = 4.
 FRACTIONAL_FILE = (Path(__file__).with_name("data") / "fractional.ideal").read_text()
+# A zero generator, which has no tableau terms, and a purely imaginary one.
+ZERO_IMAGINARY_FILE = "0\nd: i*12\nd: 3\n"
 
 GOLDEN = {
     "nilpotent-torsion": (
@@ -154,8 +156,23 @@ def test_eds_command_flag_and_verbose(tmp_path):
             "3,1,4,2",
             "553c4e5c6cb4c7fc295f6d09a9623b4b40845ef6da46af0570526ea7c1a4a8e3",
         ),
+        (
+            ZERO_IMAGINARY_FILE,
+            3,
+            None,
+            "6bc5aa9a767cd38413f3414f2f23af72afcb7d0c1e337002cbbee95062858630",
+        ),
+        (
+            ZERO_IMAGINARY_FILE,
+            3,
+            "3,1,2",
+            "3ae72a7ca6cce2fe61043c12f00a7db3928c7a54f290c1a35a90e431448aefba",
+        ),
     ],
-    ids=["g2", "g2-flag", "spin7", "cy3-complex", "cy3-complex-flag", "fractional", "fractional-flag"],
+    ids=[
+        "g2", "g2-flag", "spin7", "cy3-complex", "cy3-complex-flag", "fractional", "fractional-flag",
+        "zero-imaginary", "zero-imaginary-flag",
+    ],
 )
 def test_eds_verbose_output_pinned(tmp_path, ideal_text, dim, flag, digest):
     """The whole --verbose stdout, V_n and polar lines included, byte for byte."""

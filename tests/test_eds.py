@@ -100,10 +100,11 @@ def _substituted_vn_equations(P, ideal):
     return kept
 
 
-def _random_linear_ideal(rng, n):
+def _random_linear_ideal(rng, n, real=False):
     """One to three generators, each a sum of terms c theta^I ∧ omega_a of one degree.
 
-    Every coefficient c is in Q(i) with a nonzero imaginary part.
+    Every coefficient c is in Q(i) with a nonzero imaginary part, or a
+    nonzero rational if `real`.
     """
     P = frame_bundle(Session(), n)
     ideal = []
@@ -111,9 +112,12 @@ def _random_linear_ideal(rng, n):
         k = rng.randint(0, min(n, 3))
         form = P.manifold.zero()
         for _ in range(rng.randint(1, 4)):
-            c = GaussianRational(
-                Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.choice([-2, -1, 1, 2])
-            )
+            if real:
+                c = GaussianRational(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+            else:
+                c = GaussianRational(
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.choice([-2, -1, 1, 2])
+                )
             term = P.manifold.e(rng.randint(n + 1, n * (n + 1))) * c
             for i in sorted(rng.sample(range(1, n + 1), k), reverse=True):
                 term = P.theta(i) * term
@@ -265,6 +269,16 @@ def test_vn_tableau_matches_substitution():
         assert [str(eq) for eq in report.vn_equations] == [str(eq) for eq in kept]
         assert report.vn_equations == tuple(kept)
         assert report.codim == len(report.vn_equations)
+
+
+def test_vn_rows_match_substitution_past_n_5():
+    """At n = 6..9, on real seeded ideals with a zero generator, the same V_n rows in the same order."""
+    rng = random.Random(33)
+    for n in [6, 7, 8, 9] * 8:
+        P, ideal = _random_linear_ideal(rng, n, real=True)
+        ideal.insert(rng.randint(0, len(ideal)), P.manifold.zero())
+        kept = _substituted_vn_equations(P, ideal)
+        assert cartan_test(P, ideal).vn_equations == tuple(kept), n
 
 
 def test_cartan_inequality_on_random_linear_ideals():

@@ -334,18 +334,26 @@ def test_load_manifold_errors():
         load_manifold(s, "dim 4\nd 4 = 12\nd 1 = 34\nd 2 = 0\nd 3 = 0\nd 3 = 0\n")
 
 
+def _e_of_float_once_cached(s):
+    """e(2.0) after e(2) has cached e2: the cache must not answer the float."""
+    M = FrameManifold(s, 3)
+    assert str(M.e(2)) == "e2"
+    M.e(2.0)
+
+
 @pytest.mark.parametrize(
     "call",
     [
         lambda s: FrameManifold(s, 3).declare_d(2.9, 0),
         lambda s: FrameManifold(s, 3).declare_d("1", 0),
         lambda s: FrameManifold(s, 3).e(2.5),
+        _e_of_float_once_cached,
         lambda s: FrameManifold(s, 3).e(1).coefficient((1.5,)),
         lambda s: RiemannianManifold(s, 3).u(1.5),
         lambda s: RiemannianManifold(s, 3).connection.gamma(1.5, 1, 2),
         lambda s: RiemannianManifold(s, 3).connection.connection_form(1.5, 2),
     ],
-    ids=["declare_d-float", "declare_d-str", "e", "coefficient", "u", "gamma", "connection_form"],
+    ids=["declare_d-float", "declare_d-str", "e", "e-cached", "coefficient", "u", "gamma", "connection_form"],
 )
 def test_non_integer_index_raises_type_error(call):
     """An index is an int: a float or a digit string is not truncated or stored."""

@@ -3,6 +3,7 @@ import math
 import operator
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -17,7 +18,7 @@ from frameforms import (
 )
 from frameforms.scalar import Echelon, Rank, Symbol, _make
 
-from support import _pair
+from support import _pair, exact_rank
 
 
 def test_gaussian_rational_arithmetic():
@@ -579,6 +580,65 @@ def test_rank_accepts_exactly_the_rows_echelon_accepts():
             assert _insert(ints, vec, GaussianRational(0, 3)) == accepted, vec
             seen.append(vec)
         assert set(rank.pivots) == set(ints.pivots) == set(ech.rows)
+
+    check()
+
+
+class _Pair(NamedTuple):
+    """A Gaussian integer as exact_rank reads one: Fraction re and im."""
+
+    re: Fraction
+    im: Fraction
+
+
+def test_rank_counts_what_the_independent_oracle_counts():
+    """On Gaussian integer rows, Rank.insert accepts exact_rank(rows) of them.
+
+    Each row is real-only, imaginary-only or Gaussian, with lead ±1, 2,
+    1+i or -i at its least key; some rows are Z[i] combinations of earlier
+    ones, sometimes plus a new row.  The caller's dicts are left unchanged.
+    """
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    leads = st.sampled_from([(1, 0), (-1, 0), (2, 0), (1, 1), (0, -1)])
+    small = st.integers(-3, 3)
+
+    @st.composite
+    def rows(draw):
+        keys = sorted(draw(st.sets(st.integers(0, 6), min_size=1, max_size=5)))
+        kind = draw(st.sampled_from(["real", "imaginary", "gaussian"]))
+        row = {keys[0]: draw(leads)}
+        for k in keys[1:]:
+            x, y = draw(small), draw(small)
+            row[k] = {"real": (x, 0), "imaginary": (0, y), "gaussian": (x, y)}[kind]
+        return row
+
+    def combination(data, earlier):
+        out = {}
+        for row in data.draw(st.lists(st.sampled_from(earlier), min_size=1, max_size=3)):
+            a, b = data.draw(st.sampled_from([(1, 0), (-2, 0), (0, 1), (1, -1)]))
+            for k, (x, y) in row.items():
+                r, i = out.get(k, (0, 0))
+                out[k] = (r + a * x - b * y, i + a * y + b * x)
+        return out
+
+    @hyp.settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @hyp.given(st.data())
+    def check(data):
+        rank, accepted, seen = _budgeted_rank(), 0, []
+        for _ in range(data.draw(st.integers(1, 9))):
+            row = combination(data, seen) if seen and data.draw(st.booleans()) else data.draw(rows())
+            if seen and data.draw(st.integers(0, 3)) == 0:
+                row.update(data.draw(rows()))
+            seen.append(row)
+            re = {k: x for k, (x, _) in row.items() if x}
+            im = {k: y for k, (_, y) in row.items() if y}
+            before = (dict(re), dict(im))
+            rank.pivots.steps = 0
+            accepted += rank.insert(re, im)
+            assert (re, im) == before
+        oracle = [{k: _Pair(Fraction(x), Fraction(y)) for k, (x, y) in row.items()} for row in seen]
+        assert accepted == exact_rank(oracle)
 
     check()
 
