@@ -25,9 +25,11 @@ output's basis element (a frame monomial or a spinor index) and then by
 symbol monomial, and the term dicts become Poly coefficients once at
 the end; no intermediate Poly or Form is built.  The constant factors come from tables built once per
 connection, on first use: the frame's terms, one table of the dual
-frame by generator (from the cached dual_basis), the products f^i ∧ f^j that torsion and
-a RiemannianManifold's d share, and for spinors the signed
-permutations (1/2) g_j g_k.  Curvature is computed with Form
+frame by generator (from the cached dual_basis), and the products f^i ∧ f^j that torsion and
+a RiemannianManifold's d share.  For spinors they are the signed
+permutations g_j g_k (j < k) of the Clifford table's pair_products,
+built once per dimension and shared by every manifold of that
+dimension; the factor 1/2 goes on the spinor.  Curvature is computed with Form
 arithmetic on the omega_jk: it builds each connection_form and sums
 d omega_jk and the wedge products omega_jl ∧ omega_lk.
 
@@ -155,13 +157,6 @@ class Connection:
             for i in range(1, len(frame) + 1)
             for j in range(i + 1, len(frame) + 1)
         ]
-
-    @functools.cached_property
-    def _spin_pairs(self):
-        """[(j, k, g_j g_k as the (row, phase) of each column)] for j < k."""
-        table = self._clifford()
-        n = self.manifold.dim
-        return [(j, k, table.product(j, k)) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
 
     # -- symbol bookkeeping -------------------------------------------------
 
@@ -299,7 +294,7 @@ class Connection:
         omega = self._omega_at(X)
         half = [(u, pm, pc * _HALF) for u, p in psi.terms.items() for pm, pc in p.terms.items()]
         out = {}
-        for j, k, perm in self._spin_pairs:
+        for j, k, perm in table.pair_products:
             c = omega(j, k)
             if c:
                 for u, pm, pc in half:

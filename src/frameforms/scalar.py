@@ -589,14 +589,19 @@ class Echelon:
     Each row's pivot is its least pivotable key, and no row holds any
     pivot, so the rows are the unique reduced echelon form of their span
     in that column order.  `ops` counts the multiply-subtract steps spent.
+    `_held` is every key that a stored row has held: a row gains keys
+    only by taking on an inserted row's, and `insert` adds each new
+    row's keys, so a new pivot outside that set is in no row, and the
+    row is stored without visiting the others.
     """
 
-    __slots__ = ("order", "rows", "ops")
+    __slots__ = ("order", "rows", "ops", "_held")
 
-    def __init__(self, order, rows=None):
+    def __init__(self, order):
         self.order = order
-        self.rows = {} if rows is None else rows
+        self.rows = {}
         self.ops = 0
+        self._held = set()
 
     @classmethod
     def over(cls, unknowns) -> "Echelon":
@@ -605,7 +610,10 @@ class Echelon:
         return cls(position.get)
 
     def copy(self) -> "Echelon":
-        return Echelon(self.order, {p: dict(row) for p, row in self.rows.items()})
+        new = Echelon(self.order)
+        new.rows = {p: dict(row) for p, row in self.rows.items()}
+        new._held = set(self._held)
+        return new
 
     def _subtract(self, v, c, row):
         """v -= c * row, in place."""
@@ -636,10 +644,12 @@ class Echelon:
         pairs = red.items()
         scaled = _scaled(pairs, lead if _unit(lead) else _ONE / lead)  # 1/c is c for c = ±1
         row = red if scaled is pairs else dict(scaled)
-        for other in self.rows.values():
-            c = other.pop(pivot, None)
-            if c is not None:
-                self._subtract(other, c, row)
+        if pivot in self._held:
+            for other in self.rows.values():
+                c = other.pop(pivot, None)
+                if c is not None:
+                    self._subtract(other, c, row)
+        self._held.update(row)
         self.rows[pivot] = row
         return pivot
 

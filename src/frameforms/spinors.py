@@ -12,11 +12,15 @@ the new highest tensor factor and adds the base pair there; for odd n
 the last generator is the (normalized) product of all the others.  The
 residual sign and ordering freedom was fixed once against the parallel
 spinor computation in dimension four and is frozen here and in the test
-suite's expected tables.
+suite's expected tables.  A table is a pure function of n, so
+build_clifford_table makes each dimension's table once per process, and
+the table computes its products g_j g_k (j < k), which every spinor
+derivative reads, once on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 
 from .errors import DegreeError, DimensionError
@@ -63,6 +67,12 @@ class CliffordTable:
         gi, gj = self._columns(i), self._columns(j)
         return tuple((gi[r][0], v * gi[r][1]) for r, v in gj)
 
+    @functools.cached_property
+    def pair_products(self):
+        """((j, k, product(j, k)) for 1 <= j < k <= n), in that order."""
+        n = self.n
+        return tuple((j, k, self.product(j, k)) for j in range(1, n + 1) for k in range(j + 1, n + 1))
+
     def check(self, psi: "Spinor"):
         """Raise DimensionError unless psi lies in this table's spinor module."""
         if psi.dim != self.spinor_dim:
@@ -77,8 +87,10 @@ class CliffordTable:
         return Spinor(self.spinor_dim, {g[k][0]: c * g[k][1] for k, c in psi.terms.items()})
 
 
+# Typed, so that a float equal to a cached n is built, and rejected, anew.
+@functools.lru_cache(maxsize=None, typed=True)
 def build_clifford_table(n: int) -> CliffordTable:
-    """Gamma matrices for dimension n with g_i^2 = -1 and anticommutation."""
+    """Gamma matrices for dimension n with g_i^2 = -1 and anticommutation; one table per n."""
     if n < 1:
         raise DimensionError(f"dimension must be >= 1, got {n}")
     m = n // 2

@@ -584,6 +584,70 @@ def test_rank_accepts_exactly_the_rows_echelon_accepts():
     check()
 
 
+def test_echelon_rows_are_sympy_rref_after_every_insert():
+    """Echelon's rows are the reduced echelon form of the accepted rows, at every step.
+
+    Half the rows lead with a key that an earlier row holds, so their
+    pivot must be back-substituted into that row.  After each insert the
+    rows equal sympy's `Matrix.rref()` of the accepted vectors, no row
+    holds a pivot, every key a row holds is in the held-key set that
+    `insert` reads, and an insert into a `copy()` leaves the original's
+    rows and held-key set as they were.
+    """
+    hyp = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hyp.strategies
+    parts = st.sampled_from([Fraction(n, d) for n, d in ((0, 1), (1, 1), (-1, 1), (2, 1), (1, 2), (-3, 4))])
+    entries = st.builds(GaussianRational, parts, parts).filter(bool)
+    width = 6
+    rows = st.dictionaries(st.integers(0, width - 1), entries, min_size=1, max_size=4)
+    later_pivot_held = []
+
+    def to_sympy(c):
+        return sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
+
+    def check_rref(ech, accepted):
+        matrix = sympy.Matrix([[to_sympy(v.get(k, GaussianRational(0))) for k in range(width)] for v in accepted])
+        reduced, pivots = matrix.rref(iszerofunc=lambda x: sympy.expand(x) == 0)
+        assert sorted(ech.rows) == list(pivots)
+        for r, p in enumerate(pivots):
+            expected = {k: reduced[r, k] for k in range(width) if k != p and sympy.expand(reduced[r, k]) != 0}
+            assert set(ech.rows[p]) == set(expected), p
+            assert all(sympy.expand(to_sympy(c) - expected[k]) == 0 for k, c in ech.rows[p].items()), p
+
+    @hyp.settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @hyp.given(st.data())
+    def check(data):
+        ech, accepted = Echelon(lambda k: k), []
+        for _ in range(data.draw(st.integers(1, 7))):
+            held = sorted({k for row in ech.rows.values() for k in row})
+            vec = data.draw(rows)
+            if held and data.draw(st.booleans()):
+                # Lead with a held key: reduction leaves it, so it is the pivot.
+                lead = data.draw(st.sampled_from(held))
+                vec = {lead: data.draw(entries), **{k: c for k, c in vec.items() if k > lead}}
+            red = ech.reduce(vec)
+            if not red:
+                continue
+            held_pivot = any(min(red) in row for row in ech.rows.values())
+            assert ech.insert(red) is not None
+            later_pivot_held.append(held_pivot)
+            accepted.append(vec)
+            check_rref(ech, accepted)
+            assert not any(p in row for row in ech.rows.values() for p in ech.rows)
+            assert {k for row in ech.rows.values() for k in row} <= ech._held
+            rows_before = {p: dict(row) for p, row in ech.rows.items()}
+            held_before = set(ech._held)
+            other = ech.copy()
+            # Keys 6 and 7 lie outside every row of ech: the copy's new row holds 7.
+            probe = {**data.draw(rows), width: GaussianRational(1), width + 1: GaussianRational(1)}
+            assert other.insert(other.reduce(probe)) is not None
+            assert ech.rows == rows_before and ech._held == held_before
+
+    check()
+    assert later_pivot_held.count(True) > 50
+
+
 class _Pair(NamedTuple):
     """A Gaussian integer as exact_rank reads one: Fraction re and im."""
 

@@ -238,3 +238,27 @@ def test_apply_matches_dense_gamma(n):
                 if v:
                     dense[r] = v
             assert t.apply(i, psi) == Spinor(dim, dense), (n, i)
+
+
+def test_one_clifford_table_per_dimension():
+    """Each n builds one table, which every manifold of that dimension shares.
+
+    The table owns the products g_j g_k (j < k); a declaration on one
+    manifold leaves a manifold sharing its table as it was, and a float
+    equal to a cached n is still refused.
+    """
+    t = build_clifford_table(5)
+    assert build_clifford_table(5) is t
+    assert isinstance(t.pair_products, tuple)
+    assert t.pair_products == tuple((j, k, t.product(j, k)) for j in range(1, 6) for k in range(j + 1, 6))
+    A, B = RiemannianManifold(Session(), 5), RiemannianManifold(Session(), 5)
+    assert A.clifford is B.clifford is t
+    before = B.connection.nabla_spinor(B.e(1), B.u(0))
+    A.declare_nabla_spinor(A.e(1), A.u(0), 0)
+    assert A.connection.nabla_spinor(A.e(1), A.u(0)) == 0
+    assert B.connection.nabla_spinor(B.e(1), B.u(0)) == before != 0
+    build_clifford_table(4)
+    build_clifford_table(n=4)
+    for args, kwargs in (((4.0,), {}), ((), {"n": 4.0})):
+        with pytest.raises(TypeError):
+            build_clifford_table(*args, **kwargs)
