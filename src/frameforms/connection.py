@@ -55,11 +55,10 @@ torsion-free structure equation de^k = -sum_{i,j} G_ijk e^i ∧ e^j.
 from __future__ import annotations
 
 import functools
-import operator
 
 from .basis import FormBasis
-from .errors import DegreeError, FrameIndexError, UnsupportedKindError
-from .exterior import Form, _indexed_name, _leibniz, as_form, wedge
+from .errors import DegreeError, UnsupportedKindError
+from .exterior import Form, _index, _indexed_name, _leibniz, as_form, wedge
 from .manifold import FrameManifold
 from .scalar import _ONE, Echelon, Poly, Session, _mono_mul, _scaled, accumulate, as_poly
 from .spinors import Spinor, build_clifford_table, clifford_mul
@@ -118,8 +117,7 @@ class Connection:
             for j in range(1, n + 1)
             for k in range(j + 1 if antisymmetric else 1, n + 1)
         }
-        self._own = {key[0][0] for key in self._gamma.values()}
-        self._echelon = Echelon.over(self._own)
+        self._echelon = Echelon.over(key[0][0] for key in self._gamma.values())
 
     @classmethod
     def torsion_free(cls, manifold, frame=None, prefix="Gamma"):
@@ -162,9 +160,8 @@ class Connection:
 
     def _check_indices(self, *idx):
         """Raise FrameIndexError unless every index lies in 1..n, TypeError for a non-integer."""
-        n = self.manifold.dim
-        if not all(1 <= operator.index(x) <= n for x in idx):
-            raise FrameIndexError(f"connection index {idx} outside 1..{n}")
+        for i in idx:
+            _index(i, 1, self.manifold.dim, "connection index")
 
     def _terms(self, i, j, k):
         """(terms, sign) with Gamma_ijk = sign * Poly(terms); empty terms for a zero entry."""
@@ -187,8 +184,7 @@ class Connection:
 
     def free_parameters(self):
         """The connection's own symbols not yet fixed by declarations."""
-        rows = self._echelon.rows
-        return [key[0][0] for key in self._gamma.values() if key not in rows]
+        return self._echelon.free()
 
     def connection_form(self, j, k) -> Form:
         """The one-form omega_jk = sum_i Gamma_ijk f^i."""
@@ -320,7 +316,7 @@ class Connection:
         leaves the connection unchanged.
         """
         ech = self._echelon.copy()
-        ech.impose_linear([part for p in polys for part in p.real_imag() if part], self._own)
+        ech.impose_linear([part for p in polys for part in p.real_imag() if part])
         self._echelon = ech
 
     def declare_nabla_vector(self, X, T, value):

@@ -28,6 +28,7 @@ as the independent reference for the polar equations.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -40,7 +41,7 @@ from .errors import (
     NonLinearError,
     NotLinearError,
 )
-from .exterior import Form, _mono_print, _sorted_term, as_form, degree, hook
+from .exterior import Form, _index, _mono_print, _sorted_term, as_form, degree, hook
 from .manifold import FrameManifold, _content_lines
 from .scalar import Poly, Rank, Session, _cleared, _make, _scaled_str, _signed_sum
 
@@ -63,8 +64,7 @@ class FrameBundle(FrameManifold):
     """The frame-bundle manifold of an n-dimensional base, plus Grassmannian symbols p."""
 
     def __init__(self, session: Session, n: int):
-        if not 1 <= n <= 9:
-            raise DimensionError(f"base dimension must be in 1..9, got {n}")
+        n = _index(n, 1, 9, "base dimension", DimensionError)
         super().__init__(session, n * (n + 1))
         self.n = n
         one = Poly.constant(1)
@@ -84,14 +84,11 @@ class FrameBundle(FrameManifold):
         return {(a, j): self.session.symbol(_p_name(a, j)) for a in omegas for j in range(1, n + 1)}
 
     def theta(self, i: int) -> Form:
-        if not 1 <= i <= self.n:
-            raise FrameIndexError(f"theta index {i} outside 1..{self.n}")
-        return self.e(i)
+        return self.e(_index(i, 1, self.n, "theta index"))
 
     def omega(self, i: int, j: int) -> Form:
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise FrameIndexError(f"omega index ({i}, {j}) outside 1..{self.n}")
-        return self.e(i * self.n + j)
+        n = self.n
+        return self.e(_index(i, 1, n, "omega index") * n + _index(j, 1, n, "omega index"))
 
 
 def frame_bundle(session: Session, n: int) -> FrameBundle:
@@ -160,8 +157,8 @@ def _vn_rows(n, tableaux) -> list:
 
 
 def _flag_order(bundle: FrameBundle, order):
-    """The flag as a list: the identity for None, else a checked permutation of 1..n."""
-    order = list(range(1, bundle.n + 1)) if order is None else list(order)
+    """The flag as a list: the identity for None, else a checked permutation of 1..n, of ints."""
+    order = list(range(1, bundle.n + 1)) if order is None else list(map(operator.index, order))
     if sorted(order) != list(range(1, bundle.n + 1)):
         raise DimensionError(f"flag order must be a permutation of 1..{bundle.n}")
     return order
@@ -173,8 +170,7 @@ def reduced_polar_equations(bundle: FrameBundle, form: Form, j: int, order=None)
     The list at j - 1, then that of the contraction by the j-th flag vector
     at j - 1; a contraction is kept, modulo the theta's, at degree one.
     """
-    if not 0 <= j <= bundle.n:
-        raise DimensionError(f"flag length {j} outside 0..{bundle.n}")
+    j = _index(j, 0, bundle.n, "flag length", DimensionError)
     order = _flag_order(bundle, order)
     form = as_form(bundle, form)
     if j == 0 or degree(form) < 2:

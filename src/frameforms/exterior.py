@@ -42,11 +42,11 @@ def _mono_key(mono):
     return (len(mono), mono)
 
 
-def _generator_index(manifold, i):
-    """i, checked to be a generator index 1..dim of the manifold; a non-integer raises TypeError."""
+def _index(i, lo, hi, what, error=FrameIndexError):
+    """i read by operator.index and checked to lie in lo..hi, else error("<what> i outside lo..hi")."""
     i = operator.index(i)
-    if not 1 <= i <= manifold.dim:
-        raise FrameIndexError(f"generator index {i} outside 1..{manifold.dim}")
+    if not lo <= i <= hi:
+        raise error(f"{what} {i} outside {lo}..{hi}")
     return i
 
 
@@ -70,7 +70,7 @@ class Form(_SparseVector):
 
     @classmethod
     def generator(cls, manifold, i):
-        return cls(manifold, {(_generator_index(manifold, i),): Poly.constant(1)})
+        return cls(manifold, {(_index(i, 1, manifold.dim, "generator index"),): Poly.constant(1)})
 
     def _coerce(self, x):
         x = x if isinstance(x, Form) else Poly._coerce(x)
@@ -102,7 +102,7 @@ class Form(_SparseVector):
 
     def coefficient(self, mono) -> Poly:
         """The coefficient of e[mono] in any index order: an odd order negates it, a repeat gives 0."""
-        term = _sorted_term([_generator_index(self.manifold, i) for i in mono], 1)
+        term = _sorted_term([_index(i, 1, self.manifold.dim, "generator index") for i in mono], 1)
         if term is None:
             return Poly.zero()
         return term[1] * self.terms.get(term[0], Poly.zero())
@@ -264,7 +264,7 @@ def substitute_form(w: Form, rules: dict) -> Form:
     M = w.manifold
     repl = {}
     for g, f in rules.items():
-        _generator_index(M, g)
+        _index(g, 1, M.dim, "generator index")
         f = as_form(M, f)
         if any(len(m) > 1 for m in f.terms):
             raise DegreeError(f"replacement for e{g} must have degree <= 1")

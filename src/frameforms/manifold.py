@@ -10,6 +10,7 @@ pairing, with the 2-form evaluation convention
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .errors import (
@@ -22,7 +23,7 @@ from .errors import (
     NotNilpotentError,
     RedeclarationError,
 )
-from .exterior import Form, _generator_index, _leibniz, as_form, hook, parse_form, print_form
+from .exterior import Form, _index, _leibniz, as_form, hook, parse_form, print_form
 from .scalar import Session
 
 __all__ = ["FrameManifold", "load_manifold"]
@@ -32,7 +33,7 @@ class FrameManifold:
     """A manifold presented by n coframe generators and a d-table."""
 
     def __init__(self, session: Session, dim: int):
-        if dim < 1:
+        if operator.index(dim) < 1:
             raise DimensionError(f"manifold dimension must be >= 1, got {dim}")
         self.session = session
         self.dim = dim
@@ -73,7 +74,7 @@ class FrameManifold:
             if len(mono) != 1 or c != 1:
                 raise FrameIndexError("expected a single generator")
             return mono[0]
-        return _generator_index(self, gen)
+        return _index(gen, 1, self.dim, "generator index")
 
     def declare_d(self, gen, value):
         """Record d(e^i) = value, a 2-form or zero.

@@ -29,11 +29,12 @@ Q(i) constants, scales by its product and substitutes by substitute.
 _mono_mul multiplies monomials by adding exponents in a dict.
 Echelon is the one exact elimination kernel wherever rows are read:
 linear_solve, the connection declarations and the bases' tagged
-dual/components echelon.  Echelon.over and Echelon.impose_linear are
-the one affine-row step: the unknowns' linear monomials are the only
-pivots, and every equation is checked to give each unknown a constant
-coefficient before any is imposed.  Rank only decides which rows are
-independent (Cartan's V_n and polar rows, every basis's insert), by
+dual/components echelon.  Echelon.over(unknowns), impose_linear(polys)
+and free() are the one affine-row step: the echelon keeps the unknowns,
+whose linear monomials are its only pivots, checks that every equation
+gives each a constant coefficient before any is imposed, and lists the
+unknowns that hold no row.  Rank only decides which rows are independent
+(Cartan's V_n and polar rows, every basis's insert), by
 fraction-free elimination on Gaussian-integer rows held as plain ints;
 _cleared is the one step that clears Q(i) coefficients to them.
 _signed_sum is the one joiner of printed terms into a sum.
@@ -592,27 +593,32 @@ class Echelon:
     `_held` is every key that a stored row has held: a row gains keys
     only by taking on an inserted row's, and `insert` adds each new
     row's keys, so a new pivot outside that set is in no row, and the
-    row is stored without visiting the others.
+    row is stored without visiting the others.  `_unknowns`, set by
+    `over`, maps each unknown's linear monomial to its creation index.
     """
 
-    __slots__ = ("order", "rows", "ops", "_held")
+    __slots__ = ("order", "rows", "ops", "_held", "_unknowns")
 
     def __init__(self, order):
         self.order = order
         self.rows = {}
         self.ops = 0
         self._held = set()
+        self._unknowns = {}
 
     @classmethod
     def over(cls, unknowns) -> "Echelon":
         """An empty echelon whose pivots are the unknowns' linear monomials, by creation index."""
         position = {((u, 1),): u.index for u in unknowns}
-        return cls(position.get)
+        ech = cls(position.get)
+        ech._unknowns = position
+        return ech
 
     def copy(self) -> "Echelon":
         new = Echelon(self.order)
         new.rows = {p: dict(row) for p, row in self.rows.items()}
         new._held = set(self._held)
+        new._unknowns = self._unknowns
         return new
 
     def _subtract(self, v, c, row):
@@ -663,31 +669,37 @@ class Echelon:
         if red and self.insert(red) is None:
             raise InconsistentError(f"equation reduces to {Poly(red)} = 0")
 
-    def impose_linear(self, polys, unknowns):
-        """Impose each Poly = 0 on an echelon made by `over(unknowns)`.
+    def impose_linear(self, polys):
+        """Impose each Poly = 0 on an echelon made by `over`.
 
         Every term holding an unknown must be that unknown alone, to the
         first power, so the unknowns carry constant coefficients and
         other symbols appear only in the unknown-free part.  Every poly
         is checked before any is imposed: NonLinearError imposes nothing.
         """
+        unknowns = self._unknowns
         for p in polys:
             for m in p.terms:
-                hit = [(s, e) for s, e in m if s in unknowns]
+                if not m or m in unknowns:
+                    continue  # the constant, or an unknown alone
+                hit = [(s, e) for s, e in m if ((s, 1),) in unknowns]
                 if not hit:
                     continue
                 if len(hit) > 1 or hit[0][1] > 1:
                     raise NonLinearError(f"term {_mono_str(m)} is not linear in the unknowns")
-                if len(m) > 1:
-                    raise NonLinearError(
-                        f"unknown {hit[0][0]} carries a parametric coefficient in {_mono_str(m)}"
-                    )
+                raise NonLinearError(
+                    f"unknown {hit[0][0]} carries a parametric coefficient in {_mono_str(m)}"
+                )
         for p in polys:
             self.impose(p.terms)
 
     def solved(self) -> dict:
         """For rows keyed by monomials: each pivot symbol's value, minus its row."""
         return {p[0][0]: -Poly(row) for p, row in self.rows.items()}
+
+    def free(self) -> list:
+        """The unknowns that hold no row, in the order given to `over`."""
+        return [key[0][0] for key in self._unknowns if key not in self.rows]
 
 
 class Rank:
@@ -781,9 +793,6 @@ def linear_solve(equations, unknowns) -> LinearSolution:
     equation that reduces to a nonzero constant or a nonzero
     parameter-only polynomial raises InconsistentError.
     """
-    unknown_set = set(unknowns)
-    ech = Echelon.over(unknown_set)
-    ech.impose_linear([as_poly(eq) for eq in equations], unknown_set)
-    assignments = ech.solved()
-    free = frozenset(u for u in unknown_set if u not in assignments)
-    return LinearSolution(assignments, free)
+    ech = Echelon.over(unknowns)
+    ech.impose_linear([as_poly(eq) for eq in equations])
+    return LinearSolution(ech.solved(), frozenset(ech.free()))

@@ -21,10 +21,9 @@ derivative reads, once on first use.
 from __future__ import annotations
 
 import functools
-import operator
 
 from .errors import DegreeError, DimensionError
-from .exterior import Form, _print_terms
+from .exterior import Form, _index, _print_terms
 from .scalar import _ONE, _ZERO, I, Poly, _SparseVector, accumulate
 
 __all__ = ["CliffordTable", "build_clifford_table", "Spinor", "clifford_mul"]
@@ -51,9 +50,7 @@ class CliffordTable:
         self._gammas = tuple(gammas)
 
     def _columns(self, i):
-        if not 1 <= i <= self.n:
-            raise DimensionError(f"gamma index {i} outside 1..{self.n}")
-        return self._gammas[i - 1]
+        return self._gammas[_index(i, 1, self.n, "gamma index", DimensionError) - 1]
 
     def gamma(self, i):
         """Matrix of Clifford multiplication by the i-th frame vector (1-based)."""
@@ -122,10 +119,7 @@ class Spinor(_SparseVector):
 
     @classmethod
     def basis(cls, dim, k):
-        k = operator.index(k)
-        if not 0 <= k < dim:
-            raise DimensionError(f"spinor basis index {k} outside 0..{dim - 1}")
-        return cls(dim, {k: Poly.constant(1)})
+        return cls(dim, {_index(k, 0, dim - 1, "spinor basis index", DimensionError): Poly.constant(1)})
 
     @classmethod
     def zero(cls, dim):

@@ -986,11 +986,22 @@ def test_linear_solve_and_basis_rows_hold_no_pivot():
     s = Session()
     x, y, z, t = (s.symbol(v) for v in "xyzt")
     eqs = [x + y * 2 - t, y - z * I + 1, x - z - 3]
-    unknowns = {x, y, z}
-    ech = Echelon.over(unknowns)
-    ech.impose_linear(eqs, unknowns)
+    ech = Echelon.over({x, y, z})
+    ech.impose_linear(eqs)
     _assert_rows_hold_no_pivot(ech)
     assert ech.solved() == linear_solve(eqs, [x, y, z]).assignments
+    # The echelon keeps its unknowns, so an iterator, read once, serves as a list does;
+    # free() lists the unknowns without a row in the order given.
+    for given in ([x, y, z, t], [t, z, y, x]):
+        for system in (eqs, eqs[:1]):
+            by_list, by_iter = Echelon.over(given), Echelon.over(iter(given))
+            by_list.impose_linear(system)
+            by_iter.impose_linear(system)
+            assert by_iter.solved() == by_list.solved()
+            assert by_iter.free() == by_list.free() == [u for u in given if u not in by_list.solved()]
+    for system in (eqs, eqs[:1]):
+        assert linear_solve(system, iter([x, y, z])) == linear_solve(system, [x, y, z])
+    assert linear_solve(eqs[:1], iter([x, y, z])).free == frozenset([y, z])
     M = nilpotent4(s)
     b = FormBasis(M)
     for f in [M.e(1) + M.e(2), M.e(2) * 2 - M.e(3), M.e(1) * M.e(2), M.e(3) + M.e(4)]:

@@ -17,6 +17,9 @@ from frameforms import (
     RedeclarationError,
     RiemannianManifold,
     Session,
+    build_clifford_table,
+    cartan_test,
+    frame_bundle,
     load_manifold,
     parse_form,
     print_form,
@@ -341,6 +344,12 @@ def _e_of_float_once_cached(s):
     M.e(2.0)
 
 
+def _cartan_test_at_a_float_flag(s):
+    """The flag 2.0, 1.0 equals a permutation of 1..2 but is not one of ints."""
+    P = frame_bundle(s, 2)
+    cartan_test(P, [P.theta(1) * P.omega(1, 2)], [2.0, 1.0])
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -352,11 +361,17 @@ def _e_of_float_once_cached(s):
         lambda s: RiemannianManifold(s, 3).u(1.5),
         lambda s: RiemannianManifold(s, 3).connection.gamma(1.5, 1, 2),
         lambda s: RiemannianManifold(s, 3).connection.connection_form(1.5, 2),
+        lambda s: frame_bundle(s, 2).theta(1.5),
+        lambda s: frame_bundle(s, 2).omega(1.5, 1),
+        lambda s: build_clifford_table(2).gamma(1.5),
+        lambda s: FrameManifold(s, 2.5),
+        _cartan_test_at_a_float_flag,
     ],
-    ids=["declare_d-float", "declare_d-str", "e", "e-cached", "coefficient", "u", "gamma", "connection_form"],
+    ids=["declare_d-float", "declare_d-str", "e", "e-cached", "coefficient", "u", "gamma", "connection_form",
+         "theta", "omega", "clifford-gamma", "dim", "flag"],
 )
 def test_non_integer_index_raises_type_error(call):
-    """An index is an int: a float or a digit string is not truncated or stored."""
+    """An index or a dimension is an int: a float or a digit string is not truncated or stored."""
     with pytest.raises(TypeError):
         call(Session())
 
