@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from .errors import NonConstantCoefficientError, NonLinearError, NotInSpanError
 from .exterior import Form, _mono_key, as_form
-from .scalar import _ONE, Echelon, Poly, Rank, _cleared, accumulate, as_poly
+from .scalar import _ONE, Echelon, Poly, Rank, _add_scaled, _cleared, accumulate, as_poly
 
 __all__ = ["Basis", "FormBasis", "SymbolBasis", "AffineBasis", "CONST"]
 
@@ -138,7 +138,7 @@ class Basis:
                 continue
             for k, c in row.items():
                 if isinstance(k, int):
-                    accumulate(comps[k], ((mono, a * c) for mono, a in p.terms.items()))
+                    _add_scaled(comps[k], p.terms, c)
                 else:
                     accumulate(rest, (((k, mono), -a * c) for mono, a in p.terms.items()))
         if rest:

@@ -20,11 +20,14 @@ nabla of a vector or a spinor, torsion's sum_{i,j} G_ijk f^i ∧ f^j,
 and the image of one generator under nabla_X or a RiemannianManifold's
 d are each one flat sum; on a form of higher degree, nabla_X and d
 extend those images by the Leibniz loop.  In a flat sum every Q(i)
-product goes through accumulate into one dict per result, keyed by the
-output's basis element (a frame monomial or a spinor index) and then by
-symbol monomial, and the term dicts become Poly coefficients once at
-the end; no intermediate Poly or Form is built.  The constant factors come from tables built once per
-connection, on first use: the frame's terms, one table of the dual
+product is added into one dict per result, keyed by the output's basis
+element (a frame monomial or a spinor index) and then by symbol
+monomial: by _add_scaled, one loop per term dict, when the symbol
+monomials stay as they are, and by accumulate over the shifted
+monomials when a factor carries one.  The term dicts become Poly
+coefficients once at the end; no intermediate Poly or Form is built.
+The constant factors come from tables built once per connection, on
+first use: the frame's terms, one table of the dual
 frame by generator (from the cached dual_basis), and the products f^i ∧ f^j that torsion and
 a RiemannianManifold's d share.  For spinors they are the signed
 permutations g_j g_k (j < k) of the Clifford table's pair_products,
@@ -32,6 +35,10 @@ built once per dimension and shared by every manifold of that
 dimension; the factor 1/2 goes on the spinor.  Curvature is computed with Form
 arithmetic on the omega_jk: it builds each connection_form and sums
 d omega_jk and the wedge products omega_jl ∧ omega_lk.
+
+The symbols' names are made once per (prefix, n, antisymmetric) shape
+and kept; each connection makes its own symbols from them, in the same
+order, so no two connections share a symbol.
 
 Constraints are never assigned directly: declare_* methods turn nabla
 expressions into scalar equations and add them to one persistent
@@ -60,7 +67,7 @@ from .basis import FormBasis
 from .errors import DegreeError, UnsupportedKindError
 from .exterior import Form, _index, _indexed_name, _leibniz, as_form, wedge
 from .manifold import FrameManifold
-from .scalar import _ONE, Echelon, Poly, Session, _mono_mul, _scaled, accumulate, as_poly
+from .scalar import _ONE, Echelon, Poly, Session, _add_scaled, _mono_mul, accumulate, as_poly
 from .spinors import Spinor, build_clifford_table, clifford_mul
 
 __all__ = ["Connection", "RiemannianManifold"]
@@ -68,11 +75,29 @@ __all__ = ["Connection", "RiemannianManifold"]
 _HALF = _ONE / 2
 
 
-def _times(terms, c, mono=()):
-    """The (monomial, coefficient) pairs of c·mono·Poly(terms), c a nonzero GaussianRational."""
+@functools.lru_cache(maxsize=32, typed=True)
+def _triples(n, antisymmetric):
+    """The (i, j, k) of a connection's symbols in creation order; k > j when antisymmetric."""
+    return tuple(
+        (i, j, k)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        for k in range(j + 1 if antisymmetric else 1, n + 1)
+    )
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _symbol_names(prefix, n, antisymmetric):
+    """The names of a connection's symbols, in the order of _triples."""
+    return tuple(_indexed_name(prefix, idx) for idx in _triples(n, antisymmetric))
+
+
+def _times(t, terms, c, mono=()):
+    """Add c·mono·Poly(terms) into the term dict t, c a nonzero GaussianRational."""
     if mono:
-        return ((_mono_mul(mono, m), a * c) for m, a in terms.items())
-    return _scaled(terms.items(), c)
+        accumulate(t, ((_mono_mul(mono, m), a * c) for m, a in terms.items()))
+    else:
+        _add_scaled(t, terms, c)
 
 
 def _add(out, key, terms, c, mono=()):
@@ -80,7 +105,7 @@ def _add(out, key, terms, c, mono=()):
     t = out.get(key)
     if t is None:
         t = out[key] = {}
-    accumulate(t, _times(terms, c, mono))
+    _times(t, terms, c, mono)
 
 
 def _constant_terms(form):
@@ -111,11 +136,10 @@ class Connection:
             raise ValueError(f"frame spans only {len(basis)} of {n} dimensions")
         self.frame = basis
         # Each entry's symbol as its linear monomial, the key of its echelon row.
+        symbol = manifold.session.symbol
         self._gamma = {
-            (i, j, k): ((manifold.session.symbol(_indexed_name(prefix, (i, j, k))), 1),)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            for k in range(j + 1 if antisymmetric else 1, n + 1)
+            idx: ((symbol(name), 1),)
+            for idx, name in zip(_triples(n, antisymmetric), _symbol_names(prefix, n, antisymmetric))
         }
         self._echelon = Echelon.over(key[0][0] for key in self._gamma.values())
 
@@ -209,7 +233,7 @@ class Connection:
             for m, b in f:
                 p = xt.get(m)
                 if p is not None:
-                    accumulate(acc, _times(p.terms, b))
+                    _add_scaled(acc, p.terms, b)
             if acc:
                 out.append((i, acc))
         return out
@@ -240,7 +264,7 @@ class Connection:
                 terms, sign = self._terms(i, j, k)
                 if terms:
                     for xm, xc in x.items():
-                        accumulate(out, _times(terms, xc if sign > 0 else -xc, xm))
+                        _times(out, terms, xc if sign > 0 else -xc, xm)
             return out
 
         return entry

@@ -15,11 +15,12 @@ equals only itself and hashes by identity (copying returns it), so
 symbols of different sessions never collide.  A session and every
 object created in it are confined to one thread at a time.
 
-accumulate is the one sparse-sum step: polynomials, forms, spinors and
-echelon rows all add coefficients into their term dicts through it.
+accumulate is the one plain sparse-sum step: polynomials, forms, spinors
+and echelon rows all add coefficients into their term dicts through it.
+_add_scaled is the one scaled-add step: it adds c times each value of a
+term dict into another in one loop, dropping zero sums as accumulate
+does, and a Q(i) constant c of 1 or -1 costs no multiplication.
 Rank's int rows add through their own plain int loop, its hot path.
-_scaled is the one step that scales such pairs by a Q(i) constant, and
-a constant of 1 or -1 costs no multiplication.
 _SparseVector, the base of Poly, Form and Spinor, holds their shared
 vector-space operators (sum, difference, negation, truth) over that
 dict, scaling by any scalar, substitute_scalars and repr, so each
@@ -253,6 +254,7 @@ I = GaussianRational(0, 1)
 
 _ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
+_MINUS_ONE = GaussianRational(-1)
 
 
 class Symbol:
@@ -349,7 +351,7 @@ class _SparseVector:
     None for a type it does not take (raising for a vector of another
     frame or dimension), and `_like(terms)`, a vector like self with
     those terms.  Sums and differences fill one copy of self's dict
-    through accumulate.
+    through accumulate and _add_scaled.
     """
 
     __slots__ = ()
@@ -367,7 +369,7 @@ class _SparseVector:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._like(accumulate(dict(self.terms), ((k, -c) for k, c in o.terms.items())))
+        return self._like(_add_scaled(dict(self.terms), o.terms, _MINUS_ONE))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -444,9 +446,8 @@ class Poly(_SparseVector):
         if len(ot) == 1 and () in ot:
             o, st, ot = self, ot, st
         if len(st) == 1 and () in st:
-            pairs = ot.items()
-            scaled = _scaled(pairs, st[()])
-            return o if scaled is pairs else Poly(dict(scaled))
+            c = st[()]
+            return o if _unit(c) == 1 else Poly(_add_scaled({}, ot, c))
         pairs = (
             (_mono_mul(m1, m2), c1 * c2)
             for m1, c1 in st.items()
@@ -508,7 +509,12 @@ class Poly(_SparseVector):
     substitute_scalars = substitute
 
     def real_imag(self):
-        """Split into (re, im) with symbols treated as real-valued quantities."""
+        """Split into (re, im) with symbols treated as real-valued quantities.
+
+        A poly with no imaginary coefficient is its own real part.
+        """
+        if not any(c._b for c in self.terms.values()):
+            return self, Poly()
         re = {}
         im = {}
         for m, c in self.terms.items():
@@ -562,14 +568,23 @@ def accumulate(out: dict, pairs) -> dict:
     return out
 
 
-def _scaled(items, c):
-    """The (key, value * c) pairs of items; c = 1 returns items itself and c = -1 only negates."""
+def _add_scaled(out: dict, terms: dict, c: GaussianRational) -> dict:
+    """Add c * v into out for each (k, v) of terms, in place, dropping zero sums as accumulate does.
+
+    c = 1 adds v and c = -1 subtracts it, with no multiplication.  Returns out.
+    """
     unit = _unit(c)
-    if unit == 1:
-        return items
-    if unit == -1:
-        return ((k, -v) for k, v in items)
-    return ((k, v * c) for k, v in items)
+    get, pop = out.get, out.pop
+    for k, v in terms.items():
+        if unit != 1:
+            v = -v if unit else v * c
+        s = get(k)
+        s = v if s is None else s + v
+        if s:
+            out[k] = s
+        else:
+            pop(k, None)
+    return out
 
 
 def as_poly(x) -> Poly:
@@ -623,7 +638,7 @@ class Echelon:
 
     def _subtract(self, v, c, row):
         """v -= c * row, in place."""
-        accumulate(v, _scaled(row.items(), -c))
+        _add_scaled(v, row, -c)
         self.ops += len(row)
 
     def reduce(self, vec) -> dict:
@@ -647,9 +662,8 @@ class Echelon:
         if pivot is None:
             return None
         lead = red.pop(pivot)
-        pairs = red.items()
-        scaled = _scaled(pairs, lead if _unit(lead) else _ONE / lead)  # 1/c is c for c = ±1
-        row = red if scaled is pairs else dict(scaled)
+        unit = _unit(lead)
+        row = red if unit == 1 else _add_scaled({}, red, lead if unit else _ONE / lead)  # 1/c is c for c = -1
         if pivot in self._held:
             for other in self.rows.values():
                 c = other.pop(pivot, None)
@@ -676,8 +690,10 @@ class Echelon:
         first power, so the unknowns carry constant coefficients and
         other symbols appear only in the unknown-free part.  Every poly
         is checked before any is imposed: NonLinearError imposes nothing.
+        `polys` may be any iterable; it is read once.
         """
         unknowns = self._unknowns
+        polys = list(polys)
         for p in polys:
             for m in p.terms:
                 if not m or m in unknowns:

@@ -33,6 +33,10 @@ GOLDEN = {
         "Theta_4 = 1/4*e13-1/4*e24\n"
     ),
     "su2-spinor": "0\n0\n0\n",
+    "bilagrangian": (
+        "[e1,e3] = (-Gamma124+Gamma223+Gamma412)*e1+(-Gamma324+Gamma414+Gamma423)*e3\n"
+        "[e2,e4] = -Gamma224*e2-Gamma424*e4\n"
+    ),
     "iwasawa": (
         "e124\n"
         "-e123\n"

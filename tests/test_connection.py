@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from frameforms.cli import (
     bilagrangian_brackets,
     su2_spinor_forms,
 )
+from frameforms.exterior import _indexed_name
 from frameforms.scalar import Echelon
 
 from support import exact_rank, iwasawa6, nilpotent4
@@ -57,6 +59,28 @@ def test_connection_names_unique_past_nine():
     assert len(names) == len(set(names)) == 11**3
     assert names[0] == "Gamma111"
     assert str(c.gamma(1, 11, 1) + c.gamma(11, 1, 1)) == "Gamma[1,11,1]+Gamma[11,1,1]"
+
+
+@pytest.mark.parametrize("n", [4, 9, 10])
+@pytest.mark.parametrize("antisymmetric", [False, True], ids=["generic", "antisymmetric"])
+def test_connection_symbols_are_named_by_their_indices_in_creation_order(n, antisymmetric):
+    """Symbol k of the table is Gamma(i, j, k) for the k-th triple; two tables of one shape share names only."""
+    M = FrameManifold(Session(), n)
+    r = range(1, n + 1)
+    triples = [(i, j, k) for i in r for j in r for k in r if not antisymmetric or j < k]
+    first, second = (Connection(M, prefix="G", antisymmetric=antisymmetric) for _ in range(2))
+    symbols = first.free_parameters()
+    assert [s.index for s in symbols] == sorted(s.index for s in symbols)
+    assert [s.name for s in symbols] == [_indexed_name("G", idx) for idx in triples]
+    for idx, s in zip(triples, symbols):
+        assert first.gamma(*idx) == Poly.from_symbol(s)
+    if n == 10:
+        assert symbols[-1].name == ("G[10,9,10]" if antisymmetric else "G[10,10,10]")
+    others = second.free_parameters()
+    assert [s.name for s in others] == [s.name for s in symbols]
+    assert not set(others) & set(symbols)
+    renamed = Connection(M, prefix="H", antisymmetric=antisymmetric).free_parameters()
+    assert [s.name for s in renamed] == [_indexed_name("H", idx) for idx in triples]
 
 
 def test_connection_accepts_non_simple_frame():
@@ -544,6 +568,41 @@ def test_declare_nabla_spinor_builds_no_fraction(monkeypatch, n):
     monkeypatch.undo()
     assert made == []
     assert M.connection.free_parameters()
+
+
+def _table_text(conn):
+    """Every Gamma(i, j, k) as printed, then the free symbols' names."""
+    r = range(1, conn.manifold.dim + 1)
+    lines = [f"{conn.prefix}({i},{j},{k}) = {conn.gamma(i, j, k)}" for i in r for j in r for k in r]
+    lines.append("free: " + " ".join(map(str, conn.free_parameters())))
+    return "\n".join(lines) + "\n"
+
+
+def _parallel_u0(n):
+    M = RiemannianManifold(Session(), n)
+    for i in range(1, n + 1):
+        M.declare_nabla_spinor(M.e(i), M.u(0), 0)
+    return M.connection
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (lambda: Connection.torsion_free(nilpotent4(Session())),
+         "fe5675a97e41a9bfacef3d47db05fdb05393ee2e76fc5da45cb0dbafe9881c11"),
+        (lambda: Connection.torsion_free(iwasawa6(Session())),
+         "759dabdd381a55d7c36dbcc42e1ad1a5df5018673e7ca83609ec91a7302d3762"),
+        (lambda: _parallel_u0(4), "aca8dbc41e62f176f975d7aa2a5a1f26e89eb7c7dd9a1ab0af7b419880cf2030"),
+        (lambda: _parallel_u0(5), "74299093b35c6cd9623c4da39108e8c1f8548a7318bb7067b19c22c7aa78d05a"),
+        (lambda: _parallel_u0(6), "196e8fe20e9cb46037f24a9ca085dc14f1a081dc6f36f44284fcfd086b4ffa9e"),
+        (lambda: _parallel_u0(7), "c91cd92a34630a88fdb3d8fc9aa4988628218a4221a37727072cc979b94e33f7"),
+        (lambda: _parallel_u0(8), "f791a3e259a67a7b1b7eec904418971345ab34944c0955a8ac471de521a30085"),
+    ],
+    ids=["torsion-free-nilpotent4", "torsion-free-iwasawa6"] + [f"parallel-u0-n{n}" for n in range(4, 9)],
+)
+def test_solved_tables_pinned(build, digest):
+    """The printed Gamma table and free names of solved connections, byte for byte."""
+    assert hashlib.sha256(_table_text(build()).encode()).hexdigest() == digest
 
 
 def test_su2_converse_impose_d():

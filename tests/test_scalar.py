@@ -16,7 +16,7 @@ from frameforms import (
     Session,
     linear_solve,
 )
-from frameforms.scalar import Echelon, Rank, Symbol, _make
+from frameforms.scalar import Echelon, Rank, Symbol, _add_scaled, _make, accumulate
 
 from support import _pair, exact_rank
 
@@ -446,6 +446,19 @@ def test_linear_solve_nonlinear_error_texts():
     assert str(exc.value) == "unknown x carries a parametric coefficient in a*x"
 
 
+def test_impose_linear_reads_a_one_shot_iterable_once():
+    """A generator of equations is imposed in full, and a NonLinearError from one imposes nothing."""
+    x, y = Session().symbols("x y")
+    ech = Echelon.over([x, y])
+    ech.impose_linear(p for p in [x + 1, y - 2])
+    assert ech.solved() == {x: Poly.constant(-1), y: Poly.constant(2)}
+    assert ech.free() == []
+    ech = Echelon.over([x, y])
+    with pytest.raises(NonLinearError):
+        ech.impose_linear(p for p in [x + 1, x * y])
+    assert ech.rows == {} and ech.free() == [x, y]
+
+
 def test_linear_solve_inconsistent():
     s = Session()
     x, a = s.symbols("x a")
@@ -813,3 +826,80 @@ def test_real_imag_split():
     re, im = p.real_imag()
     assert re == x + 3 * y
     assert im == 2 * x + 1
+
+
+def test_real_imag_parts_are_real_and_sum_back():
+    """re + I*im == p with both parts real, and a real poly is its own real part."""
+    s = Session()
+    x, y = s.symbols("x y")
+    half = Fraction(1, 2)
+    cases = [
+        Poly.zero(),
+        Poly.constant(3),
+        2 * x - half * y + 7,
+        I * x - 2 * I,
+        (1 + 2 * I) * x + 3 * y + I,
+        # one imaginary coefficient after real ones
+        x + y + 5 + I * x * y,
+        half * x * x * y - 3 * y + (half - half * I) * x,
+    ]
+    for p in cases:
+        re, im = p.real_imag()
+        assert re + I * im == p, p
+        for part in (re, im):
+            assert all(not c.im for c in part.terms.values()), (p, part)
+        if all(not c.im for c in p.terms.values()):
+            assert re is p and im == 0
+
+
+def test_add_scaled_matches_accumulate_of_scaled_pairs():
+    """_add_scaled(out, terms, c) adds the pairs (k, v * c) as accumulate does, leaving terms as it was.
+
+    A third of the drawn terms cancel an entry of out, so zero sums are
+    dropped; c = 1 and c = -1 multiply nothing.
+    """
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    parts = st.sampled_from([Fraction(n, d) for n, d in ((0, 1), (1, 1), (-1, 1), (2, 1), (1, 2), (-3, 4))])
+    entries = st.builds(GaussianRational, parts, parts).filter(bool)
+    dicts = st.dictionaries(st.integers(0, 5), entries, max_size=6)
+    scalars = st.sampled_from(
+        [GaussianRational(1), GaussianRational(-1), I, -I, GaussianRational(Fraction(1, 2)),
+         GaussianRational(Fraction(1, 3), Fraction(1, 3)), GaussianRational(5)]
+    )
+    cancelled = []
+
+    @hyp.settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @hyp.given(dicts, dicts, scalars, st.data())
+    def check(out, terms, c, data):
+        for k in data.draw(st.lists(st.sampled_from(sorted(out)), unique=True)) if out else ():
+            terms[k] = -out[k] / c
+        before = dict(terms)
+        expected = accumulate(dict(out), ((k, v * c) for k, v in terms.items()))
+        target = dict(out)
+        assert _add_scaled(target, terms, c) is target
+        assert target == expected
+        assert all(target.values())
+        assert terms == before
+        cancelled.append(len(out) + len(terms) - len(target) - len(set(out) & set(terms)))
+
+    check()
+    assert sum(n > 0 for n in cancelled) > 30
+
+
+@pytest.mark.parametrize("c", [1, -1])
+def test_add_scaled_by_a_unit_multiplies_nothing(monkeypatch, c):
+    products = []
+    mul = GaussianRational.__mul__
+
+    def counting_mul(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    # Key 1 holds 1 in terms, so c * 1 cancels out's -c there.
+    terms = {k: GaussianRational(k, 1 - k) for k in range(1, 5)}
+    monkeypatch.setattr(GaussianRational, "__mul__", counting_mul)
+    out = _add_scaled({1: GaussianRational(-c), 7: I}, terms, GaussianRational(c))
+    monkeypatch.undo()
+    assert products == []
+    assert out == {7: I, **{k: c * terms[k] for k in (2, 3, 4)}}
