@@ -17,7 +17,9 @@ the span has alpha as its largest simple element.  With T[p] the tag
 part of pivot row p, the dual x^k is sum_p T[p][k] e_p (the one dual
 that vanishes on the completion) and the components of x are
 sum_p x[p] T[p]; x lies in the span when the rows it pairs with also
-cancel it on the non-pivot columns.
+cancel it on the non-pivot columns.  components() sums both as flat
+sums: each tag column, and each non-pivot column of what is left of x,
+is a term dict filled by scalar._add_scaled.
 
 Each subclass is its own expression space: _sort_key orders its simple
 elements (wedge monomials of one manifold, or symbols and then CONST),
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from .errors import NonConstantCoefficientError, NonLinearError, NotInSpanError
 from .exterior import Form, _mono_key, as_form
-from .scalar import _ONE, Echelon, Poly, Rank, _add_scaled, _cleared, accumulate, as_poly
+from .scalar import _ONE, Echelon, Poly, Rank, _add_scaled, _cleared, as_poly
 
 __all__ = ["Basis", "FormBasis", "SymbolBasis", "AffineBasis", "CONST"]
 
@@ -127,21 +129,21 @@ class Basis:
         self._setup()
         rows = self._tagged.rows
         comps = [{} for _ in self._elements]
-        # x minus the combination of the rows it pairs with, on the non-pivot columns.
+        # x minus the combination of the rows it pairs with, by non-pivot column.
         rest = {}
         for key, p in self._decompose(x).items():
             if key not in self._simple:
                 raise NotInSpanError(f"{x} pairs with a simple element outside the basis span")
             row = rows.get(key)
             if row is None:
-                accumulate(rest, (((key, mono), a) for mono, a in p.terms.items()))
+                _add_scaled(rest.setdefault(key, {}), p.terms, _ONE)
                 continue
             for k, c in row.items():
                 if isinstance(k, int):
                     _add_scaled(comps[k], p.terms, c)
                 else:
-                    accumulate(rest, (((k, mono), -a * c) for mono, a in p.terms.items()))
-        if rest:
+                    _add_scaled(rest.setdefault(k, {}), p.terms, -c)
+        if any(rest.values()):
             raise NotInSpanError(f"{x} is not in the span of the basis")
         return [Poly(t) for t in comps]
 

@@ -22,10 +22,10 @@ d are each one flat sum; on a form of higher degree, nabla_X and d
 extend those images by the Leibniz loop.  In a flat sum every Q(i)
 product is added into one dict per result, keyed by the output's basis
 element (a frame monomial or a spinor index) and then by symbol
-monomial: by _add_scaled, one loop per term dict, when the symbol
-monomials stay as they are, and by accumulate over the shifted
-monomials when a factor carries one.  The term dicts become Poly
-coefficients once at the end; no intermediate Poly or Form is built.
+monomial, by one _add_scaled(out.setdefault(key, {}), terms, c, mono)
+per term dict, mono shifting the symbol monomials when a factor has
+one.  The term dicts become Poly coefficients once at the end; no
+intermediate Poly or Form is built.
 The constant factors come from tables built once per connection, on
 first use: the frame's terms, one table of the dual
 frame by generator (from the cached dual_basis), and the products f^i ∧ f^j that torsion and
@@ -67,7 +67,7 @@ from .basis import FormBasis
 from .errors import DegreeError, UnsupportedKindError
 from .exterior import Form, _index, _indexed_name, _leibniz, as_form, wedge
 from .manifold import FrameManifold
-from .scalar import _ONE, Echelon, Poly, Session, _add_scaled, _mono_mul, accumulate, as_poly
+from .scalar import _ONE, Echelon, Poly, Session, _add_scaled, as_poly
 from .spinors import Spinor, build_clifford_table, clifford_mul
 
 __all__ = ["Connection", "RiemannianManifold"]
@@ -90,22 +90,6 @@ def _triples(n, antisymmetric):
 def _symbol_names(prefix, n, antisymmetric):
     """The names of a connection's symbols, in the order of _triples."""
     return tuple(_indexed_name(prefix, idx) for idx in _triples(n, antisymmetric))
-
-
-def _times(t, terms, c, mono=()):
-    """Add c·mono·Poly(terms) into the term dict t, c a nonzero GaussianRational."""
-    if mono:
-        accumulate(t, ((_mono_mul(mono, m), a * c) for m, a in terms.items()))
-    else:
-        _add_scaled(t, terms, c)
-
-
-def _add(out, key, terms, c, mono=()):
-    """Add c·mono·Poly(terms) to the term dict of `key` in the flat sum out."""
-    t = out.get(key)
-    if t is None:
-        t = out[key] = {}
-    _times(t, terms, c, mono)
 
 
 def _constant_terms(form):
@@ -134,6 +118,8 @@ class Connection:
             basis.insert(f)
         if len(basis) != n:
             raise ValueError(f"frame spans only {len(basis)} of {n} dimensions")
+        if len(frame) != n:
+            raise ValueError(f"frame has {len(frame)} one-forms for {n} dimensions")
         self.frame = basis
         # Each entry's symbol as its linear monomial, the key of its echelon row.
         symbol = manifold.session.symbol
@@ -218,7 +204,7 @@ class Connection:
             terms, sign = self._terms(i, j, k)
             if terms:
                 for m, a in f:
-                    _add(out, m, terms, a if sign > 0 else -a)
+                    _add_scaled(out.setdefault(m, {}), terms, a if sign > 0 else -a)
         return Form(self.manifold, _polys(out))
 
     def _components(self, X):
@@ -264,7 +250,7 @@ class Connection:
                 terms, sign = self._terms(i, j, k)
                 if terms:
                     for xm, xc in x.items():
-                        _times(out, terms, xc if sign > 0 else -xc, xm)
+                        _add_scaled(out, terms, xc if sign > 0 else -xc, xm)
             return out
 
         return entry
@@ -281,7 +267,7 @@ class Connection:
                     c = omega(j, k)
                     if c:
                         for tm, tc in t.items():
-                            _add(out, m, c, tc * b, tm)
+                            _add_scaled(out.setdefault(m, {}), c, tc * b, tm)
         return Form(self.manifold, _polys(out))
 
     def nabla_form(self, X, w) -> Form:
@@ -298,7 +284,7 @@ class Connection:
                     c = omega(j, k)
                     if c:
                         for m, a in f:
-                            _add(out, m, c, -(mu * a))
+                            _add_scaled(out.setdefault(m, {}), c, -(mu * a))
             return Form(self.manifold, _polys(out))
 
         return _leibniz(as_form(self.manifold, w), image, odd=False)
@@ -319,7 +305,7 @@ class Connection:
             if c:
                 for u, pm, pc in half:
                     row, phase = perm[u]
-                    _add(out, row, c, phase * pc, pm)
+                    _add_scaled(out.setdefault(row, {}), c, phase * pc, pm)
         return Spinor(table.spinor_dim, _polys(out))
 
     def _clifford(self):
@@ -377,7 +363,7 @@ class Connection:
             for a, (terms, s) in ((sign, self._terms(i, j, k)), (-sign, self._terms(j, i, k))):
                 if terms:
                     for m, b in product:
-                        _add(out, m, terms, b if a * s > 0 else -b)
+                        _add_scaled(out.setdefault(m, {}), terms, b if a * s > 0 else -b)
 
     def torsion(self):
         """Cartan's first structure equation: Theta^k = df^k + sum_{i,j} Gamma_ijk f^i ∧ f^j.

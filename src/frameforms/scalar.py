@@ -15,11 +15,15 @@ equals only itself and hashes by identity (copying returns it), so
 symbols of different sessions never collide.  A session and every
 object created in it are confined to one thread at a time.
 
-accumulate is the one plain sparse-sum step: polynomials, forms, spinors
-and echelon rows all add coefficients into their term dicts through it.
-_add_scaled is the one scaled-add step: it adds c times each value of a
-term dict into another in one loop, dropping zero sums as accumulate
-does, and a Q(i) constant c of 1 or -1 costs no multiplication.
+accumulate is the one plain sparse-sum step: sums of polynomials, forms
+and spinors, and the terms whose keys wedge, hook or the parser compute,
+are added into their term dicts through it.  _add_scaled(out, terms, c,
+mono) is the one scaled-add step: in one loop it adds c times each value
+of a term dict into another, under its key times the symbol monomial
+mono when mono is not empty, dropping zero sums as accumulate does; a
+Q(i) constant c of 1 or -1 costs no multiplication.  Poly's product is
+one such step per term of a factor, and echelon rows, differences, the
+bases' components and the connection's flat sums are added by it too.
 Rank's int rows add through their own plain int loop, its hot path.
 _SparseVector, the base of Poly, Form and Spinor, holds their shared
 vector-space operators (sum, difference, negation, truth) over that
@@ -27,7 +31,6 @@ dict, scaling by any scalar, substitute_scalars and repr, so each
 subclass gives only its coercion, its product, its equality, its
 printing and its coefficients order; Poly, whose coefficients are
 Q(i) constants, scales by its product and substitutes by substitute.
-_mono_mul multiplies monomials by adding exponents in a dict.
 Echelon is the one exact elimination kernel wherever rows are read:
 linear_solve, the connection declarations and the bases' tagged
 dual/components echelon.  Echelon.over(unknowns), impose_linear(polys)
@@ -338,6 +341,7 @@ class Session:
 # A monomial is a tuple of (Symbol, exponent) pairs sorted by symbol
 # index, exponents >= 1.  The empty tuple is the constant monomial.
 def _mono_mul(m1, m2):
+    """The product of two monomials, exponents added in a dict; only _add_scaled calls it."""
     exps = dict(m1)
     for s, e in m2:
         exps[s] = exps.get(s, 0) + e
@@ -445,15 +449,12 @@ class Poly(_SparseVector):
         # A constant factor, put first, scales the other side; exactly 1 returns it as it is.
         if len(ot) == 1 and () in ot:
             o, st, ot = self, ot, st
-        if len(st) == 1 and () in st:
-            c = st[()]
-            return o if _unit(c) == 1 else Poly(_add_scaled({}, ot, c))
-        pairs = (
-            (_mono_mul(m1, m2), c1 * c2)
-            for m1, c1 in st.items()
-            for m2, c2 in ot.items()
-        )
-        return Poly(accumulate({}, pairs))
+        if len(st) == 1 and _unit(st.get((), _ZERO)) == 1:
+            return o
+        out = {}
+        for m, c in st.items():
+            _add_scaled(out, ot, c, m)
+        return Poly(out)
 
     __rmul__ = __mul__
 
@@ -568,14 +569,17 @@ def accumulate(out: dict, pairs) -> dict:
     return out
 
 
-def _add_scaled(out: dict, terms: dict, c: GaussianRational) -> dict:
-    """Add c * v into out for each (k, v) of terms, in place, dropping zero sums as accumulate does.
+def _add_scaled(out: dict, terms: dict, c: GaussianRational, mono=()) -> dict:
+    """Add c * v into out under mono * k for each (k, v) of terms, in place, dropping zero sums as accumulate does.
 
-    c = 1 adds v and c = -1 subtracts it, with no multiplication.  Returns out.
+    The keys of terms are monomials when mono is not empty.  c = 1 adds
+    v and c = -1 subtracts it, with no multiplication.  Returns out.
     """
     unit = _unit(c)
     get, pop = out.get, out.pop
     for k, v in terms.items():
+        if mono:
+            k = _mono_mul(mono, k)
         if unit != 1:
             v = -v if unit else v * c
         s = get(k)

@@ -269,6 +269,15 @@ def test_connection_frame_must_be_a_coframe():
     for frame in ([e1, e2, e1 + e2], [e1, e2]):
         with pytest.raises(ValueError, match=r"^frame spans only 2 of 3 dimensions$"):
             Connection(M, frame=frame)
+    # A dependent or zero element is refused even when the others span.
+    for frame in ([e1, e2, 2 * e1, e3], [e1, e1 + e2, e2, e3], [e1, 0 * e1, e2, e3]):
+        with pytest.raises(ValueError, match=r"^frame has 4 one-forms for 3 dimensions$"):
+            Connection(M, frame=frame)
+    P = torus(Session(), 2)
+    f1, f2 = P.generators()
+    for frame in ([f1, 2 * f1, f2], [f1, f1 + f2, f2]):
+        with pytest.raises(ValueError, match=r"^frame has 3 one-forms for 2 dimensions$"):
+            Connection(P, frame=frame)
 
 
 def test_declare_nabla_examples():

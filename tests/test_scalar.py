@@ -16,7 +16,7 @@ from frameforms import (
     Session,
     linear_solve,
 )
-from frameforms.scalar import Echelon, Rank, Symbol, _add_scaled, _make, accumulate
+from frameforms.scalar import Echelon, Rank, Symbol, _add_scaled, _make, _mono_mul, accumulate
 
 from support import _pair, exact_rank
 
@@ -853,38 +853,54 @@ def test_real_imag_parts_are_real_and_sum_back():
 
 
 def test_add_scaled_matches_accumulate_of_scaled_pairs():
-    """_add_scaled(out, terms, c) adds the pairs (k, v * c) as accumulate does, leaving terms as it was.
+    """_add_scaled(out, terms, c, mono) adds the pairs (mono * k, v * c) as accumulate does, leaving terms as it was.
 
-    A third of the drawn terms cancel an entry of out, so zero sums are
-    dropped; c = 1 and c = -1 multiply nothing.
+    mono is empty or a product of session symbols, and the keys are
+    monomials.  A third of the drawn terms cancel an entry of out under
+    the shift, so zero sums are dropped; c = 1 and c = -1 multiply nothing.
     """
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
+    x, y = Session().symbols("x y")
+    # The monomials of degree at most 2 in x and y, and the shifts by at most x*y.
+    monos = [(), ((x, 1),), ((y, 1),), ((x, 2),), ((x, 1), (y, 1)), ((y, 2),)]
+    shifts = monos[:3] + [((x, 1), (y, 1))]
+    shifted = list(dict.fromkeys(_mono_mul(s, k) for s in shifts for k in monos))
     parts = st.sampled_from([Fraction(n, d) for n, d in ((0, 1), (1, 1), (-1, 1), (2, 1), (1, 2), (-3, 4))])
     entries = st.builds(GaussianRational, parts, parts).filter(bool)
-    dicts = st.dictionaries(st.integers(0, 5), entries, max_size=6)
     scalars = st.sampled_from(
         [GaussianRational(1), GaussianRational(-1), I, -I, GaussianRational(Fraction(1, 2)),
          GaussianRational(Fraction(1, 3), Fraction(1, 3)), GaussianRational(5)]
     )
     cancelled = []
+    moved = []
 
     @hyp.settings(derandomize=True, database=None, max_examples=200, deadline=None)
-    @hyp.given(dicts, dicts, scalars, st.data())
-    def check(out, terms, c, data):
-        for k in data.draw(st.lists(st.sampled_from(sorted(out)), unique=True)) if out else ():
-            terms[k] = -out[k] / c
+    @hyp.given(
+        st.dictionaries(st.sampled_from(shifted), entries, max_size=6),
+        st.dictionaries(st.sampled_from(monos), entries, max_size=6),
+        scalars,
+        st.sampled_from(shifts),
+        st.data(),
+    )
+    def check(out, terms, c, mono, data):
+        hits = [k for k in monos if _mono_mul(mono, k) in out]
+        for k in data.draw(st.lists(st.sampled_from(hits), unique=True)) if hits else ():
+            terms[k] = -out[_mono_mul(mono, k)] / c
         before = dict(terms)
-        expected = accumulate(dict(out), ((k, v * c) for k, v in terms.items()))
+        expected = accumulate(dict(out), ((_mono_mul(mono, k), v * c) for k, v in terms.items()))
         target = dict(out)
-        assert _add_scaled(target, terms, c) is target
+        assert _add_scaled(target, terms, c, mono) is target
         assert target == expected
         assert all(target.values())
         assert terms == before
-        cancelled.append(len(out) + len(terms) - len(target) - len(set(out) & set(terms)))
+        keys = {_mono_mul(mono, k) for k in terms}
+        cancelled.append(len(out) + len(terms) - len(target) - len(set(out) & keys))
+        moved.append(bool(mono and terms))
 
     check()
     assert sum(n > 0 for n in cancelled) > 30
+    assert sum(moved) > 50
 
 
 @pytest.mark.parametrize("c", [1, -1])
