@@ -57,6 +57,9 @@ RiemannianManifold is the frame-generic mode: a manifold without a
 d-table whose d operator, Lie bracket, and spinor module all come from
 its built-in metric (Levi-Civita style) connection; its d is the
 torsion-free structure equation de^k = -sum_{i,j} G_ijk e^i ∧ e^j.
+It keeps no memo of d's Leibniz expansions, as a FrameManifold does:
+the images of its generators follow the echelon, which every
+declaration changes.
 """
 
 from __future__ import annotations
@@ -227,30 +230,35 @@ class Connection:
     def _omega_at(self, X):
         """omega(X) as a function (j, k) -> the terms of omega_jk(X) = sum_i Gamma_ijk X^i.
 
-        An entry is computed when first asked for, so each covariant
-        derivative reads only the symbols of the entries it uses.  For X
-        a frame vector f_i the entry is Gamma_ijk's own terms, uncopied
-        unless negated; callers only read them.
+        An entry is computed when first asked for and kept in a plain
+        dict, so each covariant derivative reads only the symbols of the
+        entries it uses, once each.  For X a frame vector f_i the entry
+        is Gamma_ijk's own terms, uncopied unless negated; callers only
+        read them.
         """
         support = self._components(X)
+        memo = {}
         if len(support) == 1 and support[0][1] == {(): _ONE}:
             i = support[0][0]
 
-            @functools.cache
             def frame_entry(j, k):
-                terms, sign = self._terms(i, j, k)
-                return terms if sign > 0 else {m: -c for m, c in terms.items()}
+                out = memo.get((j, k))
+                if out is None:
+                    terms, sign = self._terms(i, j, k)
+                    out = memo[j, k] = terms if sign > 0 else {m: -c for m, c in terms.items()}
+                return out
 
             return frame_entry
 
-        @functools.cache
         def entry(j, k):
-            out = {}
-            for i, x in support:
-                terms, sign = self._terms(i, j, k)
-                if terms:
-                    for xm, xc in x.items():
-                        _add_scaled(out, terms, xc if sign > 0 else -xc, xm)
+            out = memo.get((j, k))
+            if out is None:
+                out = memo[j, k] = {}
+                for i, x in support:
+                    terms, sign = self._terms(i, j, k)
+                    if terms:
+                        for xm, xc in x.items():
+                            _add_scaled(out, terms, xc if sign > 0 else -xc, xm)
             return out
 
         return entry
@@ -403,6 +411,7 @@ class RiemannianManifold(FrameManifold):
 
     def __init__(self, session: Session, dim: int, prefix="Gamma"):
         super().__init__(session, dim)
+        self._d_memo = None  # d follows the connection's echelon, so no expansion is kept
         self.clifford = build_clifford_table(dim)
         self.connection = Connection(self, prefix=prefix, antisymmetric=True)
 

@@ -24,13 +24,22 @@ The report keeps the rows kept; the p's, V_n's Polys and the polar Forms
 are made only when read, and `eds --verbose` prints text made from rows.
 reduced_polar_equations, which contracts general forms with hook, is kept
 as the independent reference for the polar equations.
+
+Every bundle over an n-manifold has the same d-table, so all of them
+share one memo of d's Leibniz expansions, made once per n like the
+Clifford tables.  A bundle's omega generators have no d entry, so d of
+a monomial with one raises and stores nothing: the shared memo holds
+theta-monomials only, at most 2^n entries.  A later declare_d on one
+bundle gives that bundle a private memo (manifold.py).  Concurrent
+threads can only store the same expansion under the same key, which is
+benign under the GIL.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .errors import (
@@ -60,6 +69,12 @@ def _p_name(a: int, j: int) -> str:
     return f"p{a}{j}"
 
 
+@lru_cache(maxsize=None)
+def _shared_d_memo(n: int) -> dict:
+    """The one memo of d's expansions that every untouched bundle over an n-manifold reads."""
+    return {}
+
+
 class FrameBundle(FrameManifold):
     """The frame-bundle manifold of an n-dimensional base, plus Grassmannian symbols p."""
 
@@ -71,6 +86,7 @@ class FrameBundle(FrameManifold):
         for i in range(1, n + 1):
             # d theta^i = sum_j theta^j ∧ omega_ij, one term per j.
             self.declare_d(i, Form(self, {(j, i * n + j): one for j in range(1, n + 1)}))
+        self._d_memo = _shared_d_memo(n)
 
     @property
     def manifold(self) -> FrameBundle:

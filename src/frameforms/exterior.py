@@ -22,7 +22,7 @@ from .errors import (
     MixedDegreeError,
 )
 from .scalar import (
-    GaussianRational, I, Poly, _scaled_str, _signed_sum, _SparseVector, _unit, accumulate, as_poly,
+    GaussianRational, I, Poly, _add_scaled, _scaled_str, _signed_sum, _SparseVector, _unit, accumulate, as_poly,
 )
 
 __all__ = [
@@ -180,62 +180,92 @@ def hook(v: Form, w: Form) -> Form:
     return Form(v.manifold, accumulate({}, pairs))
 
 
-def _leibniz(w: Form, image, odd: bool) -> Form:
+def _expansion(mono, images, image, odd):
+    """One monomial's image under the derivation, before its coefficient scales it.
+
+    A tuple of (sorted key, b, unit) triples in position, image-term
+    order.  The factor at position pos becomes m∧rest for each term
+    b·m of its generator's image, times (-1)^(pos·q), q = len(m) + odd:
+    m moves in front of the pos factors before it, and an odd
+    derivation (d) passes them too, an even one (nabla) does not.
+    Sorting m into rest costs -1 per pair x in m, y in rest with y < x,
+    counted by bisect; an index of m already in rest gives no triple.
+    unit is the signed ±1 when b is the constant ±1, else 0 and b
+    carries the sign.  images caches each generator's image as terms
+    (m, b, q, unit), read once per call.
+    """
+    out = []
+    for pos, g in enumerate(mono):
+        terms = images.get(g)
+        if terms is None:
+            terms = images[g] = [
+                (m, b, len(m) + odd, _unit(b.terms[()]) if b.is_constant() else 0)
+                for m, b in image(g).terms.items()
+            ]
+        rest = mono[:pos] + mono[pos + 1 :]
+        for m, b, q, unit in terms:
+            flips = pos * q
+            for x in m:
+                k = bisect_left(rest, x)
+                if k < len(rest) and rest[k] == x:
+                    break
+                flips += k
+            else:
+                if flips % 2:
+                    if unit:
+                        unit = -unit
+                    else:
+                        b = -b
+                out.append((tuple(sorted(rest + m)), b, unit))
+    return tuple(out)
+
+
+def _leibniz(w: Form, image, odd: bool, memo=None) -> Form:
     """Extend image(g), the form generator g goes to, to w as a derivation.
 
-    Each generator's image is read once, as terms (m, b, q, unit) with
-    q = len(m) + odd and unit ±1 when b is the constant ±1, else 0.  The
-    factor at position pos of a monomial c·mono becomes b·c·m∧rest, times
-    (-1)^(pos·q): m moves in front of the pos factors before it, and an
-    odd derivation (d) passes them too, an even one (nabla) does not.
-    Sorting m into rest costs -1 per pair x in m, y in rest with y < x,
-    counted by bisect; an index of m already in rest gives zero.  A unit
-    b takes c or -c, with -c made at most once per monomial, so no Poly
-    is multiplied; any other b gives ±(b·c), the sign taken after the
-    product, which is b itself for c = 1.  Terms are added in monomial,
-    position, image-term order.
+    Each monomial's _expansion is computed once per call, or once per
+    memo: memo, when given, is a dict {monomial: expansion} that the
+    caller keeps, and must drop whenever image changes.  A monomial
+    c·mono then adds b·c under each key of its expansion: c or -c for a
+    unit b, with -c made at most once per monomial, so no Poly is
+    multiplied; any other b gives b·c, which is b itself for c = 1.
+    Terms are added in monomial, position, image-term order.
     """
+    if memo is None:
+        memo = {}
     images = {}
     pairs = []
     for mono, c in w.terms.items():
+        expansion = memo.get(mono)
+        if expansion is None:
+            expansion = memo[mono] = _expansion(mono, images, image, odd)
         neg = None
-        for pos, g in enumerate(mono):
-            terms = images.get(g)
-            if terms is None:
-                terms = images[g] = [
-                    (m, b, len(m) + odd, _unit(b.terms[()]) if b.is_constant() else 0)
-                    for m, b in image(g).terms.items()
-                ]
-            rest = mono[:pos] + mono[pos + 1 :]
-            for m, b, q, unit in terms:
-                flips = pos * q
-                for x in m:
-                    k = bisect_left(rest, x)
-                    if k < len(rest) and rest[k] == x:
-                        break
-                    flips += k
-                else:
-                    if not unit:
-                        v = b * c if flips % 2 == 0 else -(b * c)
-                    elif (flips % 2 == 0) == (unit > 0):
-                        v = c
-                    else:
-                        if neg is None:
-                            neg = -c
-                        v = neg
-                    pairs.append((tuple(sorted(rest + m)), v))
+        for key, b, unit in expansion:
+            if not unit:
+                pairs.append((key, b * c))
+            elif unit > 0:
+                pairs.append((key, c))
+            else:
+                if neg is None:
+                    neg = -c
+                pairs.append((key, neg))
     return Form(w.manifold, accumulate({}, pairs))
 
 
 def pairing(a: Form, b: Form) -> Poly:
-    """Canonical bilinear pairing; monomials form an orthonormal set."""
+    """Canonical bilinear pairing; monomials form an orthonormal set.
+
+    Each shared monomial's product c·c2 is added straight into one term
+    dict, c's terms scaling c2's by _add_scaled, with no Poly between.
+    """
     a, b = _as_forms(a, b)
     out = {}
     small, large = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
     for m, c in small.items():
         c2 = large.get(m)
         if c2 is not None:
-            accumulate(out, (c * c2).terms.items())
+            for sm, x in c.terms.items():
+                _add_scaled(out, c2.terms, x, sm)
     return Poly(out)
 
 

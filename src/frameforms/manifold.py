@@ -6,12 +6,23 @@ scalars (symbols are d-constants) and the graded Leibniz rule.  The Lie
 bracket and Lie derivative are derived from d through the canonical
 pairing, with the 2-form evaluation convention
 (α∧β)(X,Y) = α(X)β(Y) − α(Y)β(X) fixed by the double hook.
+
+d keeps, per manifold, a memo of each monomial's Leibniz expansion
+(exterior._leibniz), so a monomial is expanded once and then only
+scaled by its coefficient.  An expansion holds only while the d-table
+does: declare_d, the one writer of the table, replaces the memo by a
+fresh dict when it stores an entry and again when it rolls one back,
+and d_table is a read-only view, so nothing else can change an entry
+behind the memo.  A FrameBundle shares one memo among all bundles of
+its base dimension (eds.py); a RiemannianManifold keeps none, as its d
+follows its connection's echelon.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+from types import MappingProxyType
 
 from .errors import (
     DegreeError,
@@ -37,7 +48,9 @@ class FrameManifold:
             raise DimensionError(f"manifold dimension must be >= 1, got {dim}")
         self.session = session
         self.dim = dim
-        self.d_table = {}
+        self._d_table = {}
+        self.d_table = MappingProxyType(self._d_table)  # read-only: declare_d is the one writer
+        self._d_memo = {}  # _leibniz's {monomial: expansion}; declare_d replaces it
         self._closed = False  # set by load_manifold: a generator without an entry has d e^i = 0
         self._gens = {}
 
@@ -81,19 +94,25 @@ class FrameManifold:
 
         An entry made to a complete table (one entry per generator, or a
         loaded one) checks d∘d = 0 and is not kept on NotNilpotentError.
+        The memo of d's expansions is replaced by a fresh one once the
+        entry is stored, and again after a rollback, since the d∘d check
+        fills it with expansions that read the rejected entry.
         """
         i = self._gen_index(gen)
         w = as_form(self, value)
-        if i in self.d_table:
+        table = self._d_table
+        if i in table:
             raise RedeclarationError(f"d(e{i}) already declared")
         if w and not w.is_homogeneous(2):
             raise DegreeError(f"d(e{i}) must be a 2-form or zero")
-        self.d_table[i] = w
-        if self._closed or len(self.d_table) == self.dim:
+        table[i] = w
+        self._d_memo = {}
+        if self._closed or len(table) == self.dim:
             try:
                 self._check_nilpotent()
             except NotNilpotentError:
-                del self.d_table[i]
+                del table[i]
+                self._d_memo = {}
                 raise
 
     def _check_nilpotent(self):
@@ -105,15 +124,19 @@ class FrameManifold:
 
     def _d_generator(self, i: int) -> Form:
         try:
-            return self.d_table[i]
+            return self._d_table[i]
         except KeyError:
             if self._closed:
                 return self.zero()
             raise MissingDeclarationError(f"d(e{i}) has not been declared") from None
 
     def d(self, w) -> Form:
-        """Exterior derivative: the d-table on generators, extended as an odd derivation."""
-        return _leibniz(as_form(self, w), self._d_generator, odd=True)
+        """Exterior derivative: the d-table on generators, extended as an odd derivation.
+
+        Each monomial's expansion is kept in the manifold's memo, so a
+        monomial met again is only scaled by its coefficient.
+        """
+        return _leibniz(as_form(self, w), self._d_generator, True, self._d_memo)
 
     def lie_bracket(self, X: Form, Y: Form) -> Form:
         """Constant-coefficient Lie bracket: <[X,Y], e^k> = −(de^k)(X,Y).

@@ -24,7 +24,7 @@ import functools
 
 from .errors import DegreeError, DimensionError
 from .exterior import Form, _index, _print_terms
-from .scalar import _ONE, _ZERO, I, Poly, _SparseVector, accumulate
+from .scalar import _ONE, _ZERO, I, Poly, _add_scaled, _SparseVector
 
 __all__ = ["CliffordTable", "build_clifford_table", "Spinor", "clifford_mul"]
 
@@ -152,12 +152,23 @@ class Spinor(_SparseVector):
 
 
 def clifford_mul(table: CliffordTable, v: Form, psi: Spinor) -> Spinor:
-    """Clifford action of a degree-1 form (as a frame vector) on a spinor."""
+    """Clifford action of a degree-1 form (as a frame vector) on a spinor.
+
+    Each product phase·a·c is added by _add_scaled into one term dict
+    per spinor index, a's terms scaling c's, and the dicts become Polys
+    once at the end.
+    """
     if v and not v.is_homogeneous(1):
         raise DegreeError("clifford_mul expects a degree-1 vector argument")
     out = {}
     for (g,), c in v.terms.items():
         if g > table.n:
             raise DimensionError(f"frame index {g} outside the Clifford table (n={table.n})")
-        accumulate(out, ((k, a * c) for k, a in table.apply(g, psi).terms.items()))
-    return Spinor(table.spinor_dim, out)
+        table.check(psi)
+        columns = table._columns(g)
+        for k, a in psi.terms.items():
+            row, phase = columns[k]
+            terms = out.setdefault(row, {})
+            for m, x in a.terms.items():
+                _add_scaled(terms, c.terms, phase * x, m)
+    return Spinor(table.spinor_dim, {row: Poly(t) for row, t in out.items() if t})

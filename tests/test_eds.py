@@ -18,6 +18,7 @@ from frameforms import (
     FrameManifold,
     FrameMismatchError,
     GaussianRational,
+    MissingDeclarationError,
     MixedDegreeError,
     NonLinearError,
     NotLinearError,
@@ -29,6 +30,7 @@ from frameforms import (
     hook,
     load_ideal,
     load_manifold,
+    print_form,
     reduced_polar_equations,
     substitute_form,
     wedge,
@@ -139,6 +141,31 @@ def test_frame_bundle_structure():
     assert isinstance(P, FrameManifold)
     assert P.manifold is P
     assert P.e(10) == P.omega(1, 3)
+
+
+def test_bundles_of_one_base_dimension_share_theta_expansions_only():
+    """Every untouched n = 3 bundle reads one memo of d's expansions; a declaration stays its bundle's own.
+
+    A declared omega entry gives its bundle a private memo: a fresh
+    bundle still has no d of that omega and the same d on theta-forms.
+    """
+    texts = ["1", "12-3*13", "(1+i)*123", "23"]
+    expected = [
+        "e14+e25+e36",
+        "-e124-e128+3*e[1,2,11]+3*e134-e139+3*e[1,3,12]+3*e235+e236",
+        "(1+i)*e1234+(1+i)*e1238+(1+i)*e[1,2,3,12]",
+        "e[1,2,10]-e137-e238-e[2,3,12]",
+    ]
+    B = frame_bundle(Session(), 3)
+    assert [print_form(B.d(B.parse(t))) for t in texts] == expected
+    assert frame_bundle(Session(), 3)._d_memo is B._d_memo
+    B.declare_d(B.omega(1, 1), B.theta(1) * B.theta(2))
+    assert print_form(B.d(B.theta(3) * B.omega(1, 1))) == "-e123-e[1,4,10]-e[2,4,11]-e[3,4,12]"
+    for _ in range(2):
+        D = frame_bundle(Session(), 3)
+        with pytest.raises(MissingDeclarationError, match=r"^d\(e4\) has not been declared$"):
+            D.d(D.theta(3) * D.omega(1, 1))
+        assert [print_form(D.d(D.parse(t))) for t in texts] == expected
 
 
 def test_omega_checks_its_indices():

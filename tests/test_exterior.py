@@ -26,6 +26,7 @@ from frameforms import (
     substitute_form,
     wedge,
 )
+from frameforms.scalar import accumulate
 
 
 def _manifold(n=5):
@@ -184,6 +185,47 @@ def test_pairing_matches_determinant_oracle_randomized():
         a = _rand_form(rng, M, deg, 2)
         b = _rand_form(rng, M, deg, 2)
         assert pairing(a, b) == _pairing_oracle(M, a, b)
+
+
+def test_pairing_matches_accumulated_poly_products():
+    """pairing against its former formula, accumulate over the Poly products c·c2, on symbolic coefficients.
+
+    When drawn, a second shared monomial gets a first one's product,
+    negated, so the sum cancels and zero entries must be dropped.
+    """
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    s = Session()
+    x, y = s.symbols("x y")
+    M = FrameManifold(s, 3)
+    monos = [(), (1,), (2,), (1, 2), (1, 3), (2, 3)]
+    coeffs = st.sampled_from(
+        [Poly.constant(1), Poly.constant(-1), x + 0, y + 0, x + y, x - y, 2 * x * y,
+         (1 + I) * x, Fraction(1, 2) * y - 1, x * x - y]
+    )
+    forms = st.dictionaries(st.sampled_from(monos), coeffs, max_size=5)
+    cancelled = []
+
+    @hyp.settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @hyp.given(forms, forms, st.booleans(), st.data())
+    def check(ta, tb, cancel, data):
+        if cancel:
+            m1, m2 = data.draw(st.lists(st.sampled_from(monos), min_size=2, max_size=2, unique=True))
+            ta.setdefault(m1, data.draw(coeffs))
+            tb.setdefault(m1, data.draw(coeffs))
+            ta[m2], tb[m2] = ta[m1], -tb[m1]
+        small, large = (ta, tb) if len(ta) <= len(tb) else (tb, ta)
+        products = [c * large[m] for m, c in small.items() if m in large]
+        old = {}
+        for p in products:
+            accumulate(old, p.terms.items())
+        got = pairing(Form(M, ta), Form(M, tb))
+        assert got.terms == old
+        assert all(got.terms.values())
+        cancelled.append(any(k not in old for p in products for k in p.terms))
+
+    check()
+    assert sum(cancelled) > 60
 
 
 def test_degree_examples():

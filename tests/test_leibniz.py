@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from frameforms import Connection, Form, FrameManifold, GaussianRational, Poly, Session, wedge
+from frameforms.exterior import _leibniz
 
 CONSTANTS = (1, -1, 2, Fraction(1, 2), GaussianRational(1, 1))
 SEEDS = range(6)
@@ -77,6 +78,29 @@ def test_d_matches_leibniz_reference(seed):
         assert dw == leibniz_reference(w, table.__getitem__, odd=True)
         nonzero += bool(dw)
     assert nonzero >= 5
+
+
+def _term_order(w):
+    """The monomials of w and the symbol monomials of each coefficient, in dict order."""
+    return [(m, list(c.terms)) for m, c in w.terms.items()]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_repeated_d_matches_unmemoised_leibniz_in_value_and_order(seed):
+    """d of each form, three times over, once its expansions sit in the manifold's memo.
+
+    Every result equals the reference and _leibniz without a memo, with
+    the same key order in the form and in each coefficient.
+    """
+    rng, M, table, symbols = _case(seed)
+    for _ in range(15):
+        w = random_form(rng, M, symbols, range(0, 4))
+        fresh = _leibniz(w, M._d_generator, True)
+        assert fresh == leibniz_reference(w, table.__getitem__, odd=True)
+        for _ in range(3):
+            dw = M.d(w)
+            assert dw == fresh
+            assert _term_order(dw) == _term_order(fresh)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

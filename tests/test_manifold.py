@@ -389,3 +389,48 @@ def test_declare_d_checks_d_squared_on_the_completing_entry():
     for i, w in [(4, N.e(1) * N.e(2)), (1, 0), (2, 0), (3, 0)]:
         N.declare_d(i, w)
     assert sorted(N.d_table) == [1, 2, 3, 4]
+
+
+def test_d_table_is_a_read_only_view():
+    """declare_d is the one writer of the d-table, so no entry changes behind d's memo."""
+    M = load_manifold(Session(), "dim 4\nd 4 = 12\n")
+    assert M.d(M.e(3) * M.e(4)) == -parse_form(M, "123")
+    with pytest.raises(TypeError):
+        M.d_table[3] = M.e(1) * M.e(2)
+    with pytest.raises(TypeError):
+        del M.d_table[4]
+    assert dict(M.d_table) == {4: M.e(1) * M.e(2)}
+    assert M.d(M.e(3) * M.e(4)) == -parse_form(M, "123")
+
+
+def test_rejected_declaration_leaves_no_expansion_in_the_memo():
+    """The d∘d check that rejects d(e2) = e34 expands e12 with it; d(e12) is 0 afterwards."""
+    M = load_manifold(Session(), "dim 5\nd 5 = 12\n")
+    with pytest.raises(NotNilpotentError, match=r"^d\(d\(e5\)\) = -e134 is not zero$"):
+        M.declare_d(2, M.e(3) * M.e(4))
+    assert M.d(M.e(1) * M.e(2)) == 0
+
+
+def test_later_declaration_changes_d_of_a_differentiated_monomial():
+    M = load_manifold(Session(), "dim 4\nd 4 = 12\n")
+    w = M.e(3) * M.e(4)
+    assert M.d(w) == -parse_form(M, "123")
+    M.declare_d(3, M.e(1) * M.e(2))
+    assert M.d(w) == parse_form(M, "124-123")
+
+
+def test_riemannian_d_follows_the_connection_across_declarations():
+    """de^1 = -sum_{i,j} Gamma_ij1 e^i ∧ e^j, read from the connection before and after it is constrained."""
+    R = RiemannianManifold(Session(), 4)
+    conn = R.connection
+
+    def expected():
+        pairs = itertools.product(range(1, 5), repeat=2)
+        return sum((-conn.gamma(i, j, 1) * (R.e(i) * R.e(j)) for i, j in pairs), R.zero())
+
+    before = R.d(R.e(1))
+    assert before == expected()
+    R.declare_nabla_spinor(R.e(1), R.u(0), 0)
+    after = R.d(R.e(1))
+    assert after == expected()
+    assert after != before

@@ -6,6 +6,7 @@ import pytest
 from frameforms import (
     DegreeError,
     DimensionError,
+    Form,
     FrameManifold,
     GaussianRational,
     Poly,
@@ -15,6 +16,7 @@ from frameforms import (
     build_clifford_table,
     clifford_mul,
 )
+from frameforms.scalar import accumulate
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
@@ -132,6 +134,60 @@ def test_clifford_mul_examples():
         t, M.e(2), clifford_mul(t, M.e(1), u0)
     )
     assert anti == Spinor.zero(t.spinor_dim)
+
+
+def test_clifford_mul_matches_accumulated_poly_products():
+    """clifford_mul against its former formula, accumulate over the products (phase·a)·c, on symbolic coefficients.
+
+    When drawn, two vector terms send two spinor terms to one row with
+    opposite products, so zero sums there must be dropped.
+    """
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    s = Session()
+    x, y = s.symbols("x y")
+    M = FrameManifold(s, 4)
+    t = build_clifford_table(4)
+
+    def image(g, k):
+        """(row, phase) of g_g u_k."""
+        ((row, phase),) = t.apply(g, Spinor.basis(4, k)).terms.items()
+        return row, phase.terms[()]
+
+    coeffs = st.sampled_from(
+        [Poly.constant(1), Poly.constant(-1), x + 0, y + 0, x + y, x - y, 2 * x * y,
+         (1 + IU) * x, Fraction(1, 2) * y - 1, x * x - y]
+    )
+    cancelled = []
+
+    @hyp.settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @hyp.given(
+        st.dictionaries(st.integers(1, 4), coeffs, max_size=4),
+        st.dictionaries(st.integers(0, 3), coeffs, max_size=4),
+        st.booleans(),
+        st.data(),
+    )
+    def check(tv, tpsi, cancel, data):
+        if cancel:
+            g1, g2 = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True))
+            k = data.draw(st.integers(0, 3))
+            tv.setdefault(g1, data.draw(coeffs))
+            tpsi.setdefault(k, data.draw(coeffs))
+            row, phase = image(g1, k)
+            k2 = next(j for j in range(4) if image(g2, j)[0] == row)
+            if k2 != k:
+                tv[g2] = tv[g1]
+                tpsi[k2] = tpsi[k] * -(phase / image(g2, k2)[1])
+        v, psi = Form(M, {(g,): c for g, c in tv.items()}), Spinor(4, tpsi)
+        products = [(k, a * c) for (g,), c in v.terms.items() for k, a in t.apply(g, psi).terms.items()]
+        old = accumulate({}, products)
+        got = clifford_mul(t, v, psi)
+        assert got.terms == old
+        assert all(got.terms.values())
+        cancelled.append(any(k not in old or m not in old[k].terms for k, p in products for m in p.terms))
+
+    check()
+    assert sum(cancelled) > 60
 
 
 def test_clifford_mul_degree_error():
