@@ -36,9 +36,9 @@ dimension; the factor 1/2 goes on the spinor.  Curvature is computed with Form
 arithmetic on the omega_jk: it builds each connection_form and sums
 d omega_jk and the wedge products omega_jl ∧ omega_lk.
 
-The symbols' names are made once per (prefix, n, antisymmetric) shape
-and kept; each connection makes its own symbols from them, in the same
-order, so no two connections share a symbol.
+_slots, made once per (n, antisymmetric), is the one owner of the
+antisymmetry rule, and the names are made once per (prefix, n,
+antisymmetric); each connection makes its own symbols from them.
 
 Constraints are never assigned directly: declare_* methods turn nabla
 expressions into scalar equations and add them to one persistent
@@ -79,20 +79,22 @@ _HALF = _ONE / 2
 
 
 @functools.lru_cache(maxsize=32, typed=True)
-def _triples(n, antisymmetric):
-    """The (i, j, k) of a connection's symbols in creation order; k > j when antisymmetric."""
-    return tuple(
-        (i, j, k)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        for k in range(j + 1 if antisymmetric else 1, n + 1)
-    )
+def _slots(n, antisymmetric):
+    """{(i, j, k): (position, sign)} of each entry not identically zero: Gamma_ijk = sign * symbol; read-only.
+
+    Positions are creation order, (i, j, k) ascending with k > j when
+    antisymmetric; then (i, k, j) reads the same position with sign -1.
+    """
+    r = range(1, n + 1)
+    own = [(i, j, k) for i in r for j in r for k in r if k > j or not antisymmetric]
+    slots = {idx: (pos, 1) for pos, idx in enumerate(own)}
+    return slots | {(i, k, j): (pos, -1) for pos, (i, j, k) in enumerate(own) if antisymmetric}
 
 
 @functools.lru_cache(maxsize=32, typed=True)
 def _symbol_names(prefix, n, antisymmetric):
-    """The names of a connection's symbols, in the order of _triples."""
-    return tuple(_indexed_name(prefix, idx) for idx in _triples(n, antisymmetric))
+    """The names of a connection's symbols, by position."""
+    return tuple(_indexed_name(prefix, idx) for idx, (_, sign) in _slots(n, antisymmetric).items() if sign > 0)
 
 
 def _constant_terms(form):
@@ -124,13 +126,11 @@ class Connection:
         if len(frame) != n:
             raise ValueError(f"frame has {len(frame)} one-forms for {n} dimensions")
         self.frame = basis
-        # Each entry's symbol as its linear monomial, the key of its echelon row.
+        # Each symbol as its linear monomial, the key of its echelon row, by position.
         symbol = manifold.session.symbol
-        self._gamma = {
-            idx: ((symbol(name), 1),)
-            for idx, name in zip(_triples(n, antisymmetric), _symbol_names(prefix, n, antisymmetric))
-        }
-        self._echelon = Echelon.over(key[0][0] for key in self._gamma.values())
+        self._slots = _slots(n, antisymmetric)
+        self._keys = tuple(((symbol(name), 1),) for name in _symbol_names(prefix, n, antisymmetric))
+        self._echelon = Echelon.over(key[0][0] for key in self._keys)
 
     @classmethod
     def torsion_free(cls, manifold, frame=None, prefix="Gamma"):
@@ -178,13 +178,10 @@ class Connection:
 
     def _terms(self, i, j, k):
         """(terms, sign) with Gamma_ijk = sign * Poly(terms); empty terms for a zero entry."""
-        sign = 1
-        if self.antisymmetric:
-            if j == k:
-                return {}, 1
-            if j > k:
-                j, k, sign = k, j, -1
-        key = self._gamma[(i, j, k)]
+        slot = self._slots.get((i, j, k))
+        if slot is None:
+            return {}, 1
+        key, sign = self._keys[slot[0]], slot[1]
         row = self._echelon.rows.get(key)
         # A solved symbol's row is minus its value, uncopied: callers only read it.
         return ({key: _ONE}, sign) if row is None else (row, -sign)

@@ -1,10 +1,10 @@
-"""Linear exterior differential systems on the frame bundle.
+"""Linear exterior differential systems on the frame bundle, or on any FrameManifold that carries n.
 
-The bundle over an n-manifold is a FrameManifold of dimension n(n+1):
-generators 1..n are the tautological one-forms theta^i, generator i*n+j
-is the connection form omega_ij, and the only structure equations are
-d theta^i = sum_j theta^j ∧ omega_ij (the omega generators are never
-differentiated).
+Generators 1..n are the independence forms theta^i and n+1..dim the
+forms omega_a the ideal is linear in.  The bundle over an n-manifold is
+the FrameBundle of dimension n(n+1): generator i*n+j is the connection
+form omega_ij, and d theta^i = sum_j theta^j ∧ omega_ij are its only
+structure equations (the omega generators are never differentiated).
 
 On an integral n-plane each omega generator a is sum_j p_aj theta^j, so
 a linear term c theta^I ∧ omega_a adds ±c p_aj to the equation of
@@ -17,9 +17,9 @@ row sum ±c omega_a at the step after the flag position of its last vector.
 
 cartan_test reads and checks each generator's tableau once, cleared to
 Gaussian integers over its common denominator, and makes every row from it as
-(re, im, den): V_n's on the integer columns (a - n - 1)·n + (j - 1) of
-the p's, one per target monomial theta^K and in monomial order, and the
-polar rows on the omega indices a, for scalar.Rank.insert.
+(re, im, den): V_n's on the integer columns of the p's, laid out once
+per (n, dim) by _p_columns, one per target monomial theta^K and in
+monomial order, and the polar rows on the omega indices a, for Rank.insert.
 The report keeps the rows kept; the p's, V_n's Polys and the polar Forms
 are made only when read, and `eds --verbose` prints text made from rows.
 reduced_polar_equations, which contracts general forms with hook, is kept
@@ -28,11 +28,11 @@ as the independent reference for the polar equations.
 Every bundle over an n-manifold has the same d-table, so all of them
 share one memo of d's Leibniz expansions, made once per n like the
 Clifford tables.  A bundle's omega generators have no d entry, so d of
-a monomial with one raises and stores nothing: the shared memo holds
-theta-monomials only, at most 2^n entries.  A later declare_d on one
-bundle gives that bundle a private memo (manifold.py).  Concurrent
-threads can only store the same expansion under the same key, which is
-benign under the GIL.
+a monomial with one raises and stores no expansion: the shared memo holds
+the n theta images and theta-monomials only, at most n + 2^n entries.
+A later declare_d on one bundle gives that bundle a private memo
+(manifold.py).  Concurrent threads can only store the same expansion
+under the same key, which is benign under the GIL.
 """
 
 from __future__ import annotations
@@ -64,9 +64,13 @@ __all__ = [
 ]
 
 
-def _p_name(a: int, j: int) -> str:
-    """The name of the Grassmannian symbol p_aj."""
-    return f"p{a}{j}"
+@lru_cache(maxsize=32)
+def _p_columns(n: int, dim: int) -> tuple:
+    """((a, j), name) of each p_aj at its V_n column (a - n - 1)·n + (j - 1), a = n+1..dim, j = 1..n.
+
+    The one owner of the column layout, which is also the p's creation order.
+    """
+    return tuple(((a, j), f"p{a}{j}") for a in range(n + 1, dim + 1) for j in range(1, n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -76,7 +80,7 @@ def _shared_d_memo(n: int) -> dict:
 
 
 class FrameBundle(FrameManifold):
-    """The frame-bundle manifold of an n-dimensional base, plus Grassmannian symbols p."""
+    """The frame bundle of an n-dimensional base, plus Grassmannian symbols p; the one class that supplies n."""
 
     def __init__(self, session: Session, n: int):
         n = _index(n, 1, 9, "base dimension", DimensionError)
@@ -95,9 +99,8 @@ class FrameBundle(FrameManifold):
 
     @cached_property
     def p(self) -> dict:
-        """{(a, j): p_aj}, all n³ made on first read in (a, j) order."""
-        n, omegas = self.n, range(self.n + 1, self.n * (self.n + 1) + 1)
-        return {(a, j): self.session.symbol(_p_name(a, j)) for a in omegas for j in range(1, n + 1)}
+        """{(a, j): p_aj}, all n³ made on first read in _p_columns order."""
+        return {key: self.session.symbol(name) for key, name in _p_columns(self.n, self.dim)}
 
     def theta(self, i: int) -> Form:
         return self.e(_index(i, 1, self.n, "theta index"))
@@ -150,7 +153,7 @@ def _vn_rows(n, tableaux) -> list:
     """
     rank = Rank()  # a column pivots in its own order, that of the p's
     kept = []
-    base = -(n + 1) * n - 1  # p_aj's column (a - n - 1)*n + j - 1 is a*n + j + base
+    base = -(n + 1) * n - 1  # p_aj's _p_columns column (a - n - 1)*n + j - 1 is a*n + j + base
     for den, groups in tableaux:
         if not groups:
             continue  # a zero generator
@@ -193,7 +196,7 @@ def reduced_polar_equations(bundle: FrameBundle, form: Form, j: int, order=None)
         if degree(form) != 1:
             return []
         return [Form(form.manifold, {m: c for m, c in form.terms.items() if m[0] > bundle.n})]
-    forms = (form, hook(bundle.theta(order[j - 1]), form))
+    forms = (form, hook(bundle.e(order[j - 1]), form))
     return [eq for w in forms for eq in reduced_polar_equations(bundle, w, j - 1, order)]
 
 
@@ -239,9 +242,9 @@ class CartanReport:
     them.  vn_equations (Polys) and polar (Forms, polar[j] the first c_j
     retained polar equations) are made from them on first read.  vn_text
     and polar_text are the same equations as str and print_form write
-    them, formatted from the rows with no Symbol, Poly or Form made.
-    Each is () for a report without its bundle.  repr, equality and
-    hashing see (c, codim, involutive).
+    them, formatted from the rows with no Symbol, Poly or Form made, V_n's
+    columns read through _p_columns.  Each is () for a report without its
+    bundle.  repr, equality and hashing see (c, codim, involutive).
     """
 
     c: tuple
@@ -257,10 +260,9 @@ class CartanReport:
 
     @cached_property
     def vn_equations(self) -> tuple:
-        n = len(self.c)  # column (a - n - 1)·n + (j - 1) holds p_aj
+        layout = _p_columns(self._bundle.n, self._bundle.dim) if self._bundle else ()
         return tuple(
-            Poly({((self._bundle.p[col // n + n + 1, col % n + 1], 1),): _make(x, y, row[2])
-                  for col, x, y in _columns(row)})
+            Poly({((self._bundle.p[layout[col][0]], 1),): _make(x, y, row[2]) for col, x, y in _columns(row)})
             for row in self._vn_kept
         )
 
@@ -274,9 +276,8 @@ class CartanReport:
     @cached_property
     def vn_text(self) -> tuple:
         """str(eq) for each eq of vn_equations."""
-        n = len(self.c)
-        names = [_p_name(a, j) for a in range(n + 1, n * (n + 1) + 1) for j in range(1, n + 1)]
-        return tuple(_row_text(row, names.__getitem__) for row in self._vn_kept)
+        layout = _p_columns(self._bundle.n, self._bundle.dim) if self._bundle else ()
+        return tuple(_row_text(row, lambda col: layout[col][1]) for row in self._vn_kept)
 
     @cached_property
     def polar_text(self) -> tuple:
@@ -287,11 +288,14 @@ class CartanReport:
 def cartan_test(bundle: FrameBundle, ideal, flag_order=None) -> CartanReport:
     """Cartan's involutivity test for a linear system at one flag.
 
-    Reads each generator's tableau once, for its V_n rows and its polar
-    rows.  One Rank takes the polar rows along the flag, at step j each
-    generator's rows at j in reduced_polar_equations' order; c_j counts
-    the rows kept so far and the verdict is sum(c) == codim V_n.  Every
-    check runs before any elimination: _tableau checks each generator
+    `bundle` is any FrameManifold that carries n, generators 1..n being the
+    independence forms and n+1..dim appearing linearly; vn_equations also
+    reads its p, which FrameBundle supplies.  Reads each generator's
+    tableau once, for its V_n rows and its polar rows.  One Rank takes the
+    polar rows along the flag, at step j each generator's rows at j in
+    reduced_polar_equations' order; c_j counts the rows kept so far and
+    the verdict is sum(c) == codim V_n.  Every check runs before any
+    elimination: _tableau checks each generator
     (FrameMismatchError, NotLinearError, NonLinearError, MixedDegreeError),
     then a bad flag raises DimensionError.
     """

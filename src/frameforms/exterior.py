@@ -180,7 +180,7 @@ def hook(v: Form, w: Form) -> Form:
     return Form(v.manifold, accumulate({}, pairs))
 
 
-def _expansion(mono, images, image, odd):
+def _expansion(mono, memo, image, odd):
     """One monomial's image under the derivation, before its coefficient scales it.
 
     A tuple of (sorted key, b, unit) triples in position, image-term
@@ -191,14 +191,14 @@ def _expansion(mono, images, image, odd):
     Sorting m into rest costs -1 per pair x in m, y in rest with y < x,
     counted by bisect; an index of m already in rest gives no triple.
     unit is the signed ±1 when b is the constant ±1, else 0 and b
-    carries the sign.  images caches each generator's image as terms
-    (m, b, q, unit), read once per call.
+    carries the sign.  memo keeps each generator's image as terms
+    (m, b, q, unit) under its int index g, so image(g) is read once per memo.
     """
     out = []
     for pos, g in enumerate(mono):
-        terms = images.get(g)
+        terms = memo.get(g)
         if terms is None:
-            terms = images[g] = [
+            terms = memo[g] = [
                 (m, b, len(m) + odd, _unit(b.terms[()]) if b.is_constant() else 0)
                 for m, b in image(g).terms.items()
             ]
@@ -223,22 +223,21 @@ def _expansion(mono, images, image, odd):
 def _leibniz(w: Form, image, odd: bool, memo=None) -> Form:
     """Extend image(g), the form generator g goes to, to w as a derivation.
 
-    Each monomial's _expansion is computed once per call, or once per
-    memo: memo, when given, is a dict {monomial: expansion} that the
-    caller keeps, and must drop whenever image changes.  A monomial
-    c·mono then adds b·c under each key of its expansion: c or -c for a
-    unit b, with -c made at most once per monomial, so no Poly is
-    multiplied; any other b gives b·c, which is b itself for c = 1.
+    Each monomial's _expansion and generator's image are made once per
+    call, or once per memo, a dict {monomial: expansion, g: image terms}
+    that the caller keeps and must drop whenever image changes.  A
+    monomial c·mono then adds b·c under each key of its expansion: c or
+    -c for a unit b, with -c made at most once per monomial, so no Poly
+    is multiplied; any other b gives b·c, which is b itself for c = 1.
     Terms are added in monomial, position, image-term order.
     """
     if memo is None:
         memo = {}
-    images = {}
     pairs = []
     for mono, c in w.terms.items():
         expansion = memo.get(mono)
         if expansion is None:
-            expansion = memo[mono] = _expansion(mono, images, image, odd)
+            expansion = memo[mono] = _expansion(mono, memo, image, odd)
         neg = None
         for key, b, unit in expansion:
             if not unit:

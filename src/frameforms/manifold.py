@@ -7,10 +7,10 @@ bracket and Lie derivative are derived from d through the canonical
 pairing, with the 2-form evaluation convention
 (α∧β)(X,Y) = α(X)β(Y) − α(Y)β(X) fixed by the double hook.
 
-d keeps, per manifold, a memo of each monomial's Leibniz expansion
-(exterior._leibniz), so a monomial is expanded once and then only
-scaled by its coefficient.  An expansion holds only while the d-table
-does: declare_d, the one writer of the table, replaces the memo by a
+d keeps, per manifold, a memo of each generator's image and each
+monomial's Leibniz expansion (exterior._leibniz), so a monomial is
+expanded once and then only scaled.  The memo holds only while the
+d-table does: declare_d, the one writer of the table, replaces it by a
 fresh dict when it stores an entry and again when it rolls one back,
 and d_table is a read-only view, so nothing else can change an entry
 behind the memo.  A FrameBundle shares one memo among all bundles of
@@ -50,7 +50,7 @@ class FrameManifold:
         self.dim = dim
         self._d_table = {}
         self.d_table = MappingProxyType(self._d_table)  # read-only: declare_d is the one writer
-        self._d_memo = {}  # _leibniz's {monomial: expansion}; declare_d replaces it
+        self._d_memo = {}  # _leibniz's {monomial: expansion, generator: image}; declare_d replaces it
         self._closed = False  # set by load_manifold: a generator without an entry has d e^i = 0
         self._gens = {}
 

@@ -160,11 +160,11 @@ def clifford_mul(table: CliffordTable, v: Form, psi: Spinor) -> Spinor:
     """
     if v and not v.is_homogeneous(1):
         raise DegreeError("clifford_mul expects a degree-1 vector argument")
+    table.check(psi)
     out = {}
     for (g,), c in v.terms.items():
         if g > table.n:
             raise DimensionError(f"frame index {g} outside the Clifford table (n={table.n})")
-        table.check(psi)
         columns = table._columns(g)
         for k, a in psi.terms.items():
             row, phase = columns[k]

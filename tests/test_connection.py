@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 from fractions import Fraction
@@ -770,6 +771,13 @@ def test_torsion_matches_nabla_form_reference():
 # The Poly-sum formulas that the flat accumulation in connection.py replaced,
 # kept as an oracle: every coefficient is built from Poly and Form arithmetic.
 
+@functools.lru_cache(maxsize=None)
+def _reference_triples(n, antisymmetric):
+    """The (i, j, k) of a connection's own symbols in creation order; k > j when antisymmetric."""
+    r = range(1, n + 1)
+    return tuple((i, j, k) for i in r for j in r for k in r if k > j or not antisymmetric)
+
+
 def _reference_gamma(conn, i, j, k):
     sign = 1
     if conn.antisymmetric:
@@ -777,7 +785,7 @@ def _reference_gamma(conn, i, j, k):
             return Poly.zero()
         if j > k:
             j, k, sign = k, j, -1
-    key = conn._gamma[(i, j, k)]
+    key = conn._keys[_reference_triples(conn.manifold.dim, conn.antisymmetric).index((i, j, k))]
     # A solved symbol's echelon row holds its non-pivot entries: s + row = 0.
     row = conn._echelon.rows.get(key)
     value = Poly.from_symbol(key[0][0]) if row is None else -Poly(row)

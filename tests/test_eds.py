@@ -213,6 +213,82 @@ def test_p_grid_size():
     assert str(P.p[(8, 1)]) == "p81"
 
 
+def test_p_columns_are_the_vn_columns_and_the_p_order():
+    """For n = 1..9, _vn_rows puts p_aj where _p_columns lists (a, j), and p keeps its keys, names and order.
+
+    The 1-form sum_a a*omega_a gives one V_n row per j, with the entry a at p_aj's column.
+    """
+    for n in range(1, 10):
+        P = frame_bundle(Session(), n)
+        layout = eds._p_columns(n, P.dim)
+        keys = [(a, j) for a in range(n + 1, n * (n + 1) + 1) for j in range(1, n + 1)]
+        assert layout == tuple(((a, j), f"p{a}{j}") for a, j in keys)
+        form = Form(P, {(a,): Poly.constant(a) for a in range(n + 1, P.dim + 1)})
+        rows = eds._vn_rows(n, [eds._tableau(P, form)])
+        assert [({layout[col]: x for col, x in re.items()}, im, den) for re, im, den in rows] == [
+            ({((a, j), f"p{a}{j}"): a for a in range(n + 1, P.dim + 1)}, {}, 1) for j in range(1, n + 1)
+        ]
+        assert list(P.p) == keys
+        assert [s.name for s in P.p.values()] == [f"p{a}{j}" for a, j in keys]
+        first = P.p[keys[0]].index
+        assert [s.index for s in P.p.values()] == list(range(first, first + n**3))
+
+
+class _PlaneManifold(FrameManifold):
+    """A manifold that carries n = 2: generators 1 and 2 are independent, 3..dim appear linearly."""
+
+    n = 2
+
+
+def _kept_polar_text(M, ideal, order):
+    """polar_text from reduced_polar_equations: at each j, the equations a greedy FormBasis keeps."""
+    out = []
+    for j in range(M.n):
+        basis = FormBasis(M)
+        out.append(tuple(
+            print_form(eq) for form in ideal for eq in reduced_polar_equations(M, form, j, order) if basis.insert(eq)
+        ))
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "dim, ideal, vn_text, characters",
+    [
+        (4, ["-31-42", "41-32"], ("p32-p41", "-p31-p42"), {(1, 2): (0, 2), (2, 1): (0, 2)}),
+        (4, ["13+24", "14-23"], ("p32-p41", "p31+p42"), {(1, 2): (0, 2), (2, 1): (0, 2)}),
+        (3, ["23", "13"], ("-p31", "p32"), {(1, 2): (0, 1), (2, 1): (0, 1)}),
+        (8, ["17-28", "27"], ("p72+p81", "-p71"), {(1, 2): (0, 1), (2, 1): (0, 2)}),
+    ],
+    ids=["cauchy-riemann", "laplace", "uxx-uyy", "wide"],
+)
+def test_cartan_test_on_a_manifold_that_carries_n(dim, ideal, vn_text, characters):
+    """Hand-derived characters of four linear systems in two independent variables.
+
+    On an integral plane omega_a = p_a1 e1 + p_a2 e2, so c·e1∧e_a gives
+    c·p_a2 and c·e2∧e_a gives -c·p_a1 in the V_2 row of e12, and the
+    first flag vector e_f contracts e_f∧e_a to e_a.  Every generator is
+    a 2-form, so c_0 = 0; two independent rows make codim 2, and the
+    verdict is c_1 == 2.  Each system, generator by generator:
+
+    - Cauchy–Riemann, e13+e24 and -e14+e23: rows p32-p41 and -p31-p42;
+      f = 1 gives e3, -e4 and f = 2 gives e4, e3, so c = (0, 2) at both.
+    - Laplace, e13+e24 and e14-e23: rows p32-p41 and p31+p42; f = 1 gives
+      e3, e4 and f = 2 gives e4, -e3, so c = (0, 2) at both.
+    - u_xx = u_yy = 0, e23 and e13: rows -p31 and p32; f = 1 gives 0, e3
+      and f = 2 gives e3, -e3, so c = (0, 1) at both: not involutive.
+    - The wide system on dim 8, e17-e28 and e27: rows p72+p81 and -p71,
+      columns 9, 10 and 8, past the n(n+1) = 6 generators of a bundle;
+      f = 1 gives e7, 0, so c = (0, 1), and f = 2 gives -e8, e7, so c = (0, 2).
+    """
+    M = _PlaneManifold(Session(), dim)
+    forms = [M.parse(text) for text in ideal]
+    for order, c in characters.items():
+        report = cartan_test(M, forms, order)
+        assert (report.c, report.codim, report.involutive) == (c, 2, c == (0, 2))
+        assert report.vn_text == vn_text
+        assert report.polar_text == _kept_polar_text(M, forms, order)
+
+
 def test_is_linear_examples():
     """cartan_test is the linearity check: NotLinearError unless each term has one omega."""
     P, ideal = _g2()

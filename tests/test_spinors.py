@@ -199,6 +199,18 @@ def test_clifford_mul_degree_error():
     assert clifford_mul(t, M.zero(), Spinor.basis(4, 0)) == 0
 
 
+def test_clifford_mul_checks_the_spinor_for_every_vector():
+    """A spinor of another dimension is an error even for the zero vector, as nabla_spinor makes it."""
+    M = RiemannianManifold(Session(), 4)
+    wrong = Spinor.basis(8, 0)
+    message = r"^spinor of dimension 8 does not match the table \(4\)$"
+    for v in (M.zero(), M.e(1)):
+        with pytest.raises(DimensionError, match=message):
+            M.clifford_mul(v, wrong)
+    with pytest.raises(DimensionError, match=message):
+        M.connection.nabla_spinor(M.e(1), wrong)
+
+
 def test_spinor_algebra():
     s = Session()
     g = s.symbol("g")
