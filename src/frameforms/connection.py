@@ -36,9 +36,9 @@ dimension; the factor 1/2 goes on the spinor.  Curvature is computed with Form
 arithmetic on the omega_jk: it builds each connection_form and sums
 d omega_jk and the wedge products omega_jl ∧ omega_lk.
 
-_slots, made once per (n, antisymmetric), is the one owner of the
-antisymmetry rule, and the names are made once per (prefix, n,
-antisymmetric); each connection makes its own symbols from them.
+_slots, made once per (n, antisymmetric), owns the antisymmetry rule,
+and the names once per (prefix, n, antisymmetric); a connection makes
+its symbols from them in one session call, refused whole on a held name.
 
 Constraints are never assigned directly: declare_* methods turn nabla
 expressions into scalar equations and add them to one persistent
@@ -126,11 +126,10 @@ class Connection:
         if len(frame) != n:
             raise ValueError(f"frame has {len(frame)} one-forms for {n} dimensions")
         self.frame = basis
-        # Each symbol as its linear monomial, the key of its echelon row, by position.
-        symbol = manifold.session.symbol
         self._slots = _slots(n, antisymmetric)
-        self._keys = tuple(((symbol(name), 1),) for name in _symbol_names(prefix, n, antisymmetric))
-        self._echelon = Echelon.over(key[0][0] for key in self._keys)
+        self._echelon = Echelon.over(manifold.session._new_symbols(_symbol_names(prefix, n, antisymmetric)))
+        # Each symbol as its linear monomial, the key of its echelon row, by position.
+        self._keys = tuple(self._echelon._unknowns)
 
     @classmethod
     def torsion_free(cls, manifold, frame=None, prefix="Gamma"):

@@ -99,8 +99,9 @@ class FrameBundle(FrameManifold):
 
     @cached_property
     def p(self) -> dict:
-        """{(a, j): p_aj}, all n³ made on first read in _p_columns order."""
-        return {key: self.session.symbol(name) for key, name in _p_columns(self.n, self.dim)}
+        """{(a, j): p_aj}, all n³ made on first read in _p_columns order; a session gives one bundle its p."""
+        columns = _p_columns(self.n, self.dim)
+        return dict(zip((key for key, _ in columns), self.session._new_symbols(name for _, name in columns)))
 
     def theta(self, i: int) -> Form:
         return self.e(_index(i, 1, self.n, "theta index"))

@@ -83,7 +83,7 @@ class FileFormatError(EngineError):
 
 
 class RedeclarationError(EngineError):
-    """declare_d was called twice for the same generator."""
+    """A name was declared twice: declare_d for one generator, or a symbol name in one session."""
 
 
 class NotNilpotentError(EngineError):

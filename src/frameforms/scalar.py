@@ -8,12 +8,12 @@ multi-degree monomials over session symbols to Gaussian-rational
 coefficients, kept in a unique canonical form (zero coefficients are
 never stored).
 
-Symbols are created through a Session, which assigns a strictly
-increasing creation index from one process-wide counter; the index is
-the total order used everywhere canonical ordering is needed.  A symbol
-equals only itself and hashes by identity (copying returns it), so
-symbols of different sessions never collide.  A session and every
-object created in it are confined to one thread at a time.
+Symbols are created through a Session, which gives each name one symbol
+and a strictly increasing creation index from one process-wide counter;
+the index is the total order used everywhere canonical ordering is
+needed.  A symbol equals only itself and hashes by identity (copying
+returns it), so symbols of different sessions never collide.  A session
+and every object created in it are confined to one thread at a time.
 
 accumulate is the one plain sparse-sum step: sums of polynomials, forms
 and spinors, and the terms whose keys wedge, hook or the parser compute,
@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InconsistentError, NonLinearError
+from .errors import InconsistentError, NonLinearError, RedeclarationError
 
 __all__ = [
     "Session",
@@ -320,22 +320,38 @@ _INDEX = itertools.count()
 
 
 class Session:
-    """Registry that hands out symbols with unique creation indices.
+    """Registry of one {name: Symbol} table: each name one symbol, with a unique creation index.
 
     All objects of one computation (symbols, manifolds, connections)
     should come from the same session; the creation index provides the
     stable total order behind every canonical ordering in the engine.
     """
 
+    def __init__(self):
+        self._symbols = {}
+
     def next_index(self):
         return next(_INDEX)
 
     def symbol(self, name) -> Symbol:
-        return Symbol(name, self.next_index())
+        return self._new_symbols((name,))[0]
 
     def symbols(self, names) -> list[Symbol]:
         """Create several symbols at once; names is a whitespace-separated string."""
-        return [self.symbol(n) for n in names.split()]
+        return self._new_symbols(names.split())
+
+    def _new_symbols(self, names):
+        """The one symbol maker: new symbols in names' order, made only after every name passes its checks."""
+        names, table = list(names), self._symbols
+        if " ".join(names).split() != names:  # join raises TypeError for a non-str name
+            bad = next(name for name in names if name.split() != [name])
+            raise ValueError(f"symbol name {bad!r} is empty or holds whitespace")
+        if len(set(names)) < len(names) or not table.keys().isdisjoint(names):
+            bad = next(name for i, name in enumerate(names) if name in table or name in names[:i])
+            raise RedeclarationError(f"symbol {bad} already declared in this session")
+        made = [Symbol(name, next(_INDEX)) for name in names]
+        table.update(zip(names, made))
+        return made
 
 
 # A monomial is a tuple of (Symbol, exponent) pairs sorted by symbol

@@ -1,6 +1,8 @@
+import collections
 import functools
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,10 +18,12 @@ from frameforms import (
     InconsistentError,
     NonLinearError,
     Poly,
+    RedeclarationError,
     RiemannianManifold,
     Session,
     Spinor,
     UnsupportedKindError,
+    frame_bundle,
     hook,
     linear_solve,
     pairing,
@@ -65,11 +69,11 @@ def test_connection_names_unique_past_nine():
 @pytest.mark.parametrize("n", [4, 9, 10])
 @pytest.mark.parametrize("antisymmetric", [False, True], ids=["generic", "antisymmetric"])
 def test_connection_symbols_are_named_by_their_indices_in_creation_order(n, antisymmetric):
-    """Symbol k of the table is Gamma(i, j, k) for the k-th triple; two tables of one shape share names only."""
+    """Symbol k of the table is Gamma(i, j, k) for the k-th triple; a second table of one prefix is refused."""
     M = FrameManifold(Session(), n)
     r = range(1, n + 1)
     triples = [(i, j, k) for i in r for j in r for k in r if not antisymmetric or j < k]
-    first, second = (Connection(M, prefix="G", antisymmetric=antisymmetric) for _ in range(2))
+    first = Connection(M, prefix="G", antisymmetric=antisymmetric)
     symbols = first.free_parameters()
     assert [s.index for s in symbols] == sorted(s.index for s in symbols)
     assert [s.name for s in symbols] == [_indexed_name("G", idx) for idx in triples]
@@ -77,11 +81,69 @@ def test_connection_symbols_are_named_by_their_indices_in_creation_order(n, anti
         assert first.gamma(*idx) == Poly.from_symbol(s)
     if n == 10:
         assert symbols[-1].name == ("G[10,9,10]" if antisymmetric else "G[10,10,10]")
-    others = second.free_parameters()
-    assert [s.name for s in others] == [s.name for s in symbols]
-    assert not set(others) & set(symbols)
+    with pytest.raises(RedeclarationError, match=f"^symbol {re.escape(symbols[0].name)} already declared"):
+        Connection(M, prefix="G", antisymmetric=antisymmetric)
     renamed = Connection(M, prefix="H", antisymmetric=antisymmetric).free_parameters()
     assert [s.name for s in renamed] == [_indexed_name("H", idx) for idx in triples]
+    assert not set(renamed) & set(symbols)
+
+
+def test_a_second_gamma_family_on_a_riemannian_manifold_is_refused():
+    """Connection(R) would take R's prefix Gamma again, and its Gamma112 would print as R's."""
+    s = Session()
+    R = RiemannianManifold(s, 4)
+    held = dict(s._symbols)
+    with pytest.raises(RedeclarationError, match="^symbol Gamma112 already declared"):
+        Connection(R)
+    assert s._symbols == held
+    c = Connection(R, prefix="G")
+    assert str(c.gamma(1, 1, 2) - R.connection.gamma(1, 1, 2)) == "-Gamma112+G112"
+
+
+def test_a_family_that_clashes_partway_makes_no_symbol():
+    s = Session()
+    M = torus(s)
+    held, index = {"G213": s.symbol("G213")}, s.next_index()
+    with pytest.raises(RedeclarationError, match="^symbol G213 already declared"):
+        Connection(M, prefix="G")
+    assert s._symbols == held and s.next_index() == index + 1
+    with pytest.raises(ValueError, match="^symbol name 'G H112' is empty or holds whitespace$"):
+        Connection(M, prefix="G H", antisymmetric=True)
+    assert s._symbols == held and s.next_index() == index + 2
+    r = range(1, 5)
+    names = [_indexed_name("H", (i, j, k)) for i in r for j in r for k in r]
+    made = Connection(M, prefix="H").free_parameters()
+    assert [g.name for g in made] == names
+    assert [g.index for g in made] == list(range(index + 3, index + 3 + 64))
+    assert list(s._symbols) == ["G213"] + names
+
+
+def test_one_session_gives_each_name_one_symbol():
+    """A seeded mix of every symbol maker in one session: refused calls make nothing, the rest distinct names."""
+    rng = random.Random(40)
+    s = Session()
+    M = torus(s, 3)
+    makers = [
+        lambda: [s.symbol(rng.choice(["x", "y", "G111", "H112", "p31", "Gamma112"]))],
+        lambda: s.symbols(" ".join(rng.sample(["x", "y", "z", "u", "v", "w", "H123", "p41"], 2))),
+        lambda: Connection(M, prefix=rng.choice("GHKL")).free_parameters(),
+        lambda: Connection(M, prefix=rng.choice("GHKL"), antisymmetric=True).free_parameters(),
+        lambda: RiemannianManifold(s, rng.choice([2, 3, 4]), rng.choice(["Gamma", "R"])).connection.free_parameters(),
+        lambda: list(frame_bundle(s, rng.choice([1, 2, 3])).p.values()),
+    ]
+    made, outcomes = [], collections.Counter()
+    for _ in range(80):
+        held, kind = dict(s._symbols), rng.randrange(len(makers))
+        try:
+            made += makers[kind]()
+            outcomes[kind, "made"] += 1
+        except RedeclarationError:
+            outcomes[kind, "refused"] += 1
+            assert s._symbols == held
+    names = [g.name for g in made]
+    assert len(set(names)) == len(names)
+    assert list(s._symbols.values()) == made
+    assert all(outcomes[kind, outcome] for kind in range(len(makers)) for outcome in ("made", "refused"))
 
 
 def test_connection_accepts_non_simple_frame():
@@ -250,7 +312,7 @@ def test_nabla_spinor_requires_metric_connection():
     with pytest.raises(UnsupportedKindError):
         c.nabla_spinor(M.e(1), None)
     # a metric connection on a manifold without a spinor module
-    metric = Connection(M, antisymmetric=True)
+    metric = Connection(M, prefix="A", antisymmetric=True)
     with pytest.raises(UnsupportedKindError, match="no spinor module"):
         metric.nabla_spinor(M.e(1), Spinor.basis(4, 0))
 
@@ -293,7 +355,7 @@ def test_declare_nabla_examples():
     c.declare_nabla_vector(M.e(1), M.e(1), 0)
     assert c._echelon.solved() == before
     # contradictory redeclaration
-    c2 = Connection(M)
+    c2 = Connection(M, prefix="G")
     c2.declare_nabla_vector(M.e(1), M.e(1), M.e(1))
     with pytest.raises(InconsistentError):
         c2.declare_nabla_vector(M.e(1), M.e(1), 2 * M.e(1))
@@ -501,8 +563,8 @@ def test_levi_civita_ricci_matches_milnor_formula():
     rng = random.Random(61)
     s = Session()
     seeded = [_two_step_nilpotent(rng, n) for n in (5, 6)]
-    for M in [heisenberg(s), nilpotent4(s), iwasawa6(s)] + seeded:
-        conn = _levi_civita(M, "L")
+    for M, prefix in zip([heisenberg(s), nilpotent4(s), iwasawa6(s)] + seeded, "LMNPQ"):
+        conn = _levi_civita(M, prefix)
         assert conn.free_parameters() == []
         curv = conn.curvature()
         r = range(1, M.dim + 1)
@@ -753,7 +815,8 @@ def _torsion_cases():
         R.declare_nabla_spinor(R.e(i), R.u(0), 0)
     yield "riemannian-parallel-spinor", R.connection
     yield "metric-on-riemannian", Connection(R, prefix="S", antisymmetric=True)
-    B, _, _ = bilagrangian_brackets(s)
+    # Its manifold takes the prefix Gamma, which almost_complex_torsion took in s.
+    B, _, _ = bilagrangian_brackets(Session())
     yield "bilagrangian", B.connection
 
 
@@ -1025,7 +1088,7 @@ def test_echelon_rows_are_the_gamma_table_across_declarations():
         c = Connection(M, prefix="G", antisymmetric=antisymmetric)
         own = c.free_parameters()
         done, accepted = [], []
-        for _ in range(25):
+        for step in range(25):
             roll = rng.random()
             if roll < 0.5:
                 picked = rng.sample(own, rng.randint(1, 3))
@@ -1046,7 +1109,8 @@ def test_echelon_rows_are_the_gamma_table_across_declarations():
             except (InconsistentError, NonLinearError) as exc:
                 failures[type(exc)] += 1
             _assert_rows_hold_no_pivot(c._echelon)
-            replay = Connection(M, prefix="G", antisymmetric=antisymmetric)
+            # Each replay takes its own prefix: a session makes one symbol per name.
+            replay = Connection(M, prefix=f"R{step}_", antisymmetric=antisymmetric)
             fresh = replay.free_parameters()
             to_fresh = {g: Poly.from_symbol(f) for g, f in zip(own, fresh)}
             back = {f: Poly.from_symbol(g) for g, f in zip(own, fresh)}

@@ -23,6 +23,7 @@ from frameforms import (
     NonLinearError,
     NotLinearError,
     Poly,
+    RedeclarationError,
     Session,
     cartan_test,
     degree,
@@ -211,6 +212,20 @@ def test_p_grid_size():
     indices = [P.p[(a, j)].index for a in range(8, 57) for j in range(1, 8)]
     assert indices == sorted(indices) and indices[-1] == last.index
     assert str(P.p[(8, 1)]) == "p81"
+
+
+def test_a_session_gives_one_bundle_its_p():
+    s = Session()
+    first, second = frame_bundle(s, 2), frame_bundle(s, 2)
+    p = first.p
+    held = dict(s._symbols)
+    with pytest.raises(RedeclarationError, match="^symbol p31 already declared"):
+        second.p
+    assert s._symbols == held
+    # One session per bundle: each bundle's p have the same names and are other symbols.
+    third, fourth = frame_bundle(Session(), 2).p, frame_bundle(Session(), 2).p
+    assert [g.name for g in third.values()] == [g.name for g in fourth.values()] == [g.name for g in p.values()]
+    assert not set(third.values()) & set(fourth.values())
 
 
 def test_p_columns_are_the_vn_columns_and_the_p_order():

@@ -13,6 +13,7 @@ from frameforms import (
     InconsistentError,
     NonLinearError,
     Poly,
+    RedeclarationError,
     Session,
     linear_solve,
 )
@@ -176,12 +177,14 @@ def test_floats_are_rejected():
 
 def test_symbol_identity_and_order():
     s = Session()
-    x1 = s.symbol("x")
-    x2 = s.symbol("x")
-    assert x1 != x2
-    assert x1 < x2
-    assert x1 == x1
-    assert x1.index < x2.index
+    x, y = s.symbol("x"), s.symbol("y")
+    # A session makes one symbol per name.
+    with pytest.raises(RedeclarationError, match="^symbol x already declared"):
+        s.symbol("x")
+    assert x != y
+    assert x < y
+    assert x == x
+    assert x.index < y.index
 
 
 def test_symbol_equals_only_itself_and_copies_to_itself():
@@ -206,6 +209,33 @@ def test_symbols_of_different_sessions_are_distinct():
     assert a != b
     assert a - b != 0
     assert str(a - b) == "a-b"
+
+
+def test_a_refused_name_makes_no_symbol():
+    """A repeat in one call, a held name and a name that cannot print as itself are refused before any symbol is made."""
+    s = Session()
+    x, y = s.symbols("x y")
+    held, index = dict(s._symbols), s.next_index()
+    for call, error, message in [
+        (lambda: s.symbols("a b a"), RedeclarationError, "^symbol a already declared"),
+        (lambda: s.symbols("z x"), RedeclarationError, "^symbol x already declared"),
+        (lambda: s.symbol("x"), RedeclarationError, "^symbol x already declared"),
+        (lambda: s.symbol(3), TypeError, "expected str instance, int found"),
+        (lambda: s.symbol(""), ValueError, "^symbol name '' is empty or holds whitespace$"),
+        (lambda: s.symbol("u v"), ValueError, "empty or holds whitespace"),
+        (lambda: s.symbol("u\n"), ValueError, "empty or holds whitespace"),
+    ]:
+        with pytest.raises(error, match=message):
+            call()
+        assert s._symbols == held
+        index += 1
+        assert s.next_index() == index
+    a, b, z = s.symbols("a b z")
+    assert s._symbols == {"x": x, "y": y, "a": a, "b": b, "z": z}
+    assert [v.index for v in (a, b, z)] == [index + 1, index + 2, index + 3]
+    # Another session may reuse a name.
+    other = Session().symbol("x")
+    assert other.name == "x" and other != x
 
 
 def test_poly_ring_examples():
